@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -40,6 +41,10 @@ class PreconditionNotChecked(PrizeAllocError):
     pass
 
 
+class InvalidBudget(PrizeAllocError, ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class SampleBudget:
     """Sampling budget: competitor counts 1..max_n and an endowment grid."""
@@ -51,11 +56,11 @@ class SampleBudget:
 
     def __post_init__(self) -> None:
         if self.max_n < 2:
-            raise ValueError("max_n must be >= 2")
+            raise InvalidBudget(f"sample budget max_n must be >= 2, got {self.max_n}")
         if not self.endowment_grid:
             object.__setattr__(self, "endowment_grid", _default_grid(self.rng_seed))
         if any(e < 0 for e in self.endowment_grid):
-            raise ValueError("endowment grid must be non-negative")
+            raise InvalidBudget("endowment grid must be non-negative")
 
     def sorted_grid(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.endowment_grid)))
@@ -300,56 +305,83 @@ def check_endowment_monotonicity(
         raise ValueError(f"unknown endowment-monotonicity mode: {mode}")
     count = 0
     grid = budget.sorted_grid()
-
+    g = len(grid)
     for n in range(1, budget.max_n + 1):
         for ranking in _arrangements(rule, n):
             get = _alloc_cache(rule)
-            for a_idx in range(len(grid)):
-                for b_idx in range(a_idx + 1, len(grid)):
-                    e_lo, e_hi = grid[a_idx], grid[b_idx]
-                    count += 1
-                    w = _monotonicity_violation(rule, ranking, e_lo, e_hi, mode, tol, get)
-                    if w is not None:
-                        w = _snap_pair(
-                            w, lambda lo, hi: _monotonicity_violation(
-                                rule, ranking, lo, hi, mode, tol, _alloc_cache(rule))
-                        )
-                        return _verdict("endowment_monotonicity", mode, budget, tol, count, w)
+            hit = _first_monotonicity_pair(grid, [get(ranking, e) for e in grid], mode, tol)
+            if hit is None:
+                count += g * (g - 1) // 2
+                continue
+            # the pairs scanned in row-major order up to and including (a, b)
+            a, b = hit
+            count += a * (g - 1) - a * (a - 1) // 2 + (b - a)
+            w = _monotonicity_witness(ranking, grid[a], grid[b], mode, tol, get)
+            w = _snap_pair(w, lambda lo, hi: _monotonicity_witness(ranking, lo, hi, mode, tol, get))
+            return _verdict("endowment_monotonicity", mode, budget, tol, count, w)
     return _verdict("endowment_monotonicity", mode, budget, tol, count)
 
 
-def _monotonicity_violation(rule, ranking, e_lo, e_hi, mode, tol, get) -> Witness | None:
+def _monotonicity_fault(lo, hi, gap, mode, tol, strict_hi=None):
+    """The pair test on prize vectors at endowments ``gap`` apart: (position,
+    relation, margin) or None.  Strict modes compare ``lo`` with ``strict_hi``
+    (default ``hi``) and skip gaps below MIN_STRICT_GAP."""
+    for pos in range(1, len(lo) + 1):
+        if lo[pos - 1] > hi[pos - 1] + tol:
+            return pos, "prize non-decreasing in E", lo[pos - 1] - hi[pos - 1]
+    if gap < MIN_STRICT_GAP:
+        return None
+    hi = hi if strict_hi is None else strict_hi
+    if mode == "winner_strict" and hi[0] <= lo[0] + tol:
+        return 1, "winner prize strictly increasing in E", lo[0] - hi[0] + tol
+    if mode == "strict":
+        for pos in range(1, len(lo) + 1):
+            if hi[pos - 1] <= lo[pos - 1] + tol:
+                return pos, "prize strictly increasing in E", lo[pos - 1] - hi[pos - 1] + tol
+    return None
+
+
+def _first_monotonicity_pair(grid, vecs, mode, tol) -> tuple[int, int] | None:
+    """First grid pair (a, b), a < b, in row-major order that fails the pair test.
+
+    Row a is tested once against per-position suffix minima: over b > a for
+    the weak part, over b from the first gap >= MIN_STRICT_GAP for the strict
+    part.  Rounding is monotone, so fl(min p_b + tol) = min fl(p_b + tol) and
+    the row test fails exactly when some pair in the row does; only that row
+    is walked pair by pair.
+    """
+    g = len(grid)
+    suffix = [None] * (g + 1)  # suffix[k]: per-position minima of vecs[k:]
+    for k in reversed(range(g)):
+        suffix[k] = tuple(map(min, vecs[k], suffix[k + 1] or vecs[k]))
+    b0 = 0
+    for a in range(g - 1):
+        b0 = max(b0, a + 1)
+        while b0 < g and grid[b0] - grid[a] < MIN_STRICT_GAP:
+            b0 += 1
+        gap = grid[b0] - grid[a] if b0 < g else 0.0
+        if _monotonicity_fault(vecs[a], suffix[a + 1], gap, mode, tol, suffix[b0]):
+            for b in range(a + 1, g):
+                if _monotonicity_fault(vecs[a], vecs[b], grid[b] - grid[a], mode, tol):
+                    return a, b
+    return None
+
+
+def _monotonicity_witness(ranking, e_lo, e_hi, mode, tol, get) -> Witness | None:
     if e_hi <= e_lo:
         return None
-    lo = get(ranking, e_lo)
-    hi = get(ranking, e_hi)
-    n = ranking.n
-    comp_lo = Competition(ranking=ranking, endowment=e_lo)
-    comp_hi = Competition(ranking=ranking, endowment=e_hi)
-
-    def make(pos: int, relation: str, margin: float) -> Witness:
-        return Witness(
-            axiom="endowment_monotonicity", mode=mode,
-            competitions=(comp_lo, comp_hi), subset=None,
-            competitor=ranking.id_at(pos), position=pos,
-            lhs=lo[pos - 1], rhs=hi[pos - 1], relation=relation, margin=margin,
-        )
-
-    for pos in range(1, n + 1):
-        if lo[pos - 1] > hi[pos - 1] + tol:
-            return make(pos, "prize non-decreasing in E", lo[pos - 1] - hi[pos - 1])
-    if e_hi - e_lo < MIN_STRICT_GAP:
+    lo, hi = get(ranking, e_lo), get(ranking, e_hi)
+    fault = _monotonicity_fault(lo, hi, e_hi - e_lo, mode, tol)
+    if fault is None:
         return None
-    if mode == "winner_strict":
-        if hi[0] <= lo[0] + tol:
-            return make(1, "winner prize strictly increasing in E",
-                        lo[0] - hi[0] + tol)
-    if mode == "strict":
-        for pos in range(1, n + 1):
-            if hi[pos - 1] <= lo[pos - 1] + tol:
-                return make(pos, "prize strictly increasing in E",
-                            lo[pos - 1] - hi[pos - 1] + tol)
-    return None
+    pos, relation, margin = fault
+    return Witness(
+        axiom="endowment_monotonicity", mode=mode,
+        competitions=(Competition(ranking=ranking, endowment=e_lo),
+                      Competition(ranking=ranking, endowment=e_hi)),
+        subset=None, competitor=ranking.id_at(pos), position=pos,
+        lhs=lo[pos - 1], rhs=hi[pos - 1], relation=relation, margin=margin,
+    )
 
 
 def _snap_pair(w: Witness, recheck: Callable[[float, float], Witness | None]) -> Witness:
@@ -389,12 +421,12 @@ def check_lipschitz(
     for n in range(1, budget.max_n + 1):
         ranking = Ranking(tuple(f"c{k}" for k in range(1, n + 1)))
         get = _alloc_cache(rule)
+        vecs = [get(ranking, e) for e in grid]
         for a_idx in range(len(grid)):
             for b_idx in range(a_idx + 1, len(grid)):
                 e_lo, e_hi = grid[a_idx], grid[b_idx]
                 count += 1
-                lo = get(ranking, e_lo)
-                hi = get(ranking, e_hi)
+                lo, hi = vecs[a_idx], vecs[b_idx]
                 for pos in range(1, n + 1):
                     gap = abs(hi[pos - 1] - lo[pos - 1])
                     if gap > (e_hi - e_lo) + tol:
@@ -494,12 +526,7 @@ def _position_subsets(n: int, mode: str, pair_only: bool) -> Iterator[tuple[int,
             for start in range(1, n - size + 2):
                 yield tuple(range(start, start + size))
         else:
-            yield from _combinations(n, size)
-
-
-def _combinations(n: int, size: int) -> Iterator[tuple[int, ...]]:
-    import itertools
-    yield from itertools.combinations(range(1, n + 1), size)
+            yield from combinations(range(1, n + 1), size)
 
 
 def check_consistency(
@@ -510,23 +537,23 @@ def check_consistency(
     count = 0
     for n in range(3, budget.max_n + 1):
         for ranking in _arrangements(rule, n):
+            get = _alloc_cache(rule)
             for positions in _position_subsets(n, mode, budget.pair_only):
                 for e in budget.scan_grid():
                     count += 1
-                    w = _consistency_violation(rule, ranking, e, positions, mode, tol)
+                    w = _consistency_violation(rule, ranking, e, positions, mode, tol, get)
                     if w is not None:
                         w = _snap_single(
                             w,
                             lambda e2: _consistency_violation(
-                                rule, ranking, e2, positions, mode, tol),
+                                rule, ranking, e2, positions, mode, tol, get),
                         )
                         return _verdict("consistency", mode, budget, tol, count, w)
     return _verdict("consistency", mode, budget, tol, count)
 
 
-def _consistency_violation(rule, ranking, e, positions, mode, tol) -> Witness | None:
-    comp = Competition(ranking=ranking, endowment=e)
-    vec = allocate(rule, comp, CHECK_SOLVER).by_position(ranking)
+def _consistency_violation(rule, ranking, e, positions, mode, tol, get=None) -> Witness | None:
+    vec = (get or _alloc_cache(rule))(ranking, e)  # without a cache, allocate afresh
     ids = tuple(ranking.id_at(p) for p in positions)
     sub_e = sum(vec[p - 1] for p in positions)
     sub_ranking = subranking(ranking, ids)
@@ -537,7 +564,8 @@ def _consistency_violation(rule, ranking, e, positions, mode, tol) -> Witness | 
         rhs = red_vec[sub_pos - 1]
         if abs(lhs - rhs) > tol:
             return Witness(
-                axiom="consistency", mode=mode, competitions=(comp, reduced),
+                axiom="consistency", mode=mode,
+                competitions=(Competition(ranking=ranking, endowment=e), reduced),
                 subset=ids, competitor=ranking.id_at(orig_pos), position=orig_pos,
                 lhs=lhs, rhs=rhs,
                 relation="prize in reduced competition equals original prize",

@@ -402,6 +402,9 @@ def _print_witness(w: Witness, out) -> None:
 # Command implementations
 
 
+MAX_RANGE_ROWS = 100_000
+
+
 def _parse_endowments(spec: str) -> list[float]:
     """Either 'start:stop:step' (inclusive of stop) or comma-separated values."""
     if ":" in spec:
@@ -412,14 +415,18 @@ def _parse_endowments(spec: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise NonNumeric(f"endowment range {spec!r}: {exc}") from exc
-        if step <= 0:
-            raise SchemaError("endowment range step must be > 0")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise SchemaError(f"endowment range {spec!r} must have finite bounds")
+        if not 0 < step < math.inf:  # also rejects a NaN step
+            raise SchemaError("endowment range step must be finite and > 0")
         out = []
         k = 0
         while True:
             e = start + k * step
             if e > stop + 1e-9 * max(1.0, abs(stop)):
                 break
+            if len(out) == MAX_RANGE_ROWS:
+                raise SchemaError(f"endowment range {spec!r} has more than {MAX_RANGE_ROWS} rows")
             out.append(e)
             k += 1
         return out

@@ -11,6 +11,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Sequence
 
 # Default tolerances. These are configuration, not constants: every operation
@@ -36,6 +37,10 @@ class NotAPermutation(PrizeAllocError):
 
 
 class NegativeEndowment(PrizeAllocError):
+    pass
+
+
+class NonFiniteEndowment(PrizeAllocError):
     pass
 
 
@@ -100,8 +105,9 @@ class Competition:
     endowment: float
 
     def __post_init__(self) -> None:
-        if self.endowment < 0:
-            raise NegativeEndowment(f"endowment must be >= 0, got {self.endowment}")
+        if not 0 <= self.endowment < inf:
+            kind = NegativeEndowment if self.endowment < 0 else NonFiniteEndowment
+            raise kind(f"endowment must be finite and >= 0, got {self.endowment}")
 
     @property
     def n(self) -> int:

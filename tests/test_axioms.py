@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prizealloc import axioms
 from prizealloc.axioms import (
     MATRIX_CELLS,
+    MIN_STRICT_GAP,
+    MONOTONICITY_MODES,
     PreconditionNotChecked,
     SampleBudget,
+    Witness,
     cell_key,
     check_anonymity,
     check_consistency,
@@ -13,6 +19,7 @@ from prizealloc.axioms import (
     check_scale_invariance,
     verify_witness,
 )
+from prizealloc.core import TAU_EQ, Competition, PrizeAllocError, Ranking
 from prizealloc.rules import (
     ED,
     WTS,
@@ -48,6 +55,10 @@ class TestSampleBudget:
             SampleBudget(max_n=1)
         with pytest.raises(ValueError):
             SampleBudget(endowment_grid=(-1.0,))
+
+    def test_invalid_budget_is_a_package_error(self):
+        with pytest.raises(PrizeAllocError):
+            SampleBudget(max_n=0)
 
     def test_scan_grid_puts_round_values_first(self):
         budget = SampleBudget(endowment_grid=(0.3, 1.0, 0.13, 0.25))
@@ -237,3 +248,110 @@ class TestGoldenMatrix:
         hyper = matrix["param:hyperarithmetic"]["consistency:local"].witness
         assert hyper.competitions[0].ranking.n == 3
         assert hyper.competitions[0].endowment == 4.25
+
+
+# ---------------------------------------------------------------------------
+# The endowment-monotonicity row scan against a plain O(G^2) pair scan
+
+
+def _reference_fault(lo, hi, gap, mode, tol):
+    """The monotonicity pair test, restated independently of the package."""
+    for pos, (x, y) in enumerate(zip(lo, hi), start=1):
+        if x > y + tol:
+            return pos, "prize non-decreasing in E", x - y
+    if gap < MIN_STRICT_GAP:
+        return None
+    if mode == "winner_strict" and hi[0] <= lo[0] + tol:
+        return 1, "winner prize strictly increasing in E", lo[0] - hi[0] + tol
+    if mode == "strict":
+        for pos, (x, y) in enumerate(zip(lo, hi), start=1):
+            if y <= x + tol:
+                return pos, "prize strictly increasing in E", x - y + tol
+    return None
+
+
+def _reference_scan(grid, vecs, mode, tol):
+    """First failing (a, b) and the number of pairs tested up to it."""
+    count = 0
+    for a in range(len(grid)):
+        for b in range(a + 1, len(grid)):
+            count += 1
+            if _reference_fault(vecs[a], vecs[b], grid[b] - grid[a], mode, tol):
+                return (a, b), count
+    return None, count
+
+
+class _Prizes:
+    """Stands in for an Allocation: serves a fixed prize vector."""
+
+    def __init__(self, vec):
+        self.vec = vec
+
+    def by_position(self, ranking):
+        return self.vec
+
+
+@st.composite
+def _prize_tables(draw):
+    """A grid with gaps below MIN_STRICT_GAP, and prize vectors for n = 1..3
+    at every grid point and snap candidate.  Consecutive prizes are equal,
+    exactly tol apart, or further apart, in either direction; each table
+    draws how often prizes rise, so some violations come late or not at all."""
+    tol = draw(st.sampled_from([TAU_EQ, 0.25]))
+    points = draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 3)),
+                           min_size=1, max_size=10, unique=True))
+    grid = sorted({k * 0.25 + j * 4e-7 for k, j in points})
+    endpoints = sorted(set(grid) | {c for e in grid for c in axioms._snap_candidates(e)})
+    rises = draw(st.sampled_from([0, 6, 60]))
+    steps = st.sampled_from([0.5] * rises + [0.0, tol, -tol, -0.5])
+    table = {}
+    for n in range(1, 4):
+        prev = [draw(st.sampled_from([0.0, 1.0, 3.0])) for _ in range(n)]
+        for e in endpoints:
+            prev = [p + draw(steps) for p in prev]
+            table[n, e] = tuple(prev)
+    return tol, grid, table
+
+
+@pytest.mark.parametrize("mode", MONOTONICITY_MODES)
+@settings(max_examples=150)
+@given(data=_prize_tables())
+def test_monotonicity_row_scan_matches_pair_scan(mode, data):
+    tol, grid, table = data
+    expected_witness, expected_count = None, 0
+    for n in range(1, 4):
+        vecs = [table[n, e] for e in grid]
+        hit, count = _reference_scan(grid, vecs, mode, tol)
+        assert axioms._first_monotonicity_pair(grid, vecs, mode, tol) == hit
+        expected_count += count
+        if hit is None:
+            continue
+        ranking = Ranking(tuple(f"c{k}" for k in range(1, n + 1)))
+
+        def witness(e_lo, e_hi):
+            if e_hi <= e_lo:
+                return None
+            lo, hi = table[n, e_lo], table[n, e_hi]
+            fault = _reference_fault(lo, hi, e_hi - e_lo, mode, tol)
+            if fault is None:
+                return None
+            pos, relation, margin = fault
+            return Witness(
+                axiom="endowment_monotonicity", mode=mode,
+                competitions=(Competition(ranking=ranking, endowment=e_lo),
+                              Competition(ranking=ranking, endowment=e_hi)),
+                subset=None, competitor=f"c{pos}", position=pos,
+                lhs=lo[pos - 1], rhs=hi[pos - 1], relation=relation, margin=margin,
+            )
+
+        a, b = hit
+        expected_witness = axioms._snap_pair(witness(grid[a], grid[b]), witness)
+        break
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(axioms, "allocate",
+                   lambda rule, comp, cfg: _Prizes(table[comp.n, comp.endowment]))
+        verdict = check_endowment_monotonicity(
+            ED(), SampleBudget(max_n=3, endowment_grid=tuple(grid)), mode, tol)
+    assert verdict.samples_checked == expected_count
+    assert verdict.witness == expected_witness
+    assert verdict.passed == (expected_witness is None)

@@ -1,14 +1,19 @@
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from prizealloc.cli import (
+    MAX_RANGE_ROWS,
     IoError,
     NonNumeric,
     ParseError,
     SchemaError,
+    _parse_endowments,
     bundled_rules,
     load_prize_data,
     parse_rule_spec,
@@ -21,6 +26,9 @@ from prizealloc.rules import (
     Geometric,
     describe,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(*argv):
@@ -235,6 +243,61 @@ class TestMatrixCommand:
     def test_determinism(self):
         args = ("matrix", "--rules", "ed", "--samples", "3", "--seed", "1", "--json")
         assert run_cli(*args) == run_cli(*args)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_parity_fixture(self, seed):
+        # Fixtures hold the pre-optimisation output of the unrestricted matrix.
+        fixture = FIXTURES / f"matrix_seed{seed}.json"
+        code, out, _ = run_cli("matrix", "--json", "--seed", str(seed))
+        assert code == 1
+        assert out == fixture.read_text()
+
+
+class TestMalformedInputExits2:
+    @pytest.mark.parametrize("argv", [
+        ("allocate", "--rule", "ed", "--n", "3", "--endowment", "nan"),
+        ("allocate", "--rule", "interval:[0,1]", "--n", "3", "--endowment", "inf"),
+        ("table", "--rule", "ed", "--n", "2", "--endowments", "0:1:nan"),
+        ("table", "--rule", "ed", "--n", "2", "--endowments", "nan:1:0.5"),
+        ("table", "--rule", "ed", "--n", "2", "--endowments", "0:inf:1"),
+        ("table", "--rule", "ed", "--n", "2", "--endowments", "0:1:inf"),
+        ("table", "--rule", "ed", "--n", "2", "--endowments", "0,nan"),
+    ])
+    def test_non_finite_numbers(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_range_is_capped(self):
+        assert len(_parse_endowments("0:99999:1")) == MAX_RANGE_ROWS
+        code, _, err = run_cli("table", "--rule", "ed", "--n", "1",
+                               "--endowments", "0:100000:1")
+        assert code == 2
+        assert "100000 rows" in err
+
+    @pytest.mark.parametrize("command", [
+        ("check", "--rule", "ed", "--axiom", "anonymity"),
+        ("matrix", "--rules", "ed"),
+    ])
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_samples_below_2(self, command, samples):
+        code, out, err = run_cli(*command, "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "max_n must be >= 2" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "prizealloc", "allocate", "--rule", "ed",
+         "--n", "2", "--endowment", "3"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "1.5 1.5\n"
 
 
 class TestFitAndClassifyCommands:

@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from prizealloc.core import (
     InconsistentPositionCounts,
     KeyMismatch,
     NegativeEndowment,
+    NonFiniteEndowment,
     NotAPermutation,
     PrizeAllocError,
     PrizeTable,
@@ -54,6 +57,13 @@ class TestCompetition:
     def test_negative_endowment_rejected(self):
         with pytest.raises(NegativeEndowment):
             Competition(ranking=Ranking(("a",)), endowment=-1.0)
+        with pytest.raises(NegativeEndowment):
+            Competition(ranking=Ranking(("a",)), endowment=-math.inf)
+
+    @pytest.mark.parametrize("endowment", [math.nan, math.inf])
+    def test_non_finite_endowment_rejected(self, endowment):
+        with pytest.raises(NonFiniteEndowment):
+            Competition(ranking=Ranking(("a",)), endowment=endowment)
 
     def test_zero_endowment_allowed(self):
         assert Competition(ranking=Ranking(("a",)), endowment=0.0).endowment == 0.0
