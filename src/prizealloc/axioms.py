@@ -9,12 +9,18 @@ Samples are enumerated in a deterministic ascending order (field size,
 identity arrangement, endowment, subset size), so the first witness found
 is already small; a snapping pass then moves endowments onto round grid
 points while the violation persists.
+
+Prize vectors are read through a memo keyed by the ranking's ids and the
+endowment.  ``run_axiom_matrix`` shares one memo across the cells of a
+rule's row and drops it when the row is done; a standalone check builds
+its own, and ``verify_witness`` never reads one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
@@ -36,12 +42,20 @@ CHECK_SOLVER = SolverConfig(residual_tol=1e-12, max_iter=300)
 # meaningless and the pair is skipped.
 MIN_STRICT_GAP = 1e-6
 
+# Largest field size a budget may ask for.  The full consistency scan visits
+# every position subset, so its cost roughly doubles with each competitor.
+MAX_FIELD_SIZE = 12
+
 
 class PreconditionNotChecked(PrizeAllocError):
     pass
 
 
 class InvalidBudget(PrizeAllocError, ValueError):
+    pass
+
+
+class DuplicateRow(PrizeAllocError):
     pass
 
 
@@ -57,6 +71,9 @@ class SampleBudget:
     def __post_init__(self) -> None:
         if self.max_n < 2:
             raise InvalidBudget(f"sample budget max_n must be >= 2, got {self.max_n}")
+        if self.max_n > MAX_FIELD_SIZE:
+            raise InvalidBudget(
+                f"sample budget max_n must be <= {MAX_FIELD_SIZE}, got {self.max_n}")
         if not self.endowment_grid:
             object.__setattr__(self, "endowment_grid", _default_grid(self.rng_seed))
         if any(e < 0 for e in self.endowment_grid):
@@ -156,10 +173,15 @@ def _designated_pair(rule: RuleSpec) -> tuple[str, str] | None:
     return None
 
 
-def _arrangements(rule: RuleSpec, n: int) -> list[Ranking]:
-    """Identity arrangements to sample: a generic one, plus placements of a
-    rule's designated competitors at varying position pairs."""
-    rankings = [Ranking(tuple(f"c{k}" for k in range(1, n + 1)))]
+def _generic_ids(n: int) -> tuple[str, ...]:
+    return tuple(f"c{k}" for k in range(1, n + 1))
+
+
+def _arrangements(rule: RuleSpec, n: int) -> list[tuple[str, ...]]:
+    """Identity arrangements (ids in position order) to sample: a generic
+    one, plus placements of a rule's designated competitors at varying
+    position pairs."""
+    rankings = [_generic_ids(n)]
     pair = _designated_pair(rule)
     if pair and n >= 2:
         i, j = pair
@@ -171,19 +193,39 @@ def _arrangements(rule: RuleSpec, n: int) -> list[Ranking]:
                 ids = fillers[:]
                 ids[pi - 1] = i
                 ids[pj - 1] = j
-                rankings.append(Ranking(tuple(ids)))
+                rankings.append(tuple(ids))
     return rankings
 
 
-def _alloc_cache(rule: RuleSpec) -> Callable[[Ranking, float], tuple[float, ...]]:
-    cache: dict[tuple, tuple[float, ...]] = {}
-    def get(ranking: Ranking, endowment: float) -> tuple[float, ...]:
-        key = (ranking.by_position, endowment)
-        if key not in cache:
-            comp = Competition(ranking=ranking, endowment=endowment)
-            cache[key] = allocate(rule, comp, CHECK_SOLVER).by_position(ranking)
-        return cache[key]
-    return get
+def _competition(ids: tuple[str, ...], endowment: float) -> Competition:
+    return Competition(ranking=Ranking(ids), endowment=endowment)
+
+
+def _prizes(rule: RuleSpec, comp: Competition) -> tuple[float, ...]:
+    return allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
+
+
+class _Memo:
+    """One rule's prize vectors in position order, ``{ids: {E: vector}}``,
+    and the cell verdicts computed from them."""
+
+    def __init__(self, rule: RuleSpec):
+        self.rule = rule
+        self.vectors: dict[tuple[str, ...], dict[float, tuple[float, ...]]] = {}
+        self.verdicts: dict[str, Verdict] = {}
+
+    def vector(self, ids: tuple[str, ...], e: float) -> tuple[float, ...]:
+        by_e = self.vectors.get(ids)
+        if by_e is None:
+            by_e = self.vectors[ids] = {}
+        vec = by_e.get(e)
+        if vec is None:
+            vec = by_e[e] = self.compute(ids, e)
+        return vec
+
+    def compute(self, ids: tuple[str, ...], e: float) -> tuple[float, ...]:
+        """Allocate without storing the vector."""
+        return _prizes(self.rule, _competition(ids, e))
 
 
 def _snap_candidates(e: float) -> list[float]:
@@ -200,28 +242,29 @@ def _snap_candidates(e: float) -> list[float]:
 # Anonymity
 
 
-def check_anonymity(rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ) -> Verdict:
+def check_anonymity(
+    rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ, *, memo: _Memo | None = None
+) -> Verdict:
+    memo = memo or _Memo(rule)
+    grid = budget.scan_grid()
     count = 0
     for n in range(1, budget.max_n + 1):
         rankings = _arrangements(rule, n)
         if len(rankings) == 1:
             # generic rules still get one relabelled arrangement to compare
-            rankings.append(Ranking(tuple(f"d{k}" for k in range(n, 0, -1))))
-        for e in budget.scan_grid():
-            base = None
-            for ranking in rankings:
-                comp = Competition(ranking=ranking, endowment=e)
-                vec = allocate(rule, comp, CHECK_SOLVER).by_position(ranking)
-                if base is None:
-                    base_comp, base = comp, vec
-                    continue
+            rankings.append(tuple(f"d{k}" for k in range(n, 0, -1)))
+        base_ids = rankings[0]
+        for e in grid:
+            base = memo.vector(base_ids, e)
+            for ids in rankings[1:]:
+                vec = memo.vector(ids, e)
                 count += 1
                 for pos in range(1, n + 1):
                     if abs(vec[pos - 1] - base[pos - 1]) > tol:
                         w = Witness(
                             axiom="anonymity", mode=None,
-                            competitions=(base_comp, comp), subset=None,
-                            competitor=comp.ranking.id_at(pos), position=pos,
+                            competitions=(_competition(base_ids, e), _competition(ids, e)),
+                            subset=None, competitor=ids[pos - 1], position=pos,
                             lhs=base[pos - 1], rhs=vec[pos - 1],
                             relation="equal prize for equal position",
                             margin=abs(vec[pos - 1] - base[pos - 1]),
@@ -238,21 +281,23 @@ ORDER_MODES = ("weak", "winner_loser_strict", "strict")
 
 
 def check_order_preservation(
-    rule: RuleSpec, budget: SampleBudget, mode: str = "weak", tol: float = TAU_EQ
+    rule: RuleSpec, budget: SampleBudget, mode: str = "weak", tol: float = TAU_EQ,
+    *, memo: _Memo | None = None,
 ) -> Verdict:
     if mode not in ORDER_MODES:
         raise ValueError(f"unknown order-preservation mode: {mode}")
+    memo = memo or _Memo(rule)
+    grid = budget.scan_grid()
     count = 0
 
-    def violation(ranking: Ranking, e: float) -> Witness | None:
-        comp = Competition(ranking=ranking, endowment=e)
-        vec = allocate(rule, comp, CHECK_SOLVER).by_position(ranking)
-        n = ranking.n
+    def violation(ids: tuple[str, ...], e: float) -> Witness | None:
+        vec = memo.vector(ids, e)
+        n = len(ids)
 
         def make(hi: int, lo: int, relation: str, margin: float) -> Witness:
             return Witness(
-                axiom="order_preservation", mode=mode, competitions=(comp,),
-                subset=None, competitor=ranking.id_at(hi), position=hi,
+                axiom="order_preservation", mode=mode, competitions=(_competition(ids, e),),
+                subset=None, competitor=ids[hi - 1], position=hi,
                 lhs=vec[hi - 1], rhs=vec[lo - 1], relation=relation, margin=margin,
             )
 
@@ -271,12 +316,12 @@ def check_order_preservation(
         return None
 
     for n in range(2, budget.max_n + 1):
-        for ranking in _arrangements(rule, n):
-            for e in budget.scan_grid():
+        for ids in _arrangements(rule, n):
+            for e in grid:
                 count += 1
-                w = violation(ranking, e)
+                w = violation(ids, e)
                 if w is not None:
-                    w = _snap_single(w, lambda e2: violation(ranking, e2))
+                    w = _snap_single(w, lambda e2: violation(ids, e2))
                     return _verdict("order_preservation", mode, budget, tol, count, w)
     return _verdict("order_preservation", mode, budget, tol, count)
 
@@ -299,25 +344,26 @@ MONOTONICITY_MODES = ("weak", "winner_strict", "strict")
 
 
 def check_endowment_monotonicity(
-    rule: RuleSpec, budget: SampleBudget, mode: str = "weak", tol: float = TAU_EQ
+    rule: RuleSpec, budget: SampleBudget, mode: str = "weak", tol: float = TAU_EQ,
+    *, memo: _Memo | None = None,
 ) -> Verdict:
     if mode not in MONOTONICITY_MODES:
         raise ValueError(f"unknown endowment-monotonicity mode: {mode}")
+    memo = memo or _Memo(rule)
     count = 0
     grid = budget.sorted_grid()
     g = len(grid)
     for n in range(1, budget.max_n + 1):
-        for ranking in _arrangements(rule, n):
-            get = _alloc_cache(rule)
-            hit = _first_monotonicity_pair(grid, [get(ranking, e) for e in grid], mode, tol)
+        for ids in _arrangements(rule, n):
+            hit = _first_monotonicity_pair(grid, [memo.vector(ids, e) for e in grid], mode, tol)
             if hit is None:
                 count += g * (g - 1) // 2
                 continue
             # the pairs scanned in row-major order up to and including (a, b)
             a, b = hit
             count += a * (g - 1) - a * (a - 1) // 2 + (b - a)
-            w = _monotonicity_witness(ranking, grid[a], grid[b], mode, tol, get)
-            w = _snap_pair(w, lambda lo, hi: _monotonicity_witness(ranking, lo, hi, mode, tol, get))
+            w = _monotonicity_witness(memo, ids, grid[a], grid[b], mode, tol)
+            w = _snap_pair(w, lambda lo, hi: _monotonicity_witness(memo, ids, lo, hi, mode, tol))
             return _verdict("endowment_monotonicity", mode, budget, tol, count, w)
     return _verdict("endowment_monotonicity", mode, budget, tol, count)
 
@@ -367,19 +413,18 @@ def _first_monotonicity_pair(grid, vecs, mode, tol) -> tuple[int, int] | None:
     return None
 
 
-def _monotonicity_witness(ranking, e_lo, e_hi, mode, tol, get) -> Witness | None:
+def _monotonicity_witness(memo, ids, e_lo, e_hi, mode, tol) -> Witness | None:
     if e_hi <= e_lo:
         return None
-    lo, hi = get(ranking, e_lo), get(ranking, e_hi)
+    lo, hi = memo.vector(ids, e_lo), memo.vector(ids, e_hi)
     fault = _monotonicity_fault(lo, hi, e_hi - e_lo, mode, tol)
     if fault is None:
         return None
     pos, relation, margin = fault
     return Witness(
         axiom="endowment_monotonicity", mode=mode,
-        competitions=(Competition(ranking=ranking, endowment=e_lo),
-                      Competition(ranking=ranking, endowment=e_hi)),
-        subset=None, competitor=ranking.id_at(pos), position=pos,
+        competitions=(_competition(ids, e_lo), _competition(ids, e_hi)),
+        subset=None, competitor=ids[pos - 1], position=pos,
         lhs=lo[pos - 1], rhs=hi[pos - 1], relation=relation, margin=margin,
     )
 
@@ -402,6 +447,8 @@ def check_lipschitz(
     budget: SampleBudget,
     monotonicity: Verdict | None = None,
     tol: float = TAU_EQ,
+    *,
+    memo: _Memo | None = None,
 ) -> Verdict:
     """Check |prize(E) - prize(E')| <= |E - E'| + tol over all grid pairs.
 
@@ -416,12 +463,12 @@ def check_lipschitz(
         raise PreconditionNotChecked("expected a weak endowment-monotonicity verdict")
     if not monotonicity.passed:
         raise PreconditionNotChecked("rule fails weak endowment monotonicity")
+    memo = memo or _Memo(rule)
     count = 0
     grid = budget.sorted_grid()
     for n in range(1, budget.max_n + 1):
-        ranking = Ranking(tuple(f"c{k}" for k in range(1, n + 1)))
-        get = _alloc_cache(rule)
-        vecs = [get(ranking, e) for e in grid]
+        ids = _generic_ids(n)
+        vecs = [memo.vector(ids, e) for e in grid]
         for a_idx in range(len(grid)):
             for b_idx in range(a_idx + 1, len(grid)):
                 e_lo, e_hi = grid[a_idx], grid[b_idx]
@@ -432,11 +479,8 @@ def check_lipschitz(
                     if gap > (e_hi - e_lo) + tol:
                         w = Witness(
                             axiom="lipschitz", mode=None,
-                            competitions=(
-                                Competition(ranking=ranking, endowment=e_lo),
-                                Competition(ranking=ranking, endowment=e_hi),
-                            ),
-                            subset=None, competitor=ranking.id_at(pos), position=pos,
+                            competitions=(_competition(ids, e_lo), _competition(ids, e_hi)),
+                            subset=None, competitor=ids[pos - 1], position=pos,
                             lhs=gap, rhs=e_hi - e_lo,
                             relation="|prize(E) - prize(E')| <= |E - E'|",
                             margin=gap - (e_hi - e_lo),
@@ -450,30 +494,39 @@ def check_lipschitz(
 
 
 def check_scale_invariance(
-    rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ
+    rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ, *, memo: _Memo | None = None
 ) -> Verdict:
+    memo = memo or _Memo(rule)
     count = 0
     values = _pair_values(budget.endowment_grid)
+    on_grid = set(budget.endowment_grid)
     scalars = [0.0, 0.25, 0.5, 2.0, 3.0]
     for n in range(1, budget.max_n + 1):
-        ranking = Ranking(tuple(f"c{k}" for k in range(1, n + 1)))
-        get = _alloc_cache(rule)
+        ids = _generic_ids(n)
+        # c*E and E + E' off the grid: no other cell reads them, so they
+        # stay out of the shared memo
+        products: dict[float, tuple[float, ...]] = {}
+
+        def get(e: float) -> tuple[float, ...]:
+            if e in on_grid:
+                return memo.vector(ids, e)
+            if e not in products:
+                products[e] = memo.compute(ids, e)
+            return products[e]
+
         # scale: prize(c * E) = c * prize(E)
         for e in values:
-            base = get(ranking, e)
+            base = get(e)
             for c in scalars:
                 count += 1
-                scaled = get(ranking, c * e)
+                scaled = get(c * e)
                 for pos in range(1, n + 1):
                     lhs, rhs = scaled[pos - 1], c * base[pos - 1]
                     if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
                         w = Witness(
                             axiom="scale_invariance", mode="scale",
-                            competitions=(
-                                Competition(ranking=ranking, endowment=e),
-                                Competition(ranking=ranking, endowment=c * e),
-                            ),
-                            subset=None, competitor=ranking.id_at(pos), position=pos,
+                            competitions=(_competition(ids, e), _competition(ids, c * e)),
+                            subset=None, competitor=ids[pos - 1], position=pos,
                             lhs=lhs, rhs=rhs,
                             relation=f"prize({c}*E) = {c}*prize(E)",
                             margin=abs(lhs - rhs),
@@ -484,19 +537,16 @@ def check_scale_invariance(
             for b_idx in range(a_idx, len(values)):
                 e1, e2 = values[a_idx], values[b_idx]
                 count += 1
-                total = get(ranking, e1 + e2)
-                p1, p2 = get(ranking, e1), get(ranking, e2)
+                total = get(e1 + e2)
+                p1, p2 = get(e1), get(e2)
                 for pos in range(1, n + 1):
                     lhs = total[pos - 1]
                     rhs = p1[pos - 1] + p2[pos - 1]
                     if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
                         w = Witness(
                             axiom="scale_invariance", mode="additivity",
-                            competitions=(
-                                Competition(ranking=ranking, endowment=e1),
-                                Competition(ranking=ranking, endowment=e2),
-                            ),
-                            subset=None, competitor=ranking.id_at(pos), position=pos,
+                            competitions=(_competition(ids, e1), _competition(ids, e2)),
+                            subset=None, competitor=ids[pos - 1], position=pos,
                             lhs=lhs, rhs=rhs,
                             relation="prize(E + E') = prize(E) + prize(E')",
                             margin=abs(lhs - rhs),
@@ -530,43 +580,47 @@ def _position_subsets(n: int, mode: str, pair_only: bool) -> Iterator[tuple[int,
 
 
 def check_consistency(
-    rule: RuleSpec, budget: SampleBudget, mode: str = "full", tol: float = TAU_EQ
+    rule: RuleSpec, budget: SampleBudget, mode: str = "full", tol: float = TAU_EQ,
+    *, memo: _Memo | None = None,
 ) -> Verdict:
     if mode not in CONSISTENCY_MODES:
         raise ValueError(f"unknown consistency mode: {mode}")
+    memo = memo or _Memo(rule)
+    grid = budget.scan_grid()
     count = 0
     for n in range(3, budget.max_n + 1):
-        for ranking in _arrangements(rule, n):
-            get = _alloc_cache(rule)
+        for ids in _arrangements(rule, n):
             for positions in _position_subsets(n, mode, budget.pair_only):
-                for e in budget.scan_grid():
+                for e in grid:
                     count += 1
-                    w = _consistency_violation(rule, ranking, e, positions, mode, tol, get)
+                    w = _consistency_violation(memo, ids, e, positions, mode, tol)
                     if w is not None:
                         w = _snap_single(
                             w,
-                            lambda e2: _consistency_violation(
-                                rule, ranking, e2, positions, mode, tol, get),
+                            lambda e2: _consistency_violation(memo, ids, e2, positions, mode, tol),
                         )
                         return _verdict("consistency", mode, budget, tol, count, w)
     return _verdict("consistency", mode, budget, tol, count)
 
 
-def _consistency_violation(rule, ranking, e, positions, mode, tol, get=None) -> Witness | None:
-    vec = (get or _alloc_cache(rule))(ranking, e)  # without a cache, allocate afresh
-    ids = tuple(ranking.id_at(p) for p in positions)
+def _consistency_violation(memo, ids, e, positions, mode, tol) -> Witness | None:
+    """``positions`` ascend, so the subset's ids are already in ranking order."""
+    vec = memo.vector(ids, e)
+    subset = tuple(ids[p - 1] for p in positions)
     sub_e = sum(vec[p - 1] for p in positions)
-    sub_ranking = subranking(ranking, ids)
-    reduced = Competition(ranking=sub_ranking, endowment=sub_e)
-    red_vec = allocate(rule, reduced, CHECK_SOLVER).by_position(sub_ranking)
+    red_vec = memo.vector(subset, sub_e)
     for sub_pos, orig_pos in enumerate(positions, start=1):
         lhs = vec[orig_pos - 1]
         rhs = red_vec[sub_pos - 1]
         if abs(lhs - rhs) > tol:
+            ranking = Ranking(ids)
             return Witness(
                 axiom="consistency", mode=mode,
-                competitions=(Competition(ranking=ranking, endowment=e), reduced),
-                subset=ids, competitor=ranking.id_at(orig_pos), position=orig_pos,
+                competitions=(
+                    Competition(ranking=ranking, endowment=e),
+                    Competition(ranking=subranking(ranking, subset), endowment=sub_e),
+                ),
+                subset=subset, competitor=ids[orig_pos - 1], position=orig_pos,
                 lhs=lhs, rhs=rhs,
                 relation="prize in reduced competition equals original prize",
                 margin=abs(lhs - rhs),
@@ -588,13 +642,12 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
     ax, mode = witness.axiom, witness.mode
     if ax == "anonymity":
         c1, c2 = witness.competitions
-        v1 = allocate(rule, c1, CHECK_SOLVER).by_position(c1.ranking)
-        v2 = allocate(rule, c2, CHECK_SOLVER).by_position(c2.ranking)
+        v1, v2 = _prizes(rule, c1), _prizes(rule, c2)
         margin = abs(v1[witness.position - 1] - v2[witness.position - 1])
         return margin > tol, margin
     if ax == "order_preservation":
         (comp,) = witness.competitions
-        vec = allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
+        vec = _prizes(rule, comp)
         hi = witness.position
         lo = _order_partner(witness, comp.ranking.n)
         gap = vec[hi - 1] - vec[lo - 1]
@@ -603,8 +656,7 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
         return gap <= tol, tol - gap
     if ax == "endowment_monotonicity":
         c_lo, c_hi = witness.competitions
-        v_lo = allocate(rule, c_lo, CHECK_SOLVER).by_position(c_lo.ranking)
-        v_hi = allocate(rule, c_hi, CHECK_SOLVER).by_position(c_hi.ranking)
+        v_lo, v_hi = _prizes(rule, c_lo), _prizes(rule, c_hi)
         pos = witness.position
         diff = v_hi[pos - 1] - v_lo[pos - 1]
         if diff < -tol:
@@ -614,30 +666,28 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
         return False, diff
     if ax == "lipschitz":
         c_lo, c_hi = witness.competitions
-        v_lo = allocate(rule, c_lo, CHECK_SOLVER).by_position(c_lo.ranking)
-        v_hi = allocate(rule, c_hi, CHECK_SOLVER).by_position(c_hi.ranking)
+        v_lo, v_hi = _prizes(rule, c_lo), _prizes(rule, c_hi)
         pos = witness.position
         gap = abs(v_hi[pos - 1] - v_lo[pos - 1])
         margin = gap - abs(c_hi.endowment - c_lo.endowment)
         return margin > tol, margin
     if ax == "scale_invariance":
         c1, c2 = witness.competitions
-        v1 = allocate(rule, c1, CHECK_SOLVER).by_position(c1.ranking)
-        v2 = allocate(rule, c2, CHECK_SOLVER).by_position(c2.ranking)
+        v1, v2 = _prizes(rule, c1), _prizes(rule, c2)
         pos = witness.position
         if mode == "scale":
             c = c2.endowment / c1.endowment if c1.endowment else 0.0
             margin = abs(v2[pos - 1] - c * v1[pos - 1])
         else:
             comp3 = Competition(ranking=c1.ranking, endowment=c1.endowment + c2.endowment)
-            v3 = allocate(rule, comp3, CHECK_SOLVER).by_position(comp3.ranking)
+            v3 = _prizes(rule, comp3)
             margin = abs(v3[pos - 1] - (v1[pos - 1] + v2[pos - 1]))
         return margin > tol, margin
     if ax == "consistency":
         comp, _ = witness.competitions
         w2 = _consistency_violation(
-            rule, comp.ranking, comp.endowment,
-            tuple(comp.ranking.position_of(cid) for cid in witness.subset),
+            _Memo(rule), comp.ranking.by_position, comp.endowment,
+            tuple(sorted(comp.ranking.position_of(cid) for cid in witness.subset)),
             mode, tol,
         )
         if w2 is None:
@@ -677,32 +727,67 @@ def cell_key(axiom: str, mode: str | None) -> str:
     return axiom if mode is None else f"{axiom}:{mode}"
 
 
+def _lipschitz_cell(rule, budget, tol, memo, mode=None) -> Verdict:
+    """Lipschitz continuity is checked only once weak monotonicity passes;
+    a failing weak-monotonicity verdict is returned in its place."""
+    mono = _cell_verdict(cell_key("endowment_monotonicity", "weak"), rule, budget, tol, memo)
+    return check_lipschitz(rule, budget, mono, tol, memo=memo) if mono.passed else mono
+
+
+# One entry per axiom, called as (rule, budget, tol, memo, mode).  Each calls
+# its checker through the module name at call time, so a patched check_* runs.
+_AXIOM_ENTRIES = {
+    "anonymity": lambda rule, budget, tol, memo, mode: check_anonymity(
+        rule, budget, tol, memo=memo),
+    "order_preservation": lambda rule, budget, tol, memo, mode: check_order_preservation(
+        rule, budget, mode, tol, memo=memo),
+    "endowment_monotonicity": lambda rule, budget, tol, memo, mode: (
+        check_endowment_monotonicity(rule, budget, mode, tol, memo=memo)),
+    "lipschitz": _lipschitz_cell,
+    "scale_invariance": lambda rule, budget, tol, memo, mode: check_scale_invariance(
+        rule, budget, tol, memo=memo),
+    "consistency": lambda rule, budget, tol, memo, mode: check_consistency(
+        rule, budget, mode, tol, memo=memo),
+}
+
+# The matrix cells in MATRIX_CELLS order, each taking (rule, budget, tol, memo).
+_CELLS: dict[str, Callable[[RuleSpec, SampleBudget, float, _Memo], Verdict]] = {
+    cell_key(axiom, mode): partial(_AXIOM_ENTRIES[axiom], mode=mode)
+    for axiom, mode in MATRIX_CELLS
+}
+
+
+def _cell_verdict(key: str, rule, budget, tol, memo: _Memo) -> Verdict:
+    """A cell's verdict, computed at most once per memo."""
+    if key not in memo.verdicts:
+        memo.verdicts[key] = _CELLS[key](rule, budget, tol, memo)
+    return memo.verdicts[key]
+
+
+def _matrix_row(rule, budget, tol) -> dict[str, Verdict | None]:
+    memo = _Memo(rule)  # shared by the row's cells, dropped on return
+    row: dict[str, Verdict | None] = {}
+    for key in _CELLS:
+        verdict = _cell_verdict(key, rule, budget, tol, memo)
+        # a Lipschitz cell that holds its failed precondition shows as None
+        row[key] = verdict if cell_key(verdict.axiom, verdict.mode) == key else None
+    return row
+
+
 def run_axiom_matrix(
     rules: Sequence[RuleSpec], budget: SampleBudget, tol: float = TAU_EQ
 ) -> dict[str, dict[str, Verdict | None]]:
     """One Verdict per (rule, axiom, mode) cell; deterministic given the seed.
 
     The Lipschitz cell is None when the rule fails weak endowment
-    monotonicity (the lemma's hypothesis is unmet).
+    monotonicity (the lemma's hypothesis is unmet).  Rows are keyed by
+    ``describe(rule)``; two rules with the same description raise
+    DuplicateRow.
     """
-    matrix: dict[str, dict[str, Verdict | None]] = {}
-    for rule in rules:
-        row: dict[str, Verdict | None] = {}
-        row[cell_key("anonymity", None)] = check_anonymity(rule, budget, tol)
-        for mode in ORDER_MODES:
-            row[cell_key("order_preservation", mode)] = check_order_preservation(
-                rule, budget, mode, tol)
-        mono_weak = check_endowment_monotonicity(rule, budget, "weak", tol)
-        row[cell_key("endowment_monotonicity", "weak")] = mono_weak
-        for mode in ("winner_strict", "strict"):
-            row[cell_key("endowment_monotonicity", mode)] = check_endowment_monotonicity(
-                rule, budget, mode, tol)
-        if mono_weak.passed:
-            row[cell_key("lipschitz", None)] = check_lipschitz(rule, budget, mono_weak, tol)
-        else:
-            row[cell_key("lipschitz", None)] = None
-        row[cell_key("scale_invariance", None)] = check_scale_invariance(rule, budget, tol)
-        for mode in CONSISTENCY_MODES:
-            row[cell_key("consistency", mode)] = check_consistency(rule, budget, mode, tol)
-        matrix[describe(rule)] = row
-    return matrix
+    names = [describe(rule) for rule in rules]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DuplicateRow(f"two rules describe as {name!r}; matrix rows need distinct names")
+        seen.add(name)
+    return {name: _matrix_row(rule, budget, tol) for rule, name in zip(rules, names)}

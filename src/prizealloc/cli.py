@@ -61,13 +61,9 @@ from .axioms import (
     SampleBudget,
     Verdict,
     Witness,
+    _CELLS,
+    _Memo,
     cell_key,
-    check_anonymity,
-    check_consistency,
-    check_endowment_monotonicity,
-    check_lipschitz,
-    check_order_preservation,
-    check_scale_invariance,
     run_axiom_matrix,
 )
 from .analysis import (
@@ -494,34 +490,18 @@ def _cmd_path(args, out) -> int:
     return 0
 
 
-AXIOM_NAMES = (
-    "anonymity",
-    "order_preservation",
-    "endowment_monotonicity",
-    "lipschitz",
-    "scale_invariance",
-    "consistency",
-)
+AXIOM_NAMES = tuple(dict.fromkeys(axiom for axiom, _ in MATRIX_CELLS))
 
 
 def _run_check(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
                tol: float) -> Verdict:
-    if axiom == "anonymity":
-        return check_anonymity(rule, budget, tol)
-    if axiom == "order_preservation":
-        return check_order_preservation(rule, budget, mode or "weak", tol)
-    if axiom == "endowment_monotonicity":
-        return check_endowment_monotonicity(rule, budget, mode or "weak", tol)
-    if axiom == "lipschitz":
-        mono = check_endowment_monotonicity(rule, budget, "weak", tol)
-        if not mono.passed:
-            return mono
-        return check_lipschitz(rule, budget, mono, tol)
-    if axiom == "scale_invariance":
-        return check_scale_invariance(rule, budget, tol)
-    if axiom == "consistency":
-        return check_consistency(rule, budget, mode or "full", tol)
-    raise SchemaError(f"unknown axiom {axiom!r}; expected one of {AXIOM_NAMES}")
+    """One matrix cell on a fresh memo.  The first mode MATRIX_CELLS lists
+    for an axiom is its default; an axiom without modes ignores --mode."""
+    modes = [m for a, m in MATRIX_CELLS if a == axiom]
+    key = axiom if modes[0] is None else cell_key(axiom, mode or modes[0])
+    if key not in _CELLS:
+        raise SchemaError(f"axiom {axiom!r} has no mode {mode!r}; expected one of {modes}")
+    return _CELLS[key](rule, budget, tol, _Memo(rule))
 
 
 def _cmd_check(args, out) -> int:

@@ -11,6 +11,7 @@ kinks; it is derivative-free and unconditionally convergent on the bracket.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -21,6 +22,10 @@ if TYPE_CHECKING:
 
 
 class SolverFailure(PrizeAllocError):
+    pass
+
+
+class InvalidPath(PrizeAllocError, ValueError):
     pass
 
 
@@ -127,12 +132,12 @@ def trace_path(
     from .core import standard_competition
     from .rules import allocate
 
-    if e_max < 0:
-        raise ValueError("E_max must be >= 0")
+    if not 0 <= e_max < math.inf:  # also rejects NaN
+        raise InvalidPath(f"E_max must be finite and >= 0, got {e_max}")
     if step is None:
         step = 0.01 * max(1.0, e_max)
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not 0 < step < math.inf:
+        raise InvalidPath(f"step must be finite and > 0, got {step}")
     endowments = []
     k = 0
     while k * step < e_max:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,10 @@ from prizealloc.axioms import (
     check_lipschitz,
     check_order_preservation,
     check_scale_invariance,
+    run_axiom_matrix,
     verify_witness,
 )
+from prizealloc.cli import bundled_rules, parse_rule_spec
 from prizealloc.core import TAU_EQ, Competition, PrizeAllocError, Ranking
 from prizealloc.rules import (
     ED,
@@ -59,6 +63,12 @@ class TestSampleBudget:
     def test_invalid_budget_is_a_package_error(self):
         with pytest.raises(PrizeAllocError):
             SampleBudget(max_n=0)
+
+    def test_field_size_is_capped(self):
+        assert axioms.MAX_FIELD_SIZE == 12
+        SampleBudget(max_n=12)
+        with pytest.raises(PrizeAllocError):
+            SampleBudget(max_n=13)
 
     def test_scan_grid_puts_round_values_first(self):
         budget = SampleBudget(endowment_grid=(0.3, 1.0, 0.13, 0.25))
@@ -355,3 +365,52 @@ def test_monotonicity_row_scan_matches_pair_scan(mode, data):
     assert verdict.samples_checked == expected_count
     assert verdict.witness == expected_witness
     assert verdict.passed == (expected_witness is None)
+
+
+# ---------------------------------------------------------------------------
+# The row memo shared by the cells of run_axiom_matrix
+
+
+def _standalone(rule, axiom, mode, budget):
+    """A cell's verdict from the public checkers alone, each with its own memo."""
+    if axiom == "anonymity":
+        return check_anonymity(rule, budget)
+    if axiom == "order_preservation":
+        return check_order_preservation(rule, budget, mode)
+    if axiom == "endowment_monotonicity":
+        return check_endowment_monotonicity(rule, budget, mode)
+    if axiom == "lipschitz":
+        mono = check_endowment_monotonicity(rule, budget, "weak")
+        return check_lipschitz(rule, budget, mono) if mono.passed else None
+    if axiom == "scale_invariance":
+        return check_scale_invariance(rule, budget)
+    return check_consistency(rule, budget, mode)
+
+
+@pytest.mark.parametrize("spec", ["cx:pair-favoritism=p,q", "sp:arithmetic"])
+def test_matrix_cells_equal_standalone_checks(spec):
+    rule = parse_rule_spec(spec)
+    row = run_axiom_matrix([rule], SMALL)[describe(rule)]
+    for axiom, mode in MATRIX_CELLS:
+        expected = _standalone(rule, axiom, mode, SMALL)
+        got = row[cell_key(axiom, mode)]
+        # Verdict equality covers the outcome, samples_checked and the witness
+        assert got == expected, cell_key(axiom, mode)
+
+
+def test_matrix_row_allocates_each_grid_vector_once(monkeypatch):
+    real = axioms.allocate
+    calls = Counter()
+
+    def counting(rule, comp, cfg):
+        calls[comp.ranking.by_position, comp.endowment] += 1
+        return real(rule, comp, cfg)
+
+    monkeypatch.setattr(axioms, "allocate", counting)
+    grid = set(SMALL.endowment_grid)
+    for rule in bundled_rules():
+        calls.clear()
+        run_axiom_matrix([rule], SMALL)
+        assert calls, describe(rule)
+        repeated = {key: k for key, k in calls.items() if key[1] in grid and k > 1}
+        assert not repeated, describe(rule)

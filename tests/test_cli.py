@@ -287,6 +287,40 @@ class TestMalformedInputExits2:
         assert out == ""
         assert "max_n must be >= 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("path", "--rule", "ed", "--n", "2", "--endowment", "-1"),
+        ("path", "--rule", "ed", "--n", "2", "--endowment", "1", "--step", "nan"),
+        ("path", "--rule", "ed", "--n", "2", "--endowment", "1", "--step", "inf"),
+    ])
+    def test_bad_path_arguments(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_duplicate_matrix_rows(self):
+        # both rules describe as geometric:lambda=0.5, so they would share a row
+        code, out, err = run_cli("matrix", "--rules",
+                                 "geometric:lambda=0.5 geometric:lambda=0.5000001")
+        assert code == 2
+        assert out == ""
+        assert "'geometric:lambda=0.5'" in err
+
+    def test_samples_above_cap(self):
+        # refused when the budget is built, before any sample is drawn
+        code, out, err = run_cli("check", "--rule", "ed", "--axiom", "anonymity",
+                                 "--samples", "100000000")
+        assert code == 2
+        assert out == ""
+        assert "max_n must be <= 12" in err
+
+    def test_unknown_mode_for_axiom(self):
+        code, out, err = run_cli("check", "--rule", "ed", "--axiom",
+                                 "order_preservation", "--mode", "full")
+        assert code == 2
+        assert out == ""
+        assert "has no mode 'full'" in err
+
 
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
