@@ -36,8 +36,9 @@ from .rules import (
     describe,
     hyperarithmetic_rule,
     step_rule,
+    trace_path,
 )
-from .solver import SolverConfig, SolverFailure, solve_level, trace_path
+from .solver import SolverConfig, SolverFailure, solve_level
 from .axioms import SampleBudget, Verdict, Witness, run_axiom_matrix, verify_witness
 from .analysis import (
     Classification,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     TAU_EQ,
@@ -137,22 +137,20 @@ def fit_proportional(
     The verdict is true iff the shares are non-increasing and every event's
     prizes are reproduced from the shares within the tolerance.
     """
-    npos = events.positions
-    if npos < 1:
+    if events.positions < 1:
         raise TooFewPositions("need at least one position")
     shares = [
         statistics.fmean(ev.prizes[k] / ev.endowment for ev in events.events)
-        for k in range(npos)
+        for k in range(events.positions)
     ]
     warnings = []
-    ordered = all(shares[k] >= shares[k + 1] for k in range(npos - 1))
+    ordered = all(a >= b for a, b in zip(shares, shares[1:]))
     if not ordered:
         warnings.append("averaged shares are not non-increasing")
-    max_dev = 0.0
-    for ev in events.events:
-        for k in range(npos):
-            predicted = shares[k] * ev.endowment
-            max_dev = max(max_dev, _excess(ev.prizes[k], predicted, abs_slack))
+    max_dev = max(
+        _excess(p, share * ev.endowment, abs_slack)
+        for ev in events.events for p, share in zip(ev.prizes, shares)
+    )
     return FitReport(
         family="proportional",
         parameters={"shares_percent": tuple(100.0 * s for s in shares)},
@@ -207,23 +205,11 @@ def detect_interval_pattern(
     return best
 
 
-def _cross_event_scale(events: EventSet, tau_fit: float, abs_slack: float) -> FitReport:
-    """Do per-position shares of the endowment agree across events?"""
-    npos = events.positions
-    mean_shares = [
-        statistics.fmean(ev.prizes[k] / ev.endowment for ev in events.events)
-        for k in range(npos)
-    ]
-    max_dev = 0.0
-    for ev in events.events:
-        for k in range(npos):
-            predicted = mean_shares[k] * ev.endowment
-            max_dev = max(max_dev, _excess(ev.prizes[k], predicted, abs_slack))
-    return FitReport(
-        family="cross_event_scale",
-        parameters={"shares_percent": tuple(100.0 * s for s in mean_shares)},
-        max_rel_dev=max_dev, verdict=max_dev <= tau_fit, tolerance=tau_fit,
-    )
+def _cross_event_scale(proportional: FitReport) -> FitReport:
+    """Do per-position shares of the endowment agree across events?  The
+    proportional fit's shares and deviation, without its ordering condition."""
+    return replace(proportional, family="cross_event_scale", warnings=(),
+                   verdict=proportional.max_rel_dev <= proportional.tolerance)
 
 
 def classify(
@@ -245,10 +231,7 @@ def classify(
     proportional = fit_proportional(events, tau_fit, abs_slack)
     interval_reports = [detect_interval_pattern(ev, tau_fit, abs_slack) for ev in events.events]
     interval = _worst(interval_reports)
-    scale = (
-        _cross_event_scale(events, tau_fit, abs_slack)
-        if len(events.events) > 1 else None
-    )
+    scale = _cross_event_scale(proportional) if len(events.events) > 1 else None
     if not order_preserved:
         tier = "unordered"
     elif interval.verdict:
@@ -272,13 +255,7 @@ def classify(
 def _worst(reports: list[FitReport]) -> FitReport:
     """Combine per-event reports: the verdict holds only if all do."""
     worst = max(reports, key=lambda r: r.max_rel_dev)
-    if all(r.verdict for r in reports) == worst.verdict:
-        return worst
-    return FitReport(
-        family=worst.family, parameters=worst.parameters,
-        max_rel_dev=worst.max_rel_dev, verdict=all(r.verdict for r in reports),
-        tolerance=worst.tolerance, warnings=worst.warnings,
-    )
+    return replace(worst, verdict=all(r.verdict for r in reports))
 
 
 def check_data_top_consistency(
@@ -291,6 +268,7 @@ def check_data_top_consistency(
     the observed prizes within the (relative) tolerance plus slack.
     """
     prizes = table.prizes
+    budget = f"{len(prizes)} prefixes of table {table.name!r}"
     count = 0
     for m in range(1, len(prizes) + 1):
         prefix_sum = sum(prizes[:m])
@@ -309,13 +287,8 @@ def check_data_top_consistency(
                     relation="rule on prefix sum reproduces observed prize",
                     margin=abs(observed - predicted),
                 )
-                return Verdict(
-                    axiom="data_top_consistency", mode=None, passed=False,
-                    samples_checked=count, witness=witness, tolerance=tol,
-                    budget=f"{len(prizes)} prefixes of table {table.name!r}",
-                )
-    return Verdict(
-        axiom="data_top_consistency", mode=None, passed=True,
-        samples_checked=count, witness=None, tolerance=tol,
-        budget=f"{len(prizes)} prefixes of table {table.name!r}",
-    )
+                return Verdict(axiom="data_top_consistency", mode=None, passed=False,
+                               samples_checked=count, witness=witness, tolerance=tol,
+                               budget=budget)
+    return Verdict(axiom="data_top_consistency", mode=None, passed=True,
+                   samples_checked=count, witness=None, tolerance=tol, budget=budget)

@@ -31,7 +31,7 @@ from .core import (
     Ranking,
     subranking,
 )
-from .rules import Counterexample, RuleSpec, allocate, describe
+from .rules import RuleSpec, allocate, describe
 from .solver import SolverConfig
 
 # Tighter residual than the allocation default, so solver error stays well
@@ -167,12 +167,6 @@ def _verdict(axiom, mode, budget, tol, count, witness=None) -> Verdict:
 # Sampling helpers
 
 
-def _designated_pair(rule: RuleSpec) -> tuple[str, str] | None:
-    if isinstance(rule, Counterexample) and rule.name == "pair-favoritism":
-        return (rule.i, rule.j)
-    return None
-
-
 def _generic_ids(n: int) -> tuple[str, ...]:
     return tuple(f"c{k}" for k in range(1, n + 1))
 
@@ -182,9 +176,8 @@ def _arrangements(rule: RuleSpec, n: int) -> list[tuple[str, ...]]:
     one, plus placements of a rule's designated competitors at varying
     position pairs."""
     rankings = [_generic_ids(n)]
-    pair = _designated_pair(rule)
-    if pair and n >= 2:
-        i, j = pair
+    if rule.designated and n >= 2:
+        i, j = rule.designated
         fillers = [f"z{k}" for k in range(1, n + 1)]
         for pi in range(1, n + 1):
             for pj in range(1, n + 1):

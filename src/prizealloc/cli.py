@@ -1,4 +1,4 @@
-"""Command-line interface: rule-spec parsing, data ingestion, and reports.
+"""Command-line interface: data ingestion, commands, and reports.
 
 Commands
   allocate   one competition -> prize vector
@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from importlib import resources
 from typing import Sequence
@@ -33,31 +34,27 @@ from .core import (
     PrizeTable,
     standard_competition,
 )
+# ParseError and parse_rule_spec are re-exported: the spec language lives in rules.
 from .rules import (
     ED,
+    MAX_RANGE_ROWS,
     WTA,
     WTS,
     Counterexample,
     Geometric,
-    Interval,
-    IntervalList,
-    MonotoneFn,
+    ParseError,
     Proportional,
     RuleSpec,
-    SingleParametric,
     allocate,
     arithmetic_rule,
     describe,
     hyperarithmetic_rule,
+    parse_rule_spec,
     step_rule,
-    _fmt,
+    trace_path,
 )
-from .solver import trace_path
 from .axioms import (
-    CONSISTENCY_MODES,
     MATRIX_CELLS,
-    MONOTONICITY_MODES,
-    ORDER_MODES,
     SampleBudget,
     Verdict,
     Witness,
@@ -75,18 +72,6 @@ from .analysis import (
 )
 
 
-class ParseError(PrizeAllocError):
-    """Rule-spec syntax error, with position and expected tokens."""
-
-    def __init__(self, text: str, position: int, expected: str):
-        self.text = text
-        self.position = position
-        self.expected = expected
-        super().__init__(
-            f"cannot parse rule spec {text!r} at position {position}: expected {expected}"
-        )
-
-
 class SchemaError(PrizeAllocError):
     pass
 
@@ -99,119 +84,10 @@ class IoError(PrizeAllocError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Rule-spec mini-language
-
-
-def _parse_float(text: str, token: str, offset: int, expected: str) -> float:
-    if token == "inf":
-        return math.inf
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(text, offset, expected) from None
-
-
-def parse_rule_spec(text: str) -> RuleSpec:
-    """Parse the rule mini-language (the inverse of ``describe``).
-
-    Grammar:
-      ed | wta
-      wts:a=<value|inf>
-      interval:[a,b];[a,b];...          (only the last b may be inf)
-      geometric:lambda=<value>
-      proportional:<w1>,<w2>,...
-      sp:arithmetic | sp:linear=<s> | sp:cap=<a> | sp:pwl=<x>:<y>,<x>:<y>,...
-      param:hyperarithmetic
-      cx:<name> | cx:pair-favoritism=<i>,<j>
-    """
-    head, sep, rest = text.partition(":")
-    body_at = len(head) + 1
-    if head == "ed":
-        if sep:
-            raise ParseError(text, body_at, "no arguments after 'ed'")
-        return ED()
-    if head == "wta":
-        if sep:
-            raise ParseError(text, body_at, "no arguments after 'wta'")
-        return WTA()
-    if head == "wts":
-        if not rest.startswith("a="):
-            raise ParseError(text, body_at, "'a=<value>'")
-        return WTS(_parse_float(text, rest[2:], body_at + 2, "a number or 'inf'"))
-    if head == "interval":
-        if not rest:
-            raise ParseError(text, body_at, "at least one '[a,b]' interval")
-        pairs = []
-        pos = body_at
-        for part in rest.split(";"):
-            if not (part.startswith("[") and part.endswith("]")):
-                raise ParseError(text, pos, "'[a,b]'")
-            inner = part[1:-1].split(",")
-            if len(inner) != 2:
-                raise ParseError(text, pos + 1, "two comma-separated endpoints")
-            a = _parse_float(text, inner[0], pos + 1, "a number")
-            b = _parse_float(text, inner[1], pos + 2 + len(inner[0]), "a number or 'inf'")
-            pairs.append((a, b))
-            pos += len(part) + 1
-        return Interval(IntervalList(tuple(pairs)))
-    if head == "geometric":
-        if not rest.startswith("lambda="):
-            raise ParseError(text, body_at, "'lambda=<value>'")
-        return Geometric(_parse_float(text, rest[7:], body_at + 7, "a number in [0, 1]"))
-    if head == "proportional":
-        if not rest:
-            raise ParseError(text, body_at, "comma-separated weights")
-        pos = body_at
-        weights = []
-        for part in rest.split(","):
-            weights.append(_parse_float(text, part, pos, "a number"))
-            pos += len(part) + 1
-        return Proportional(tuple(weights))
-    if head == "sp":
-        if rest == "arithmetic":
-            return arithmetic_rule()
-        if rest.startswith("linear="):
-            return SingleParametric(
-                MonotoneFn.linear(
-                    _parse_float(text, rest[7:], body_at + 7, "a slope in [0, 1]"))
-            )
-        if rest.startswith("cap="):
-            return SingleParametric(
-                MonotoneFn.cap(_parse_float(text, rest[4:], body_at + 4, "a cap >= 0"))
-            )
-        if rest.startswith("pwl="):
-            points = []
-            pos = body_at + 4
-            for part in rest[4:].split(","):
-                xy = part.split(":")
-                if len(xy) != 2:
-                    raise ParseError(text, pos, "'<x>:<y>' breakpoint")
-                x = _parse_float(text, xy[0], pos, "a number")
-                y = _parse_float(text, xy[1], pos + len(xy[0]) + 1, "a number")
-                points.append((x, y))
-                pos += len(part) + 1
-            return SingleParametric(MonotoneFn.piecewise(points))
-        raise ParseError(text, body_at, "'arithmetic', 'linear=', 'cap=', or 'pwl='")
-    if head == "param":
-        if rest == "hyperarithmetic":
-            return hyperarithmetic_rule()
-        raise ParseError(text, body_at, "'hyperarithmetic'")
-    if head == "cx":
-        name, _, args = rest.partition("=")
-        if name == "pair-favoritism":
-            ids = args.split(",") if args else []
-            if len(ids) != 2 or not all(ids):
-                raise ParseError(
-                    text, body_at + len(name) + 1, "two comma-separated competitor ids")
-            return Counterexample(name, i=ids[0], j=ids[1])
-        if args:
-            raise ParseError(text, body_at + len(name), "no '=' arguments for this rule")
-        return Counterexample(name)
-    raise ParseError(
-        text, 0,
-        "one of ed, wta, wts, interval, geometric, proportional, sp, param, cx",
-    )
+def _fmt(x: float) -> str:
+    """Six-decimal display of a number in human-readable output."""
+    s = f"{x:.6f}".rstrip("0").rstrip(".")
+    return s if s else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +124,6 @@ def load_prize_data(
 
 
 def _read_data_text(path: str) -> str:
-    import os
     if not os.path.exists(path) and path in BUNDLED_DATASETS:
         return resources.files(DATA_PACKAGE).joinpath(path).read_text()
     with open(path, "r", encoding="utf-8") as fh:
@@ -396,9 +271,6 @@ def _print_witness(w: Witness, out) -> None:
 
 # ---------------------------------------------------------------------------
 # Command implementations
-
-
-MAX_RANGE_ROWS = 100_000
 
 
 def _parse_endowments(spec: str) -> list[float]:
@@ -552,17 +424,9 @@ def _cmd_matrix(args, out) -> int:
         lines.append(f"{'':{width}}  # {idx}: {key}")
     any_fail = False
     for rule_name, row in matrix.items():
-        marks = []
-        for key in keys:
-            v = row[key]
-            if v is None:
-                marks.append(" -")
-            elif v.passed:
-                marks.append(" P")
-            else:
-                marks.append(" F")
-                any_fail = True
-        lines.append(f"{rule_name:{width}} " + " ".join(m.strip().rjust(2) for m in marks))
+        marks = ["-" if v is None else "P" if v.passed else "F" for v in map(row.get, keys)]
+        any_fail = any_fail or "F" in marks
+        lines.append(f"{rule_name:{width}} " + " ".join(m.rjust(2) for m in marks))
     _emit(report, args.json, out, lines)
     if not args.json:
         for rule_name, row in matrix.items():
@@ -664,8 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common_rule(p)
     p.add_argument("--axiom", required=True, choices=AXIOM_NAMES)
     p.add_argument("--mode", default=None,
-                   choices=sorted(set(ORDER_MODES) | set(MONOTONICITY_MODES)
-                                  | set(CONSISTENCY_MODES)))
+                   choices=sorted({m for _, m in MATRIX_CELLS if m is not None}))
     p.add_argument("--samples", type=int, default=5, help="maximum field size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=TAU_EQ)

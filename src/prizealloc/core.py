@@ -200,10 +200,11 @@ class PrizeTable:
     prizes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.endowment <= 0:
-            raise NegativeEndowment(f"endowment must be > 0, got {self.endowment}")
-        if any(p < 0 for p in self.prizes):
-            raise PrizeAllocError(f"prizes must be non-negative: {self.prizes}")
+        if not 0 < self.endowment < inf:
+            kind = NegativeEndowment if self.endowment <= 0 else NonFiniteEndowment
+            raise kind(f"endowment must be finite and > 0, got {self.endowment}")
+        if not all(0 <= p < inf for p in self.prizes):  # also rejects NaN
+            raise PrizeAllocError(f"prizes must be finite and non-negative: {self.prizes}")
         if sum(self.prizes) > self.endowment + tau_sum(self.endowment):
             raise PrizeAllocError(
                 f"prizes sum to {sum(self.prizes)} > endowment {self.endowment}"

@@ -1,6 +1,6 @@
 """Allocation rule families for rank-order competitions.
 
-Implemented families, all behind the single dispatch ``allocate``:
+Implemented families, one frozen dataclass each:
 
 * equal division and winner-takes-all,
 * winner-takes-surplus with cap ``a``,
@@ -15,16 +15,30 @@ Implemented families, all behind the single dispatch ``allocate``:
   non-increasing weight), and
 * a handful of named counterexample rules that each violate exactly one
   of the checked axioms.
+
+Each rule owns its allocation (``prizes``, in position order) and its spec
+string (``spec``); ``allocate`` is the one entry point that applies a rule
+to a competition, and ``parse_rule_spec`` inverts ``spec`` through one
+table keyed by the spec head.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
-from .core import Allocation, Competition, PrizeAllocError
-from .solver import DEFAULT_SOLVER, SolverConfig, iterate_f, interval_locate, solve_level
+from .core import Allocation, Competition, PrizeAllocError, standard_competition
+from .solver import (
+    DEFAULT_SOLVER,
+    SolverConfig,
+    SolverFailure,
+    iterate_f,
+    interval_locate,
+    solve_level,
+)
 
 
 class InvalidRuleParams(PrizeAllocError):
@@ -33,6 +47,35 @@ class InvalidRuleParams(PrizeAllocError):
 
 class UnknownCounterexample(PrizeAllocError):
     pass
+
+
+class InvalidPath(PrizeAllocError, ValueError):
+    pass
+
+
+class ParseError(PrizeAllocError):
+    """Rule-spec syntax error, with position and expected tokens."""
+
+    def __init__(self, text: str, position: int, expected: str):
+        self.text = text
+        self.position = position
+        self.expected = expected
+        super().__init__(
+            f"cannot parse rule spec {text!r} at position {position}: expected {expected}"
+        )
+
+
+def _num(x: float) -> str:
+    """The shortest text that parses back to x, without a trailing '.0'."""
+    s = repr(float(x))
+    return s[:-2] if s.endswith(".0") else s
+
+
+def _number(text: str, token: str, at: int, expected: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(text, at, expected) from None
 
 
 # ---------------------------------------------------------------------------
@@ -54,38 +97,12 @@ class MonotoneFn:
     points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind == "linear":
-            if not 0.0 <= self.param <= 1.0:
-                raise InvalidRuleParams(f"linear slope must be in [0, 1], got {self.param}")
-        elif self.kind in ("shift", "cap"):
-            if self.param < 0:
-                raise InvalidRuleParams(f"{self.kind} parameter must be >= 0, got {self.param}")
-        elif self.kind == "pwl":
-            self._validate_pwl()
-        elif self.kind not in ("identity", "zero"):
-            raise InvalidRuleParams(f"unknown function kind: {self.kind!r}")
-
-    def _validate_pwl(self) -> None:
-        pts = self.points
-        if not pts:
-            raise InvalidRuleParams("piecewise curve needs at least one breakpoint")
-        if pts[0] != (0.0, 0.0):
-            raise InvalidRuleParams(f"piecewise curve must start at (0, 0), got {pts[0]}")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 <= x0:
-                raise InvalidRuleParams("breakpoint x-coordinates must be strictly increasing")
-            if y1 < y0:
-                raise InvalidRuleParams("breakpoint values must be non-decreasing")
-        for x, y in pts:
-            if not 0.0 <= y <= x:
-                raise InvalidRuleParams(f"need 0 <= f(x) <= x at breakpoints, violated at {(x, y)}")
-        if len(pts) >= 2:
-            (x0, y0), (x1, y1) = pts[-2], pts[-1]
-            slope = (y1 - y0) / (x1 - x0)
-        else:
-            slope = 0.0
-        if not 0.0 <= slope <= 1.0:
-            raise InvalidRuleParams(f"final segment slope must be in [0, 1], got {slope}")
+        entry = _KINDS.get(self.kind)
+        problem = f"unknown function kind: {self.kind!r}" if entry is None else entry.check(self)
+        if problem:
+            raise InvalidRuleParams(problem)
+        # not a field: eq, hash and repr see only kind, param and points
+        object.__setattr__(self, "_eval", entry.bind(self))
 
     # -- constructors
 
@@ -116,28 +133,114 @@ class MonotoneFn:
         return MonotoneFn("pwl", points=tuple((float(x), float(y)) for x, y in points))
 
     def __call__(self, x: float) -> float:
-        if self.kind == "identity":
-            return x
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "linear":
-            return self.param * x
-        if self.kind == "shift":
-            return max(0.0, x - self.param)
-        if self.kind == "cap":
-            return min(self.param, x)
-        return self._eval_pwl(x)
+        return self._eval(x)
 
-    def _eval_pwl(self, x: float) -> float:
-        pts = self.points
-        if len(pts) == 1 or x <= pts[0][0]:
-            return pts[0][1] if x >= pts[0][0] else 0.0
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        (x0, y0), (x1, y1) = pts[-2], pts[-1]
-        slope = (y1 - y0) / (x1 - x0)
-        return y1 + slope * (x - pts[-1][0])
+    def spec(self) -> str:
+        """The text after ``sp:`` that parses back to this function."""
+        return _KINDS[self.kind].spec(self)
+
+
+class _Kind(NamedTuple):
+    """One MonotoneFn kind: its evaluation (bound to a function's parameters
+    once, at construction), its parameter check (a message, or None when the
+    parameters are valid), its spec text and, for kinds the spec grammar
+    names, the parser of that text's argument."""
+
+    bind: Callable[[MonotoneFn], Callable[[float], float]]
+    check: Callable[[MonotoneFn], str | None]
+    spec: Callable[[MonotoneFn], str]
+    parse: Callable[[str, str, int], MonotoneFn] | None = None
+
+
+def _pwl_problem(f: MonotoneFn) -> str | None:
+    pts = f.points
+    if not pts:
+        return "piecewise curve needs at least one breakpoint"
+    if pts[0] != (0.0, 0.0):
+        return f"piecewise curve must start at (0, 0), got {pts[0]}"
+    if not all(math.isfinite(v) for pt in pts for v in pt):
+        return f"breakpoints must be finite, got {pts}"
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x1 <= x0:
+            return "breakpoint x-coordinates must be strictly increasing"
+        if y1 < y0:
+            return "breakpoint values must be non-decreasing"
+    for x, y in pts:
+        if not 0.0 <= y <= x:
+            return f"need 0 <= f(x) <= x at breakpoints, violated at {(x, y)}"
+    slope = (pts[-1][1] - pts[-2][1]) / (pts[-1][0] - pts[-2][0]) if len(pts) >= 2 else 0.0
+    if not 0.0 <= slope <= 1.0:
+        return f"final segment slope must be in [0, 1], got {slope}"
+    return None
+
+
+def _identity(x: float) -> float:
+    return x
+
+
+def _zero(x: float) -> float:
+    return 0.0
+
+
+def _shift(c: float, x: float) -> float:
+    return x - c if x > c else 0.0  # max(0, x - c), bit for bit
+
+
+def _cap(c: float, x: float) -> float:
+    return x if x < c else c  # min(c, x), bit for bit
+
+
+def _eval_pwl(pts: tuple[tuple[float, float], ...], x: float) -> float:
+    if len(pts) == 1 or x <= pts[0][0]:
+        return pts[0][1] if x >= pts[0][0] else 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    (x0, y0), (x1, y1) = pts[-2], pts[-1]
+    slope = (y1 - y0) / (x1 - x0)
+    return y1 + slope * (x - pts[-1][0])
+
+
+def _parse_pwl(text: str, arg: str, at: int) -> MonotoneFn:
+    points = []
+    for part in arg.split(","):
+        xy = part.split(":")
+        if len(xy) != 2:
+            raise ParseError(text, at, "'<x>:<y>' breakpoint")
+        x = _number(text, xy[0], at, "a number")
+        y = _number(text, xy[1], at + len(xy[0]) + 1, "a number")
+        points.append((x, y))
+        at += len(part) + 1
+    return MonotoneFn.piecewise(points)
+
+
+def _one_param(kind: str, expected: str):
+    def parse(text: str, arg: str, at: int) -> MonotoneFn:
+        return MonotoneFn(kind, param=_number(text, arg, at, expected))
+    return parse
+
+
+def _offset_problem(f: MonotoneFn) -> str | None:
+    # `not >=` also rejects NaN; an infinite shift or cap is legal
+    return None if f.param >= 0 else f"{f.kind} parameter must be >= 0, got {f.param}"
+
+
+_KINDS: dict[str, _Kind] = {
+    "identity": _Kind(lambda f: _identity, lambda f: None, lambda f: "linear=1"),
+    "zero": _Kind(lambda f: _zero, lambda f: None, lambda f: "linear=0"),
+    "linear": _Kind(lambda f: partial(operator.mul, f.param),
+                    lambda f: None if 0.0 <= f.param <= 1.0
+                    else f"linear slope must be in [0, 1], got {f.param}",
+                    lambda f: f"linear={_num(f.param)}",
+                    _one_param("linear", "a slope in [0, 1]")),
+    "shift": _Kind(lambda f: partial(_shift, f.param), _offset_problem,
+                   lambda f: f"shift={_num(f.param)}", _one_param("shift", "a shift >= 0")),
+    "cap": _Kind(lambda f: partial(_cap, f.param), _offset_problem,
+                 lambda f: f"cap={_num(f.param)}", _one_param("cap", "a cap >= 0")),
+    "pwl": _Kind(lambda f: partial(_eval_pwl, f.points), _pwl_problem,
+                 lambda f: "pwl=" + ",".join(f"{_num(x)}:{_num(y)}" for x, y in f.points),
+                 _parse_pwl),
+}
 
 
 def pointwise_leq(f_lo: MonotoneFn, f_hi: MonotoneFn, xs: Sequence[float]) -> bool:
@@ -183,204 +286,68 @@ def unit_steps(count: int) -> IntervalList:
 
 
 # ---------------------------------------------------------------------------
-# Rule specifications
+# Rule families
+
+
+Prizes = Sequence[float]
+
+
+class RuleSpec:
+    """Base of the rule families.  Each family defines
+    ``prizes(ids, E, cfg)``, the prizes it pays the field ``ids`` (ids in
+    position order) out of the endowment E, in position order, and
+    ``spec()``, the rule's text in the spec language.  ``designated`` lists
+    the competitor ids whose identity, not only their position, the rule
+    reads."""
+
+    designated: tuple[str, ...] = ()
+
+
+def _equal(n: int, e: float) -> Prizes:
+    return [e / n] * n
+
+
+def _winner(n: int, e: float) -> Prizes:
+    return [e] + [0.0] * (n - 1)
 
 
 @dataclass(frozen=True)
-class ED:
-    pass
+class ED(RuleSpec):
+    def prizes(self, ids, e, cfg):
+        return _equal(len(ids), e)
+
+    def spec(self):
+        return "ed"
 
 
 @dataclass(frozen=True)
-class WTA:
-    pass
+class WTA(RuleSpec):
+    def prizes(self, ids, e, cfg):
+        return _winner(len(ids), e)
+
+    def spec(self):
+        return "wta"
 
 
 @dataclass(frozen=True)
-class WTS:
+class WTS(RuleSpec):
     """Everyone receives cap ``a`` once E >= n*a, the winner also takes the
     surplus; below n*a the endowment is divided equally."""
 
     a: float
 
     def __post_init__(self) -> None:
-        if self.a < 0:
+        if not self.a >= 0:  # also rejects NaN
             raise InvalidRuleParams(f"WTS cap must be >= 0 or inf, got {self.a}")
 
+    def prizes(self, ids, e, cfg):
+        n, a = len(ids), self.a
+        if e >= n * a:  # never for a = inf
+            return [e - (n - 1) * a] + [a] * (n - 1)
+        return _equal(n, e)
 
-@dataclass(frozen=True)
-class Interval:
-    intervals: IntervalList
-
-
-@dataclass(frozen=True)
-class SingleParametric:
-    f: MonotoneFn
-
-
-@dataclass(frozen=True)
-class Parametric:
-    """Explicit prefix of level functions, lazily extensible by a generator.
-
-    ``extend(k)`` supplies the function for position k beyond the prefix.
-    f_1 must be the identity and f_{k+1} <= f_k pointwise.
-    """
-
-    fs: tuple[MonotoneFn, ...] = ()
-    extend: Callable[[int], MonotoneFn] | None = None
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.fs and self.extend is None:
-            raise InvalidRuleParams("parametric rule needs level functions")
-        if self.fs and self.fs[0] != MonotoneFn.identity():
-            raise InvalidRuleParams("first level function must be the identity")
-        xs = _order_check_points(self.fs)
-        for f_hi, f_lo in zip(self.fs, self.fs[1:]):
-            if not pointwise_leq(f_lo, f_hi, xs):
-                raise InvalidRuleParams("level functions must be pointwise non-increasing in k")
-
-    def fn(self, k: int) -> MonotoneFn:
-        if k <= len(self.fs):
-            return self.fs[k - 1]
-        if self.extend is not None:
-            return self.extend(k)
-        raise InvalidRuleParams(
-            f"rule defines {len(self.fs)} level functions, position {k} requested"
-        )
-
-
-def _order_check_points(fs: Sequence[MonotoneFn]) -> list[float]:
-    xs = {0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0}
-    for f in fs:
-        for x, _ in f.points:
-            xs.add(x)
-        if f.kind in ("shift", "cap") and math.isfinite(f.param):
-            xs.add(f.param)
-    return sorted(xs)
-
-
-@dataclass(frozen=True)
-class Geometric:
-    """Prize at position r is lambda^(r-1) / sum_k lambda^(k-1) times E.
-
-    lambda > 1 breaks order preservation and is admitted only behind the
-    explicit ``allow_above_one`` flag (used to exhibit that counterexample).
-    """
-
-    lam: float
-    allow_above_one: bool = False
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise InvalidRuleParams(f"geometric ratio must be >= 0, got {self.lam}")
-        if self.lam > 1 and not self.allow_above_one:
-            raise InvalidRuleParams(
-                f"geometric ratio must be in [0, 1], got {self.lam} "
-                "(pass allow_above_one=True to override)"
-            )
-
-
-@dataclass(frozen=True)
-class Proportional:
-    """Prize at position r proportional to the fixed weight lams[r-1]."""
-
-    lams: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.lams or self.lams[0] <= 0:
-            raise InvalidRuleParams("first proportional weight must be > 0")
-        for lo, hi in zip(self.lams[1:], self.lams):
-            if lo < 0 or lo > hi:
-                raise InvalidRuleParams(
-                    f"proportional weights must be non-negative and non-increasing: {self.lams}"
-                )
-
-
-COUNTEREXAMPLE_NAMES = (
-    "lowest-takes-all",
-    "threshold-switch",
-    "pair-favoritism",
-    "late-dollar",
-    "ed2wta3",
-)
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    """Named rules that each violate exactly one checked axiom.
-
-    pair-favoritism requires the two designated competitor ids i and j.
-    """
-
-    name: str
-    i: str | None = None
-    j: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.name not in COUNTEREXAMPLE_NAMES:
-            raise UnknownCounterexample(
-                f"unknown counterexample rule {self.name!r}; known: {COUNTEREXAMPLE_NAMES}"
-            )
-        if self.name == "pair-favoritism" and (self.i is None or self.j is None):
-            raise InvalidRuleParams("pair-favoritism needs designated ids i and j")
-
-
-RuleSpec = Union[
-    ED, WTA, WTS, Interval, SingleParametric, Parametric, Geometric, Proportional,
-    Counterexample,
-]
-
-
-def arithmetic_rule() -> SingleParametric:
-    """Single-parametric rule with f(x) = max(0, x - 1)."""
-    return SingleParametric(MonotoneFn.shift(1.0))
-
-
-def _hyperarithmetic_fn(k: int) -> MonotoneFn:
-    return MonotoneFn.identity() if k == 1 else MonotoneFn.shift(float(k))
-
-
-def hyperarithmetic_rule() -> Parametric:
-    """Parametric rule with f_1(x) = x and f_k(x) = max(0, x - k) for k >= 2."""
-    return Parametric(fs=(MonotoneFn.identity(),), extend=_hyperarithmetic_fn,
-                      name="hyperarithmetic")
-
-
-def step_rule(max_dollars: int = 64) -> Interval:
-    """Interval rule with intervals (k-1, k): prizes grow one dollar at a time."""
-    return Interval(unit_steps(max_dollars))
-
-
-# ---------------------------------------------------------------------------
-# Allocation
-
-
-def _wrap(competition: Competition, by_position: Sequence[float]) -> Allocation:
-    prizes = {
-        competition.ranking.id_at(r): float(v)
-        for r, v in enumerate(by_position, start=1)
-    }
-    return Allocation(prizes=prizes)
-
-
-def allocate_ed(competition: Competition) -> Allocation:
-    n, e = competition.n, competition.endowment
-    return _wrap(competition, [e / n] * n)
-
-
-def allocate_wta(competition: Competition) -> Allocation:
-    n, e = competition.n, competition.endowment
-    return _wrap(competition, [e] + [0.0] * (n - 1))
-
-
-def allocate_wts(a: float, competition: Competition) -> Allocation:
-    if a < 0:
-        raise InvalidRuleParams(f"WTS cap must be >= 0, got {a}")
-    n, e = competition.n, competition.endowment
-    if math.isfinite(a) and e >= n * a:
-        return _wrap(competition, [e - (n - 1) * a] + [a] * (n - 1))
-    return allocate_ed(competition)
+    def spec(self):
+        return f"wts:a={_num(self.a)}"
 
 
 def _mul(count: int, value: float) -> float:
@@ -400,60 +367,148 @@ def _interval_prize(n: int, e: float, rank: int, a: float, b: float) -> float:
     return e / n
 
 
-def allocate_interval(intervals: IntervalList, competition: Competition) -> Allocation:
-    n, e = competition.n, competition.endowment
-    idx = interval_locate(intervals, e / n)
-    if idx is None:
-        return allocate_ed(competition)
-    a, b = intervals.pairs[idx]
-    return _wrap(competition, [_interval_prize(n, e, r, a, b) for r in range(1, n + 1)])
+@dataclass(frozen=True)
+class Interval(RuleSpec):
+    intervals: IntervalList
+
+    def prizes(self, ids, e, cfg):
+        n = len(ids)
+        idx = interval_locate(self.intervals, e / n)
+        if idx is None:
+            return _equal(n, e)
+        a, b = self.intervals.pairs[idx]
+        return [_interval_prize(n, e, r, a, b) for r in range(1, n + 1)]
+
+    def spec(self):
+        return "interval:" + ";".join(f"[{_num(a)},{_num(b)}]" for a, b in self.intervals.pairs)
 
 
-def allocate_single_parametric(
-    f: MonotoneFn, competition: Competition, cfg: SolverConfig = DEFAULT_SOLVER
-) -> Allocation:
-    n, e = competition.n, competition.endowment
-    levels = [lambda x, k=k: iterate_f(f, x, k) for k in range(n)]
-    x = solve_level(levels, n, e, cfg)
-    prizes = [x]
-    for _ in range(n - 1):
-        prizes.append(f(prizes[-1]))
-    return _wrap(competition, prizes)
+@dataclass(frozen=True)
+class SingleParametric(RuleSpec):
+    f: MonotoneFn
+
+    def prizes(self, ids, e, cfg):
+        n, f = len(ids), self.f
+        levels = [lambda x, k=k: iterate_f(f, x, k) for k in range(n)]
+        x = solve_level(levels, n, e, cfg)
+        prizes = [x]
+        for _ in range(n - 1):
+            prizes.append(f(prizes[-1]))
+        return prizes
+
+    def spec(self):
+        return "sp:arithmetic" if self == arithmetic_rule() else "sp:" + self.f.spec()
 
 
-def allocate_parametric(
-    rule: Parametric, competition: Competition, cfg: SolverConfig = DEFAULT_SOLVER
-) -> Allocation:
-    n, e = competition.n, competition.endowment
-    fns = [rule.fn(k) for k in range(1, n + 1)]
-    if fns[0] != MonotoneFn.identity():
-        raise InvalidRuleParams("first level function must be the identity")
-    x = solve_level(fns, n, e, cfg)
-    return _wrap(competition, [fn(x) for fn in fns])
+@dataclass(frozen=True)
+class Parametric(RuleSpec):
+    """Explicit prefix of level functions, lazily extensible by a generator.
 
+    ``extend(k)`` supplies the function for position k beyond the prefix.
+    f_1 must be the identity and f_{k+1} <= f_k pointwise.
+    """
 
-def allocate_geometric(
-    lam: float, competition: Competition, allow_above_one: bool = False
-) -> Allocation:
-    if lam < 0 or (lam > 1 and not allow_above_one):
-        raise InvalidRuleParams(f"geometric ratio must be in [0, 1], got {lam}")
-    n, e = competition.n, competition.endowment
-    weights = [1.0]
-    for _ in range(n - 1):
-        weights.append(weights[-1] * lam)
-    total = sum(weights)
-    return _wrap(competition, [w / total * e for w in weights])
+    fs: tuple[MonotoneFn, ...] = ()
+    extend: Callable[[int], MonotoneFn] | None = None
+    name: str = ""
 
+    def __post_init__(self) -> None:
+        if self.fn(1) != MonotoneFn.identity():
+            raise InvalidRuleParams("first level function must be the identity")
+        xs = _order_check_points(self.fs)
+        for f_hi, f_lo in zip(self.fs, self.fs[1:]):
+            if not pointwise_leq(f_lo, f_hi, xs):
+                raise InvalidRuleParams("level functions must be pointwise non-increasing in k")
 
-def allocate_proportional(lams: Sequence[float], competition: Competition) -> Allocation:
-    n, e = competition.n, competition.endowment
-    if len(lams) < n:
+    def fn(self, k: int) -> MonotoneFn:
+        if k <= len(self.fs):
+            return self.fs[k - 1]
+        if self.extend is not None:
+            return self.extend(k)
         raise InvalidRuleParams(
-            f"proportional rule defines {len(lams)} weights, competition has {n} competitors"
+            f"rule defines {len(self.fs)} level functions, position {k} requested"
         )
-    weights = list(lams[:n])
-    total = sum(weights)
-    return _wrap(competition, [w / total * e for w in weights])
+
+    def prizes(self, ids, e, cfg):
+        n = len(ids)
+        fns = [self.fn(k) for k in range(1, n + 1)]
+        x = solve_level(fns, n, e, cfg)
+        return [fn(x) for fn in fns]
+
+    def spec(self):
+        return f"param:{self.name or 'custom'}"
+
+
+def _order_check_points(fs: Sequence[MonotoneFn]) -> list[float]:
+    """Sample points for the level-order check: fixed ones plus every
+    function's breakpoints and finite parameter (a kink of shift and cap)."""
+    xs = {0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0}
+    for f in fs:
+        xs.update(x for x, _ in f.points)
+        if math.isfinite(f.param):
+            xs.add(f.param)
+    return sorted(xs)
+
+
+@dataclass(frozen=True)
+class Geometric(RuleSpec):
+    """Prize at position r is lambda^(r-1) / sum_k lambda^(k-1) times E.
+
+    lambda > 1 breaks order preservation and is admitted only behind the
+    explicit ``allow_above_one`` flag (used to exhibit that counterexample).
+    """
+
+    lam: float
+    allow_above_one: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.lam < math.inf:  # also rejects NaN
+            raise InvalidRuleParams(f"geometric ratio must be finite and >= 0, got {self.lam}")
+        if self.lam > 1 and not self.allow_above_one:
+            raise InvalidRuleParams(
+                f"geometric ratio must be in [0, 1], got {self.lam} "
+                "(pass allow_above_one=True to override)"
+            )
+
+    def prizes(self, ids, e, cfg):
+        weights = [1.0]
+        for _ in range(len(ids) - 1):
+            weights.append(weights[-1] * self.lam)
+        total = sum(weights)
+        return [w / total * e for w in weights]
+
+    def spec(self):
+        return f"geometric:lambda={_num(self.lam)}"
+
+
+@dataclass(frozen=True)
+class Proportional(RuleSpec):
+    """Prize at position r proportional to the fixed weight lams[r-1]."""
+
+    lams: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.lams or not 0 < self.lams[0] < math.inf:  # also rejects NaN
+            raise InvalidRuleParams("first proportional weight must be finite and > 0")
+        for lo, hi in zip(self.lams[1:], self.lams):
+            if not 0 <= lo <= hi:
+                raise InvalidRuleParams(
+                    f"proportional weights must be non-negative and non-increasing: {self.lams}"
+                )
+
+    def prizes(self, ids, e, cfg):
+        n = len(ids)
+        if len(self.lams) < n:
+            raise InvalidRuleParams(
+                f"proportional rule defines {len(self.lams)} weights, "
+                f"competition has {n} competitors"
+            )
+        weights = self.lams[:n]
+        total = sum(weights)
+        return [w / total * e for w in weights]
+
+    def spec(self):
+        return "proportional:" + ",".join(_num(v) for v in self.lams)
 
 
 def _late_dollar_vector(n: int, e: float) -> list[float]:
@@ -483,98 +538,239 @@ def _late_dollar_vector(n: int, e: float) -> list[float]:
     return v
 
 
-def allocate_counterexample(rule: Counterexample, competition: Competition) -> Allocation:
-    n, e = competition.n, competition.endowment
-    name = rule.name
-    if name == "lowest-takes-all":
-        return _wrap(competition, [0.0] * (n - 1) + [e])
-    if name == "threshold-switch":
-        return allocate_ed(competition) if e <= 1.0 else allocate_wta(competition)
-    if name == "ed2wta3":
-        return allocate_ed(competition) if n <= 2 else allocate_wta(competition)
-    if name == "late-dollar":
-        return _wrap(competition, _late_dollar_vector(n, e))
-    # pair-favoritism
-    ranking = competition.ranking
-    ids = ranking.competitors
-    if (
-        rule.i in ids
-        and rule.j in ids
-        and ranking.position_of(rule.i) == 1
-        and ranking.position_of(rule.j) == 2
-    ):
-        prizes = {cid: 0.0 for cid in ids}
-        prizes[rule.i] = e / 2.0
-        prizes[rule.j] = e / 2.0
-        return Allocation(prizes=prizes)
-    return allocate_wta(competition)
+def _pair_favoritism(rule: "Counterexample", ids: tuple[str, ...], e: float) -> Prizes:
+    """Split evenly when the designated i and j finish first and second."""
+    if ids[:2] == (rule.i, rule.j):
+        return [e / 2.0, e / 2.0] + [0.0] * (len(ids) - 2)
+    return _winner(len(ids), e)
+
+
+# name -> prizes(rule, ids, E)
+_COUNTEREXAMPLES: dict[str, Callable[["Counterexample", tuple[str, ...], float], Prizes]] = {
+    "lowest-takes-all": lambda rule, ids, e: [0.0] * (len(ids) - 1) + [e],
+    "threshold-switch": lambda rule, ids, e: (_equal if e <= 1.0 else _winner)(len(ids), e),
+    "pair-favoritism": _pair_favoritism,
+    "late-dollar": lambda rule, ids, e: _late_dollar_vector(len(ids), e),
+    "ed2wta3": lambda rule, ids, e: (_equal if len(ids) <= 2 else _winner)(len(ids), e),
+}
+COUNTEREXAMPLE_NAMES = tuple(_COUNTEREXAMPLES)
+
+
+@dataclass(frozen=True)
+class Counterexample(RuleSpec):
+    """Named rules that each violate exactly one checked axiom.
+
+    pair-favoritism requires the two designated competitor ids i and j.
+    """
+
+    name: str
+    i: str | None = None
+    j: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.name not in _COUNTEREXAMPLES:
+            raise UnknownCounterexample(
+                f"unknown counterexample rule {self.name!r}; known: {COUNTEREXAMPLE_NAMES}"
+            )
+        if self.name == "pair-favoritism" and (self.i is None or self.j is None):
+            raise InvalidRuleParams("pair-favoritism needs designated ids i and j")
+
+    @property
+    def designated(self) -> tuple[str, ...]:
+        return (self.i, self.j) if self.name == "pair-favoritism" else ()
+
+    def prizes(self, ids, e, cfg):
+        return _COUNTEREXAMPLES[self.name](self, ids, e)
+
+    def spec(self):
+        return f"cx:{self.name}" + (f"={self.i},{self.j}" if self.designated else "")
+
+
+def arithmetic_rule() -> SingleParametric:
+    """Single-parametric rule with f(x) = max(0, x - 1)."""
+    return SingleParametric(MonotoneFn.shift(1.0))
+
+
+def _hyperarithmetic_fn(k: int) -> MonotoneFn:
+    return MonotoneFn.identity() if k == 1 else MonotoneFn.shift(float(k))
+
+
+def hyperarithmetic_rule() -> Parametric:
+    """Parametric rule with f_1(x) = x and f_k(x) = max(0, x - k) for k >= 2."""
+    return Parametric(fs=(MonotoneFn.identity(),), extend=_hyperarithmetic_fn,
+                      name="hyperarithmetic")
+
+
+def step_rule(max_dollars: int = 64) -> Interval:
+    """Interval rule with intervals (k-1, k): prizes grow one dollar at a time."""
+    return Interval(unit_steps(max_dollars))
+
+
+# ---------------------------------------------------------------------------
+# Rule-spec language: one parser per head, each the inverse of a ``spec``
+
+
+def _bare(head: str, rule: RuleSpec):
+    def parse(text: str, rest: str, at: int) -> RuleSpec:
+        if text != head:
+            raise ParseError(text, at, f"no arguments after '{head}'")
+        return rule
+    return parse
+
+
+def _keyword(key: str, build: Callable[[float], RuleSpec], expected: str):
+    """``<key>=<number>``."""
+    def parse(text: str, rest: str, at: int) -> RuleSpec:
+        if not rest.startswith(key + "="):
+            raise ParseError(text, at, f"'{key}=<value>'")
+        return build(_number(text, rest[len(key) + 1:], at + len(key) + 1, expected))
+    return parse
+
+
+def _parse_interval(text: str, rest: str, at: int) -> RuleSpec:
+    if not rest:
+        raise ParseError(text, at, "at least one '[a,b]' interval")
+    pairs = []
+    for part in rest.split(";"):
+        if not (part.startswith("[") and part.endswith("]")):
+            raise ParseError(text, at, "'[a,b]'")
+        inner = part[1:-1].split(",")
+        if len(inner) != 2:
+            raise ParseError(text, at + 1, "two comma-separated endpoints")
+        a = _number(text, inner[0], at + 1, "a number")
+        b = _number(text, inner[1], at + 2 + len(inner[0]), "a number or 'inf'")
+        pairs.append((a, b))
+        at += len(part) + 1
+    return Interval(IntervalList(tuple(pairs)))
+
+
+def _parse_proportional(text: str, rest: str, at: int) -> RuleSpec:
+    if not rest:
+        raise ParseError(text, at, "comma-separated weights")
+    weights = []
+    for part in rest.split(","):
+        weights.append(_number(text, part, at, "a number"))
+        at += len(part) + 1
+    return Proportional(tuple(weights))
+
+
+def _parse_sp(text: str, rest: str, at: int) -> RuleSpec:
+    if rest == "arithmetic":
+        return arithmetic_rule()
+    name, eq, arg = rest.partition("=")
+    entry = _KINDS.get(name) if eq else None
+    if entry is None or entry.parse is None:
+        named = ", ".join(f"'{k}='" for k, v in _KINDS.items() if v.parse)
+        raise ParseError(text, at, f"'arithmetic', {named}")
+    return SingleParametric(entry.parse(text, arg, at + len(name) + 1))
+
+
+def _parse_param(text: str, rest: str, at: int) -> RuleSpec:
+    if rest != "hyperarithmetic":
+        raise ParseError(text, at, "'hyperarithmetic'")
+    return hyperarithmetic_rule()
+
+
+def _parse_cx(text: str, rest: str, at: int) -> RuleSpec:
+    name, _, args = rest.partition("=")
+    if name == "pair-favoritism":
+        ids = args.split(",") if args else []
+        if len(ids) != 2 or not all(ids):
+            raise ParseError(text, at + len(name) + 1, "two comma-separated competitor ids")
+        return Counterexample(name, i=ids[0], j=ids[1])
+    if args:
+        raise ParseError(text, at + len(name), "no '=' arguments for this rule")
+    return Counterexample(name)
+
+
+# head -> parse(text, text after "head:", offset of that text)
+_PARSERS: dict[str, Callable[[str, str, int], RuleSpec]] = {
+    "ed": _bare("ed", ED()),
+    "wta": _bare("wta", WTA()),
+    "wts": _keyword("a", WTS, "a number or 'inf'"),
+    "interval": _parse_interval,
+    "geometric": _keyword("lambda", Geometric, "a number in [0, 1]"),
+    "proportional": _parse_proportional,
+    "sp": _parse_sp,
+    "param": _parse_param,
+    "cx": _parse_cx,
+}
+
+
+def parse_rule_spec(text: str) -> RuleSpec:
+    """Parse the rule mini-language (the inverse of ``describe``).
+
+    Grammar:
+      ed | wta
+      wts:a=<value|inf>
+      interval:[a,b];[a,b];...          (only the last b may be inf)
+      geometric:lambda=<value>
+      proportional:<w1>,<w2>,...
+      sp:arithmetic | sp:linear=<s> | sp:shift=<c> | sp:cap=<a>
+        | sp:pwl=<x>:<y>,<x>:<y>,...
+      param:hyperarithmetic
+      cx:<name> | cx:pair-favoritism=<i>,<j>
+    """
+    head, _, rest = text.partition(":")
+    parse = _PARSERS.get(head)
+    if parse is None:
+        raise ParseError(text, 0, "one of " + ", ".join(_PARSERS))
+    return parse(text, rest, len(head) + 1)
+
+
+# ---------------------------------------------------------------------------
+# Allocation
 
 
 def allocate(
     rule: RuleSpec, competition: Competition, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> Allocation:
     """Apply any rule to a competition. Deterministic; sums to E within tolerance."""
-    if isinstance(rule, ED):
-        return allocate_ed(competition)
-    if isinstance(rule, WTA):
-        return allocate_wta(competition)
-    if isinstance(rule, WTS):
-        return allocate_wts(rule.a, competition)
-    if isinstance(rule, Interval):
-        return allocate_interval(rule.intervals, competition)
-    if isinstance(rule, SingleParametric):
-        return allocate_single_parametric(rule.f, competition, cfg)
-    if isinstance(rule, Parametric):
-        return allocate_parametric(rule, competition, cfg)
-    if isinstance(rule, Geometric):
-        return allocate_geometric(rule.lam, competition, rule.allow_above_one)
-    if isinstance(rule, Proportional):
-        return allocate_proportional(rule.lams, competition)
-    if isinstance(rule, Counterexample):
-        return allocate_counterexample(rule, competition)
-    raise InvalidRuleParams(f"unknown rule spec: {rule!r}")
+    ids, e = competition.ranking.by_position, competition.endowment
+    try:
+        prizes = rule.prizes(ids, e, cfg)
+    except SolverFailure as exc:
+        raise SolverFailure(f"{rule.spec()} at n={len(ids)}, E={e!r}: {exc}") from exc
+    return Allocation(prizes=dict(zip(ids, map(float, prizes))))
 
 
 def describe(rule: RuleSpec) -> str:
-    """Render a rule in the CLI mini-language (inverse of cli.parse_rule_spec)."""
-    if isinstance(rule, ED):
-        return "ed"
-    if isinstance(rule, WTA):
-        return "wta"
-    if isinstance(rule, WTS):
-        return f"wts:a={'inf' if math.isinf(rule.a) else _fmt(rule.a)}"
-    if isinstance(rule, Interval):
-        parts = ";".join(
-            f"[{_fmt(a)},{'inf' if math.isinf(b) else _fmt(b)}]"
-            for a, b in rule.intervals.pairs
-        )
-        return f"interval:{parts}"
-    if isinstance(rule, SingleParametric):
-        f = rule.f
-        if f == MonotoneFn.shift(1.0):
-            return "sp:arithmetic"
-        if f.kind == "linear":
-            return f"sp:linear={_fmt(f.param)}"
-        if f.kind == "cap":
-            return f"sp:cap={_fmt(f.param)}"
-        if f.kind == "pwl":
-            return "sp:pwl=" + ",".join(f"{_fmt(x)}:{_fmt(y)}" for x, y in f.points)
-        if f.kind == "identity":
-            return "sp:linear=1"
-        return "sp:linear=0"
-    if isinstance(rule, Parametric):
-        return f"param:{rule.name or 'custom'}"
-    if isinstance(rule, Geometric):
-        return f"geometric:lambda={_fmt(rule.lam)}"
-    if isinstance(rule, Proportional):
-        return "proportional:" + ",".join(_fmt(v) for v in rule.lams)
-    if isinstance(rule, Counterexample):
-        if rule.name == "pair-favoritism":
-            return f"cx:pair-favoritism={rule.i},{rule.j}"
-        return f"cx:{rule.name}"
-    raise InvalidRuleParams(f"unknown rule spec: {rule!r}")
+    """Render a rule in the spec language (inverse of ``parse_rule_spec``)."""
+    return rule.spec()
 
 
-def _fmt(x: float) -> str:
-    s = f"{x:.6f}".rstrip("0").rstrip(".")
-    return s if s else "0"
+MAX_RANGE_ROWS = 100_000
+
+
+@dataclass(frozen=True)
+class PathTrace:
+    """Allocations sampled along an increasing endowment grid."""
+
+    samples: tuple[tuple[float, Allocation], ...]
+
+    def endowments(self) -> tuple[float, ...]:
+        return tuple(e for e, _ in self.samples)
+
+
+def trace_path(
+    rule: RuleSpec, n: int, e_max: float, step: float | None = None
+) -> PathTrace:
+    """Allocations at E = 0, step, 2*step, ..., E_max for a fixed field size,
+    at most MAX_RANGE_ROWS of them."""
+    if not 0 <= e_max < math.inf:  # also rejects NaN
+        raise InvalidPath(f"E_max must be finite and >= 0, got {e_max}")
+    if step is None:
+        step = 0.01 * max(1.0, e_max)
+    if not 0 < step < math.inf:
+        raise InvalidPath(f"step must be finite and > 0, got {step}")
+    endowments = []
+    while len(endowments) * step < e_max:
+        if len(endowments) == MAX_RANGE_ROWS - 1:  # E_max is still to come
+            raise InvalidPath(
+                f"path to {e_max} in steps of {step} has more than {MAX_RANGE_ROWS} rows")
+        endowments.append(len(endowments) * step)
+    endowments.append(e_max)
+    samples = tuple(
+        (e, allocate(rule, standard_competition(n, e))) for e in endowments
+    )
+    return PathTrace(samples=samples)

@@ -1,5 +1,5 @@
 """Numeric kernels: monotone root-finding for the level equation, iterated
-function application, interval location, and allocation-path tracing.
+function application, and interval location.
 
 The level equation sum_k f_k(x) = E is solved by bisection on [0, E].  The
 bracket is valid because g(x) = sum f_k(x) is continuous with g(0) = 0 and
@@ -11,21 +11,16 @@ kinks; it is derivative-free and unconditionally convergent on the bracket.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import Allocation, PrizeAllocError
+from .core import PrizeAllocError
 
 if TYPE_CHECKING:
-    from .rules import IntervalList, RuleSpec
+    from .rules import IntervalList
 
 
 class SolverFailure(PrizeAllocError):
-    pass
-
-
-class InvalidPath(PrizeAllocError, ValueError):
     pass
 
 
@@ -113,38 +108,3 @@ def interval_locate(intervals: "IntervalList", avg: float) -> int | None:
         if avg < a:
             break
     return None
-
-
-@dataclass(frozen=True)
-class PathTrace:
-    """Allocations sampled along an increasing endowment grid."""
-
-    samples: tuple[tuple[float, Allocation], ...]
-
-    def endowments(self) -> tuple[float, ...]:
-        return tuple(e for e, _ in self.samples)
-
-
-def trace_path(
-    rule: "RuleSpec", n: int, e_max: float, step: float | None = None
-) -> PathTrace:
-    """Allocations at E = 0, step, 2*step, ..., E_max for a fixed field size."""
-    from .core import standard_competition
-    from .rules import allocate
-
-    if not 0 <= e_max < math.inf:  # also rejects NaN
-        raise InvalidPath(f"E_max must be finite and >= 0, got {e_max}")
-    if step is None:
-        step = 0.01 * max(1.0, e_max)
-    if not 0 < step < math.inf:
-        raise InvalidPath(f"step must be finite and > 0, got {step}")
-    endowments = []
-    k = 0
-    while k * step < e_max:
-        endowments.append(k * step)
-        k += 1
-    endowments.append(e_max)
-    samples = tuple(
-        (e, allocate(rule, standard_competition(n, e))) for e in endowments
-    )
-    return PathTrace(samples=samples)

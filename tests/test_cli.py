@@ -244,6 +244,14 @@ class TestMatrixCommand:
         args = ("matrix", "--rules", "ed", "--samples", "3", "--seed", "1", "--json")
         assert run_cli(*args) == run_cli(*args)
 
+    def test_rules_that_once_shared_a_description_get_two_rows(self):
+        code, out, _ = run_cli("matrix", "--rules",
+                               "geometric:lambda=0.5 geometric:lambda=0.5000001",
+                               "--samples", "2", "--json")
+        assert code == 0
+        assert list(json.loads(out)["cells"]) == [
+            "geometric:lambda=0.5", "geometric:lambda=0.5000001"]
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_parity_fixture(self, seed):
         # Fixtures hold the pre-optimisation output of the unrestricted matrix.
@@ -251,6 +259,15 @@ class TestMatrixCommand:
         code, out, _ = run_cli("matrix", "--json", "--seed", str(seed))
         assert code == 1
         assert out == fixture.read_text()
+
+
+def test_table_matches_parity_fixture():
+    # `table --json` output of the rules as they were before each rule owned
+    # its allocation and spec
+    for entry in json.loads((FIXTURES / "table_parity.json").read_text()):
+        code, out, _ = run_cli("table", "--rule", entry["rule"], "--n", str(entry["n"]),
+                               "--endowments", "0:10:0.5", "--json")
+        assert (code, out) == (entry["exit"], entry["stdout"]), (entry["rule"], entry["n"])
 
 
 class TestMalformedInputExits2:
@@ -268,6 +285,36 @@ class TestMalformedInputExits2:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("rule", [
+        "geometric:lambda=nan", "wts:a=nan", "proportional:1,nan", "sp:cap=nan",
+        "sp:shift=nan", "sp:pwl=0:0,nan:1",
+    ])
+    def test_nan_rule_parameters(self, rule):
+        code, out, err = run_cli("allocate", "--rule", rule, "--n", "3", "--endowment", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command,event", [
+        (("fit", "--family", "proportional"),
+         {"name": "a", "endowment": math.inf, "prizes": [1.0, 0.5]}),
+        (("classify",), {"name": "a", "endowment": 10.0, "prizes": [5.0, math.nan]}),
+    ])
+    def test_non_finite_prize_tables(self, tmp_path, command, event):
+        data = tmp_path / "events.json"
+        data.write_text(json.dumps({"events": [event]}))  # writes Infinity / NaN
+        code, out, err = run_cli(*command, "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_path_is_capped(self):
+        code, out, err = run_cli("path", "--rule", "ed", "--n", "2",
+                                 "--endowment", "1000000", "--step", "0.000001")
+        assert code == 2
+        assert out == ""
+        assert f"more than {MAX_RANGE_ROWS} rows" in err
 
     def test_range_is_capped(self):
         assert len(_parse_endowments("0:99999:1")) == MAX_RANGE_ROWS
@@ -299,9 +346,10 @@ class TestMalformedInputExits2:
         assert err.startswith("error: ")
 
     def test_duplicate_matrix_rows(self):
-        # both rules describe as geometric:lambda=0.5, so they would share a row
+        # two spellings of one rule both describe as geometric:lambda=0.5,
+        # so they would share a row
         code, out, err = run_cli("matrix", "--rules",
-                                 "geometric:lambda=0.5 geometric:lambda=0.5000001")
+                                 "geometric:lambda=0.5 geometric:lambda=0.50")
         assert code == 2
         assert out == ""
         assert "'geometric:lambda=0.5'" in err

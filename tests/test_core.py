@@ -153,6 +153,16 @@ class TestPrizeTable:
         with pytest.raises(NegativeEndowment):
             PrizeTable(name="x", endowment=0.0, prizes=())
 
+    @pytest.mark.parametrize("endowment", [math.inf, math.nan])
+    def test_non_finite_endowment_rejected(self, endowment):
+        with pytest.raises(NonFiniteEndowment):
+            PrizeTable(name="x", endowment=endowment, prizes=(1.0,))
+
+    @pytest.mark.parametrize("prize", [math.inf, math.nan])
+    def test_non_finite_prize_rejected(self, prize):
+        with pytest.raises(PrizeAllocError):
+            PrizeTable(name="x", endowment=5.0, prizes=(prize,))
+
 
 class TestEventSet:
     def test_mismatched_position_counts_rejected(self):

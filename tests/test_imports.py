@@ -1,0 +1,48 @@
+"""Import hygiene of the package source, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "prizealloc"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+IMPORTS = (ast.Import, ast.ImportFrom)
+
+
+def _tree(name: str) -> ast.Module:
+    path = SRC / name
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _imported_modules(node) -> list[str]:
+    """Last dotted component of every module an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+    if node.module and node.module != "prizealloc":
+        return [node.module.rsplit(".", 1)[-1]]
+    return [alias.name for alias in node.names]  # from . import x
+
+
+def _is_type_checking_block(stmt) -> bool:
+    return (isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name)
+            and stmt.test.id == "TYPE_CHECKING")
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path.name)):
+            if isinstance(fn, FUNCTIONS):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, IMPORTS)]
+    assert not found, f"imports inside function bodies: {found}"
+
+
+def test_solver_imports_no_higher_layer_at_runtime():
+    found = []
+    for stmt in _tree("solver.py").body:
+        if _is_type_checking_block(stmt):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, IMPORTS):
+                found += [m for m in _imported_modules(node) if m in ("rules", "axioms", "cli")]
+    assert not found, f"solver.py imports {found} at run time"

@@ -11,6 +11,7 @@ from prizealloc.core import (
     validate_allocation,
 )
 from prizealloc.rules import (
+    COUNTEREXAMPLE_NAMES,
     ED,
     WTA,
     WTS,
@@ -28,8 +29,10 @@ from prizealloc.rules import (
     arithmetic_rule,
     describe,
     hyperarithmetic_rule,
+    parse_rule_spec,
     step_rule,
 )
+from prizealloc.solver import SolverConfig, SolverFailure
 
 from golden import table_rows
 
@@ -402,3 +405,124 @@ class TestDescribe:
     )
     def test_describe(self, rule, expected):
         assert describe(rule) == expected
+
+    @pytest.mark.parametrize(
+        "rule,expected",
+        [
+            (Geometric(0.1234567891), "geometric:lambda=0.1234567891"),
+            (Proportional((1e-7, 1e-8)), "proportional:1e-07,1e-08"),
+            (SingleParametric(MonotoneFn.shift(2.0)), "sp:shift=2"),
+            (SingleParametric(MonotoneFn.cap(math.inf)), "sp:cap=inf"),
+        ],
+    )
+    def test_describe_is_lossless(self, rule, expected):
+        assert describe(rule) == expected
+        assert parse_rule_spec(expected) == rule
+
+    def test_shift_is_not_described_as_another_rule(self):
+        rule = SingleParametric(MonotoneFn.shift(2.0))
+        assert vector(parse_rule_spec(describe(rule)), 3, 6.0) == pytest.approx(
+            (4.0, 2.0, 0.0), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# parse_rule_spec(describe(rule)) == rule for every spec head
+
+
+finite = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
+unit = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+competitor_id = st.text(st.characters(whitelist_categories=("L", "N")), min_size=1, max_size=4)
+
+
+@st.composite
+def interval_lists(draw):
+    pairs, a = [], draw(finite)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        b = a + draw(st.floats(min_value=1e-3, max_value=1e3))
+        pairs.append((a, b))
+        a = b + draw(st.sampled_from([0.0, 0.5])) * draw(finite)
+    if draw(st.booleans()):
+        pairs[-1] = (pairs[-1][0], math.inf)
+    return IntervalList(tuple(pairs))
+
+
+@st.composite
+def piecewise_fns(draw):
+    points = [(0.0, 0.0)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        x, y = points[-1]
+        dx = draw(st.floats(min_value=1e-3, max_value=1e3))
+        points.append((x + dx, y + draw(unit) * dx))
+    try:
+        return MonotoneFn.piecewise(points)
+    except InvalidRuleParams:  # rounding pushed a slope past 1
+        assume(False)
+
+
+SPEC_HEADS = {
+    "ed": st.just(ED()),
+    "wta": st.just(WTA()),
+    "wts": st.one_of(finite, st.just(math.inf)).map(WTS),
+    "interval": interval_lists().map(Interval),
+    "geometric": unit.map(Geometric),
+    "proportional": st.lists(st.floats(min_value=1e-9, max_value=1e6), min_size=1,
+                             max_size=6).map(lambda ws: Proportional(tuple(sorted(ws)[::-1]))),
+    "sp:arithmetic": st.just(arithmetic_rule()),
+    "sp:linear": unit.map(lambda s: SingleParametric(MonotoneFn.linear(s))),
+    "sp:shift": finite.map(lambda c: SingleParametric(MonotoneFn.shift(c))),
+    "sp:cap": finite.map(lambda c: SingleParametric(MonotoneFn.cap(c))),
+    "sp:pwl": piecewise_fns().map(SingleParametric),
+    "param:hyperarithmetic": st.just(hyperarithmetic_rule()),
+    "cx": st.sampled_from([n for n in COUNTEREXAMPLE_NAMES if n != "pair-favoritism"])
+    .map(Counterexample),
+    "cx:pair-favoritism": st.tuples(competitor_id, competitor_id).map(
+        lambda ij: Counterexample("pair-favoritism", *ij)),
+}
+
+
+@pytest.mark.parametrize("head", list(SPEC_HEADS))
+@given(data=st.data())
+@settings(max_examples=60)
+def test_spec_round_trip(head, data):
+    rule = data.draw(SPEC_HEADS[head])
+    assert parse_rule_spec(describe(rule)) == rule
+
+
+# ---------------------------------------------------------------------------
+# Non-finite parameters and solver failures
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Geometric(math.nan),
+        lambda: Geometric(math.inf, allow_above_one=True),
+        lambda: WTS(math.nan),
+        lambda: Proportional((1.0, math.nan)),
+        lambda: Proportional((math.nan,)),
+        lambda: Proportional((math.inf, 1.0)),
+        lambda: MonotoneFn.linear(math.nan),
+        lambda: MonotoneFn.shift(math.nan),
+        lambda: MonotoneFn.cap(math.nan),
+        lambda: MonotoneFn.piecewise([(0, 0), (math.nan, 1)]),
+        lambda: MonotoneFn.piecewise([(0, 0), (math.inf, 1)]),
+        lambda: IntervalList.of((0.0, math.nan)),
+    ],
+)
+def test_nan_parameters_rejected(build):
+    with pytest.raises(InvalidRuleParams):
+        build()
+
+
+def test_infinite_caps_stay_legal():
+    assert vector(WTS(math.inf), 3, 6.0) == (2.0, 2.0, 2.0)
+    assert vector(SingleParametric(MonotoneFn.cap(math.inf)), 3, 6.0) == pytest.approx(
+        (2.0, 2.0, 2.0), abs=1e-9)
+    assert vector(SingleParametric(MonotoneFn.shift(math.inf)), 3, 6.0) == pytest.approx(
+        (6.0, 0.0, 0.0), abs=1e-9)
+
+
+def test_solver_failure_names_rule_n_and_endowment():
+    with pytest.raises(SolverFailure) as exc:
+        allocate(arithmetic_rule(), standard_competition(3, 10.0), SolverConfig(max_iter=1))
+    assert "sp:arithmetic at n=3, E=10.0: " in str(exc.value)

@@ -3,15 +3,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prizealloc import trace_path
 from prizealloc.core import standard_competition
-from prizealloc.rules import ED, IntervalList, allocate, step_rule
+from prizealloc.rules import MAX_RANGE_ROWS, ED, IntervalList, InvalidPath, allocate, step_rule
 from prizealloc.solver import (
     SolverConfig,
     SolverFailure,
     interval_locate,
     iterate_f,
     solve_level,
-    trace_path,
 )
 
 
@@ -119,3 +119,11 @@ class TestTracePath:
             trace_path(ED(), 2, -1.0)
         with pytest.raises(ValueError):
             trace_path(ED(), 2, 1.0, step=0.0)
+
+    def test_row_cap(self):
+        # the same cap as an endowment range in `table`
+        assert len(trace_path(ED(), 1, MAX_RANGE_ROWS - 1, step=1.0).samples) == MAX_RANGE_ROWS
+        with pytest.raises(InvalidPath):
+            trace_path(ED(), 1, MAX_RANGE_ROWS, step=1.0)
+        with pytest.raises(InvalidPath):  # 10^12 rows: refused before any is built
+            trace_path(ED(), 2, 1e6, step=1e-6)
