@@ -35,6 +35,7 @@ from .rules import (
     arithmetic_rule,
     describe,
     hyperarithmetic_rule,
+    prize_vector,
     step_rule,
     trace_path,
 )
@@ -59,7 +60,7 @@ __all__ = [
     "ED", "WTA", "WTS", "Counterexample", "Geometric", "Interval",
     "IntervalList", "MonotoneFn", "Parametric", "Proportional", "RuleSpec",
     "SingleParametric", "allocate", "arithmetic_rule", "describe",
-    "hyperarithmetic_rule", "step_rule",
+    "hyperarithmetic_rule", "prize_vector", "step_rule",
     "SolverConfig", "SolverFailure", "solve_level", "trace_path",
     "SampleBudget", "Verdict", "Witness", "run_axiom_matrix", "verify_witness",
     "Classification", "FitReport", "classify", "check_data_top_consistency",

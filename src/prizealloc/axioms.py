@@ -11,14 +11,18 @@ is already small; a snapping pass then moves endowments onto round grid
 points while the violation persists.
 
 Prize vectors are read through a memo keyed by the ranking's ids and the
-endowment.  ``run_axiom_matrix`` shares one memo across the cells of a
+endowment, and computed by ``rules.prize_vector`` on position tuples;
+``Competition`` objects are built only for a reported witness and while
+snapping it.  ``run_axiom_matrix`` shares one memo across the cells of a
 rule's row and drops it when the row is done; a standalone check builds
-its own, and ``verify_witness`` never reads one.
+its own, and ``verify_witness`` re-allocates through ``allocate`` without
+one.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -31,7 +35,7 @@ from .core import (
     Ranking,
     subranking,
 )
-from .rules import RuleSpec, allocate, describe
+from .rules import RuleSpec, allocate, describe, prize_vector
 from .solver import SolverConfig
 
 # Tighter residual than the allocation default, so solver error stays well
@@ -41,6 +45,10 @@ CHECK_SOLVER = SolverConfig(residual_tol=1e-12, max_iter=300)
 # Below this endowment gap, strict-increase comparisons are numerically
 # meaningless and the pair is skipped.
 MIN_STRICT_GAP = 1e-6
+
+# Largest grid endowment: ``scan_grid`` rounds 4*E to an integer, so 4*E
+# must stay finite.
+MAX_GRID_ENDOWMENT = sys.float_info.max / 4
 
 # Largest field size a budget may ask for.  The full consistency scan visits
 # every position subset, so its cost roughly doubles with each competitor.
@@ -78,6 +86,11 @@ class SampleBudget:
             object.__setattr__(self, "endowment_grid", _default_grid(self.rng_seed))
         if any(e < 0 for e in self.endowment_grid):
             raise InvalidBudget("endowment grid must be non-negative")
+        bad = [e for e in self.endowment_grid if not e <= MAX_GRID_ENDOWMENT]  # also NaN
+        if bad:
+            raise InvalidBudget(
+                f"endowment grid values must be finite and <= {MAX_GRID_ENDOWMENT!r}, "
+                f"got {bad[0]}")
 
     def sorted_grid(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.endowment_grid)))
@@ -194,10 +207,6 @@ def _competition(ids: tuple[str, ...], endowment: float) -> Competition:
     return Competition(ranking=Ranking(ids), endowment=endowment)
 
 
-def _prizes(rule: RuleSpec, comp: Competition) -> tuple[float, ...]:
-    return allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
-
-
 class _Memo:
     """One rule's prize vectors in position order, ``{ids: {E: vector}}``,
     and the cell verdicts computed from them."""
@@ -210,15 +219,16 @@ class _Memo:
     def vector(self, ids: tuple[str, ...], e: float) -> tuple[float, ...]:
         by_e = self.vectors.get(ids)
         if by_e is None:
+            Ranking(ids)  # the distinct-id check, once per field rather than per (field, E)
             by_e = self.vectors[ids] = {}
         vec = by_e.get(e)
         if vec is None:
-            vec = by_e[e] = self.compute(ids, e)
+            vec = by_e[e] = prize_vector(self.rule, ids, e, CHECK_SOLVER)
         return vec
 
     def compute(self, ids: tuple[str, ...], e: float) -> tuple[float, ...]:
-        """Allocate without storing the vector."""
-        return _prizes(self.rule, _competition(ids, e))
+        """Allocate without storing the vector, for a field ``vector`` has read."""
+        return prize_vector(self.rule, ids, e, CHECK_SOLVER)
 
 
 def _snap_candidates(e: float) -> list[float]:
@@ -352,13 +362,18 @@ def check_endowment_monotonicity(
             if hit is None:
                 count += g * (g - 1) // 2
                 continue
-            # the pairs scanned in row-major order up to and including (a, b)
             a, b = hit
-            count += a * (g - 1) - a * (a - 1) // 2 + (b - a)
+            count += _pairs_through(a, b, g)
             w = _monotonicity_witness(memo, ids, grid[a], grid[b], mode, tol)
             w = _snap_pair(w, lambda lo, hi: _monotonicity_witness(memo, ids, lo, hi, mode, tol))
             return _verdict("endowment_monotonicity", mode, budget, tol, count, w)
     return _verdict("endowment_monotonicity", mode, budget, tol, count)
+
+
+def _pairs_through(a: int, b: int, g: int) -> int:
+    """The pairs of a G-point grid scanned in row-major order up to and
+    including (a, b)."""
+    return a * (g - 1) - a * (a - 1) // 2 + (b - a)
 
 
 def _monotonicity_fault(lo, hi, gap, mode, tol, strict_hi=None):
@@ -459,27 +474,70 @@ def check_lipschitz(
     memo = memo or _Memo(rule)
     count = 0
     grid = budget.sorted_grid()
+    g = len(grid)
     for n in range(1, budget.max_n + 1):
         ids = _generic_ids(n)
         vecs = [memo.vector(ids, e) for e in grid]
-        for a_idx in range(len(grid)):
-            for b_idx in range(a_idx + 1, len(grid)):
-                e_lo, e_hi = grid[a_idx], grid[b_idx]
-                count += 1
-                lo, hi = vecs[a_idx], vecs[b_idx]
-                for pos in range(1, n + 1):
-                    gap = abs(hi[pos - 1] - lo[pos - 1])
-                    if gap > (e_hi - e_lo) + tol:
-                        w = Witness(
-                            axiom="lipschitz", mode=None,
-                            competitions=(_competition(ids, e_lo), _competition(ids, e_hi)),
-                            subset=None, competitor=ids[pos - 1], position=pos,
-                            lhs=gap, rhs=e_hi - e_lo,
-                            relation="|prize(E) - prize(E')| <= |E - E'|",
-                            margin=gap - (e_hi - e_lo),
-                        )
-                        return _verdict("lipschitz", None, budget, tol, count, w)
+        hit = _first_lipschitz_pair(grid, vecs, tol)
+        if hit is None:
+            count += g * (g - 1) // 2
+            continue
+        a, b = hit
+        count += _pairs_through(a, b, g)
+        e_lo, e_hi = grid[a], grid[b]
+        lo, hi = vecs[a], vecs[b]
+        pos = _lipschitz_fault(lo, hi, e_hi - e_lo, tol)
+        gap = abs(hi[pos - 1] - lo[pos - 1])
+        w = Witness(
+            axiom="lipschitz", mode=None,
+            competitions=(_competition(ids, e_lo), _competition(ids, e_hi)),
+            subset=None, competitor=ids[pos - 1], position=pos,
+            lhs=gap, rhs=e_hi - e_lo,
+            relation="|prize(E) - prize(E')| <= |E - E'|",
+            margin=gap - (e_hi - e_lo),
+        )
+        return _verdict("lipschitz", None, budget, tol, count, w)
     return _verdict("lipschitz", None, budget, tol, count)
+
+
+def _lipschitz_fault(lo, hi, gap, tol) -> int | None:
+    """The Lipschitz pair test on prize vectors at endowments ``gap`` apart:
+    the first position whose prize moves by more than gap + tol, or None."""
+    for pos in range(1, len(lo) + 1):
+        if abs(hi[pos - 1] - lo[pos - 1]) > gap + tol:
+            return pos
+    return None
+
+
+def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
+    """First grid pair (a, b), a < b, in row-major order that fails the
+    Lipschitz pair test.
+
+    For E_a < E_b, |p_b - p_a| > E_b - E_a + tol exactly when p_b - E_b >
+    p_a - E_a + tol or p_b + E_b < p_a + E_a - tol, so row a is tested once
+    against per-position suffix maxima of p - E and suffix minima of p + E.
+    Those sums round differently from the pair test, so the row test takes a
+    slack of 1e-12 times the largest magnitude, far above the few ulps either
+    test can be off by: it flags every row holding a failing pair, and only
+    flagged rows are walked pair by pair.
+    """
+    g = len(grid)
+    scale = max(1.0, tol, grid[-1], *(abs(p) for vec in vecs for p in vec))
+    loose = tol - 1e-12 * scale
+    below = [tuple(p - e for p in vec) for e, vec in zip(grid, vecs)]
+    above = [tuple(p + e for p in vec) for e, vec in zip(grid, vecs)]
+    max_below, min_above = [None] * g, [None] * g  # [k]: over rows k..g-1
+    max_below[-1], min_above[-1] = below[-1], above[-1]
+    for k in reversed(range(g - 1)):
+        max_below[k] = tuple(map(max, below[k], max_below[k + 1]))
+        min_above[k] = tuple(map(min, above[k], min_above[k + 1]))
+    for a in range(g - 1):
+        if (any(m > x + loose for m, x in zip(max_below[a + 1], below[a]))
+                or any(m < x - loose for m, x in zip(min_above[a + 1], above[a]))):
+            for b in range(a + 1, g):
+                if _lipschitz_fault(vecs[a], vecs[b], grid[b] - grid[a], tol):
+                    return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -586,22 +644,24 @@ def check_consistency(
             for positions in _position_subsets(n, mode, budget.pair_only):
                 for e in grid:
                     count += 1
-                    w = _consistency_violation(memo, ids, e, positions, mode, tol)
+                    w = _consistency_violation(memo.vector, ids, e, positions, mode, tol)
                     if w is not None:
                         w = _snap_single(
                             w,
-                            lambda e2: _consistency_violation(memo, ids, e2, positions, mode, tol),
+                            lambda e2: _consistency_violation(
+                                memo.vector, ids, e2, positions, mode, tol),
                         )
                         return _verdict("consistency", mode, budget, tol, count, w)
     return _verdict("consistency", mode, budget, tol, count)
 
 
-def _consistency_violation(memo, ids, e, positions, mode, tol) -> Witness | None:
-    """``positions`` ascend, so the subset's ids are already in ranking order."""
-    vec = memo.vector(ids, e)
+def _consistency_violation(vector, ids, e, positions, mode, tol) -> Witness | None:
+    """``vector(ids, E)`` gives prize vectors; ``positions`` ascend, so the
+    subset's ids are already in ranking order."""
+    vec = vector(ids, e)
     subset = tuple(ids[p - 1] for p in positions)
     sub_e = sum(vec[p - 1] for p in positions)
-    red_vec = memo.vector(subset, sub_e)
+    red_vec = vector(subset, sub_e)
     for sub_pos, orig_pos in enumerate(positions, start=1):
         lhs = vec[orig_pos - 1]
         rhs = red_vec[sub_pos - 1]
@@ -633,14 +693,18 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
     violations the claim is the absence of the required strict gap.
     """
     ax, mode = witness.axiom, witness.mode
+
+    def prizes(comp: Competition) -> tuple[float, ...]:
+        return allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
+
     if ax == "anonymity":
         c1, c2 = witness.competitions
-        v1, v2 = _prizes(rule, c1), _prizes(rule, c2)
+        v1, v2 = prizes(c1), prizes(c2)
         margin = abs(v1[witness.position - 1] - v2[witness.position - 1])
         return margin > tol, margin
     if ax == "order_preservation":
         (comp,) = witness.competitions
-        vec = _prizes(rule, comp)
+        vec = prizes(comp)
         hi = witness.position
         lo = _order_partner(witness, comp.ranking.n)
         gap = vec[hi - 1] - vec[lo - 1]
@@ -649,7 +713,7 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
         return gap <= tol, tol - gap
     if ax == "endowment_monotonicity":
         c_lo, c_hi = witness.competitions
-        v_lo, v_hi = _prizes(rule, c_lo), _prizes(rule, c_hi)
+        v_lo, v_hi = prizes(c_lo), prizes(c_hi)
         pos = witness.position
         diff = v_hi[pos - 1] - v_lo[pos - 1]
         if diff < -tol:
@@ -659,27 +723,28 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
         return False, diff
     if ax == "lipschitz":
         c_lo, c_hi = witness.competitions
-        v_lo, v_hi = _prizes(rule, c_lo), _prizes(rule, c_hi)
+        v_lo, v_hi = prizes(c_lo), prizes(c_hi)
         pos = witness.position
         gap = abs(v_hi[pos - 1] - v_lo[pos - 1])
         margin = gap - abs(c_hi.endowment - c_lo.endowment)
         return margin > tol, margin
     if ax == "scale_invariance":
         c1, c2 = witness.competitions
-        v1, v2 = _prizes(rule, c1), _prizes(rule, c2)
+        v1, v2 = prizes(c1), prizes(c2)
         pos = witness.position
         if mode == "scale":
             c = c2.endowment / c1.endowment if c1.endowment else 0.0
             margin = abs(v2[pos - 1] - c * v1[pos - 1])
         else:
             comp3 = Competition(ranking=c1.ranking, endowment=c1.endowment + c2.endowment)
-            v3 = _prizes(rule, comp3)
+            v3 = prizes(comp3)
             margin = abs(v3[pos - 1] - (v1[pos - 1] + v2[pos - 1]))
         return margin > tol, margin
     if ax == "consistency":
         comp, _ = witness.competitions
         w2 = _consistency_violation(
-            _Memo(rule), comp.ranking.by_position, comp.endowment,
+            lambda ids, e: prizes(_competition(ids, e)),
+            comp.ranking.by_position, comp.endowment,
             tuple(sorted(comp.ranking.position_of(cid) for cid in witness.subset)),
             mode, tol,
         )

@@ -60,6 +60,13 @@ class InconsistentPositionCounts(PrizeAllocError):
     pass
 
 
+def endowment_error(endowment: float) -> PrizeAllocError:
+    """The error for an endowment outside 0 <= E < inf (callers test that
+    inline, as it is on every allocation's path)."""
+    kind = NegativeEndowment if endowment < 0 else NonFiniteEndowment
+    return kind(f"endowment must be finite and >= 0, got {endowment}")
+
+
 @dataclass(frozen=True)
 class Ranking:
     """A bijection from competitor ids onto positions 1..n.
@@ -106,8 +113,7 @@ class Competition:
 
     def __post_init__(self) -> None:
         if not 0 <= self.endowment < inf:
-            kind = NegativeEndowment if self.endowment < 0 else NonFiniteEndowment
-            raise kind(f"endowment must be finite and >= 0, got {self.endowment}")
+            raise endowment_error(self.endowment)
 
     @property
     def n(self) -> int:

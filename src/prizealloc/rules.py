@@ -17,9 +17,11 @@ Implemented families, one frozen dataclass each:
   of the checked axioms.
 
 Each rule owns its allocation (``prizes``, in position order) and its spec
-string (``spec``); ``allocate`` is the one entry point that applies a rule
-to a competition, and ``parse_rule_spec`` inverts ``spec`` through one
-table keyed by the spec head.
+string (``spec``).  ``prize_vector`` applies a rule to a field of ids and
+an endowment, in position order; ``allocate`` applies it to a
+``Competition``, keyed by competitor id.  Both call ``prizes`` through one
+helper.  ``parse_rule_spec`` inverts ``spec`` through one table keyed by
+the spec head.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
-from .core import Allocation, Competition, PrizeAllocError, standard_competition
+from .core import (
+    Allocation,
+    Competition,
+    PrizeAllocError,
+    endowment_error,
+    standard_competition,
+)
 from .solver import (
     DEFAULT_SOLVER,
     SolverConfig,
@@ -574,6 +582,10 @@ class Counterexample(RuleSpec):
             )
         if self.name == "pair-favoritism" and (self.i is None or self.j is None):
             raise InvalidRuleParams("pair-favoritism needs designated ids i and j")
+        if self.name == "pair-favoritism" and self.i == self.j:
+            raise InvalidRuleParams(
+                f"pair-favoritism needs two distinct designated ids, got i={self.i!r}, "
+                f"j={self.j!r}")
 
     @property
     def designated(self) -> tuple[str, ...]:
@@ -722,16 +734,39 @@ def parse_rule_spec(text: str) -> RuleSpec:
 # Allocation
 
 
+def prize_vector(
+    rule: RuleSpec, ids: tuple[str, ...], e: float, cfg: SolverConfig = DEFAULT_SOLVER
+) -> tuple[float, ...]:
+    """The prizes ``rule`` pays the field ``ids`` (ids in position order, assumed
+    distinct) out of the endowment ``e``, in position order.
+
+    Raises what ``Competition`` raises for a negative or non-finite endowment,
+    and a ``SolverFailure`` naming the rule, n and E.
+    """
+    if not 0 <= e < math.inf:
+        raise endowment_error(e)
+    return tuple(_float_prizes(rule, ids, e, cfg))
+
+
 def allocate(
     rule: RuleSpec, competition: Competition, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> Allocation:
-    """Apply any rule to a competition. Deterministic; sums to E within tolerance."""
-    ids, e = competition.ranking.by_position, competition.endowment
+    """Apply any rule to a competition. Deterministic; sums to E within tolerance.
+
+    ``prize_vector`` keyed by competitor id.  The competition has checked its
+    endowment, and the prizes go into the dict without an interim tuple.
+    """
+    ids = competition.ranking.by_position
+    return Allocation(prizes=dict(zip(ids, _float_prizes(rule, ids, competition.endowment, cfg))))
+
+
+def _float_prizes(rule: RuleSpec, ids: tuple[str, ...], e: float, cfg: SolverConfig):
+    """``rule.prizes`` as an iterator of floats; a SolverFailure names the rule, n and E."""
     try:
         prizes = rule.prizes(ids, e, cfg)
     except SolverFailure as exc:
         raise SolverFailure(f"{rule.spec()} at n={len(ids)}, E={e!r}: {exc}") from exc
-    return Allocation(prizes=dict(zip(ids, map(float, prizes))))
+    return map(float, prizes)
 
 
 def describe(rule: RuleSpec) -> str:

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from prizealloc.axioms import (
     MONOTONICITY_MODES,
     PreconditionNotChecked,
     SampleBudget,
+    Verdict,
     Witness,
     cell_key,
     check_anonymity,
@@ -59,6 +61,19 @@ class TestSampleBudget:
             SampleBudget(max_n=1)
         with pytest.raises(ValueError):
             SampleBudget(endowment_grid=(-1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308,
+                                     math.nextafter(axioms.MAX_GRID_ENDOWMENT, math.inf)])
+    def test_grid_must_be_finite_with_room_to_round(self, bad):
+        with pytest.raises(axioms.InvalidBudget, match="finite"):
+            SampleBudget(max_n=3, endowment_grid=(1.0, bad))
+
+    def test_largest_grid_endowment_runs(self):
+        def marks(grid):
+            row = run_axiom_matrix([ED()], SampleBudget(max_n=3, endowment_grid=grid))["ed"]
+            return {key: verdict.passed for key, verdict in row.items()}
+
+        assert marks((1.0, axioms.MAX_GRID_ENDOWMENT)) == marks((1.0, 2.0))
 
     def test_invalid_budget_is_a_package_error(self):
         with pytest.raises(PrizeAllocError):
@@ -291,16 +306,6 @@ def _reference_scan(grid, vecs, mode, tol):
     return None, count
 
 
-class _Prizes:
-    """Stands in for an Allocation: serves a fixed prize vector."""
-
-    def __init__(self, vec):
-        self.vec = vec
-
-    def by_position(self, ranking):
-        return self.vec
-
-
 @st.composite
 def _prize_tables(draw):
     """A grid with gaps below MIN_STRICT_GAP, and prize vectors for n = 1..3
@@ -358,10 +363,90 @@ def test_monotonicity_row_scan_matches_pair_scan(mode, data):
         expected_witness = axioms._snap_pair(witness(grid[a], grid[b]), witness)
         break
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(axioms, "allocate",
-                   lambda rule, comp, cfg: _Prizes(table[comp.n, comp.endowment]))
+        mp.setattr(axioms, "prize_vector", lambda rule, ids, e, cfg: table[len(ids), e])
         verdict = check_endowment_monotonicity(
             ED(), SampleBudget(max_n=3, endowment_grid=tuple(grid)), mode, tol)
+    assert verdict.samples_checked == expected_count
+    assert verdict.witness == expected_witness
+    assert verdict.passed == (expected_witness is None)
+
+
+# ---------------------------------------------------------------------------
+# The Lipschitz row scan against a plain O(G^2) pair scan
+
+
+def _reference_lipschitz(grid, vecs, tol):
+    """First failing (a, b, position) and the number of pairs tested up to it."""
+    count = 0
+    for a in range(len(grid)):
+        for b in range(a + 1, len(grid)):
+            count += 1
+            for pos, (x, y) in enumerate(zip(vecs[a], vecs[b]), start=1):
+                if abs(y - x) > (grid[b] - grid[a]) + tol:
+                    return (a, b, pos), count
+    return None, count
+
+
+@st.composite
+def _lipschitz_tables(draw):
+    """A grid with gaps below MIN_STRICT_GAP, and prize vectors for n = 1..3
+    at every grid point.  From one grid point to the next a prize holds, or
+    moves by exactly the endowment gap dE, dE + tol, dE + tol / 2 (a fault
+    that builds up over several steps) or 2 dE, in either direction; prizes
+    start at magnitudes from 0 to 1e6."""
+    tol = draw(st.sampled_from([TAU_EQ, 0.25]))
+    points = draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 3)),
+                           min_size=1, max_size=10, unique=True))
+    grid = sorted({k * 0.25 + j * 4e-7 for k, j in points})
+    moves = st.sampled_from([0.0, 1.0, 1.0, 2.0, "tol", "half"])
+    table = {}
+    for n in range(1, 4):
+        prev = [draw(st.sampled_from([0.0, 1.0, 3.0, 1e6])) for _ in range(n)]
+        table[n, grid[0]] = tuple(prev)
+        for e_lo, e_hi in zip(grid, grid[1:]):
+            d_e = e_hi - e_lo
+            steps = []
+            for _ in range(n):
+                move = draw(moves)
+                step = (d_e + tol if move == "tol" else d_e + tol / 2 if move == "half"
+                        else move * d_e)
+                steps.append(draw(st.sampled_from([step, -step])))
+            prev = [p + s for p, s in zip(prev, steps)]
+            table[n, e_hi] = tuple(prev)
+    return tol, grid, table
+
+
+@settings(max_examples=300)
+@given(data=_lipschitz_tables())
+def test_lipschitz_row_scan_matches_pair_scan(data):
+    tol, grid, table = data
+    expected_witness, expected_count = None, 0
+    for n in range(1, 4):
+        vecs = [table[n, e] for e in grid]
+        hit, count = _reference_lipschitz(grid, vecs, tol)
+        assert axioms._first_lipschitz_pair(grid, vecs, tol) == (hit and hit[:2])
+        expected_count += count
+        if hit is None:
+            continue
+        a, b, pos = hit
+        gap = abs(vecs[b][pos - 1] - vecs[a][pos - 1])
+        ranking = Ranking(tuple(f"c{k}" for k in range(1, n + 1)))
+        expected_witness = Witness(
+            axiom="lipschitz", mode=None,
+            competitions=(Competition(ranking=ranking, endowment=grid[a]),
+                          Competition(ranking=ranking, endowment=grid[b])),
+            subset=None, competitor=f"c{pos}", position=pos,
+            lhs=gap, rhs=grid[b] - grid[a],
+            relation="|prize(E) - prize(E')| <= |E - E'|",
+            margin=gap - (grid[b] - grid[a]),
+        )
+        break
+    budget = SampleBudget(max_n=3, endowment_grid=tuple(grid))
+    mono = Verdict(axiom="endowment_monotonicity", mode="weak", passed=True,
+                   samples_checked=0, witness=None, tolerance=tol, budget=budget.describe())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(axioms, "prize_vector", lambda rule, ids, e, cfg: table[len(ids), e])
+        verdict = check_lipschitz(ED(), budget, mono, tol)
     assert verdict.samples_checked == expected_count
     assert verdict.witness == expected_witness
     assert verdict.passed == (expected_witness is None)
@@ -399,14 +484,14 @@ def test_matrix_cells_equal_standalone_checks(spec):
 
 
 def test_matrix_row_allocates_each_grid_vector_once(monkeypatch):
-    real = axioms.allocate
+    real = axioms.prize_vector
     calls = Counter()
 
-    def counting(rule, comp, cfg):
-        calls[comp.ranking.by_position, comp.endowment] += 1
-        return real(rule, comp, cfg)
+    def counting(rule, ids, e, cfg):
+        calls[ids, e] += 1
+        return real(rule, ids, e, cfg)
 
-    monkeypatch.setattr(axioms, "allocate", counting)
+    monkeypatch.setattr(axioms, "prize_vector", counting)
     grid = set(SMALL.endowment_grid)
     for rule in bundled_rules():
         calls.clear()

@@ -286,6 +286,17 @@ class TestMalformedInputExits2:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("allocate", "--rule", "cx:pair-favoritism=a,a", "--n", "3", "--endowment", "1"),
+        ("check", "--rule", "cx:pair-favoritism=a,a", "--axiom", "anonymity"),
+    ])
+    def test_pair_favoritism_with_one_id_twice(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "i='a', j='a'" in err
+
     @pytest.mark.parametrize("rule", [
         "geometric:lambda=nan", "wts:a=nan", "proportional:1,nan", "sp:cap=nan",
         "sp:shift=nan", "sp:pwl=0:0,nan:1",

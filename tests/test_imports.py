@@ -46,3 +46,18 @@ def test_solver_imports_no_higher_layer_at_runtime():
             if isinstance(node, IMPORTS):
                 found += [m for m in _imported_modules(node) if m in ("rules", "axioms", "cli")]
     assert not found, f"solver.py imports {found} at run time"
+
+
+def test_only_verify_witness_calls_allocate_in_axioms():
+    """The checkers read prize vectors on position tuples; the id-keyed
+    ``allocate`` is for re-verifying a witness from scratch."""
+    found = []
+    for stmt in _tree("axioms.py").body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "verify_witness":
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "allocate"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "allocate"):
+                found.append(f"axioms.py:{node.lineno}")
+    assert not found, f"allocate called outside verify_witness: {found}"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from prizealloc.core import (
+    PrizeAllocError,
     Ranking,
     Competition,
     make_competition,
@@ -30,6 +31,7 @@ from prizealloc.rules import (
     describe,
     hyperarithmetic_rule,
     parse_rule_spec,
+    prize_vector,
     step_rule,
 )
 from prizealloc.solver import SolverConfig, SolverFailure
@@ -286,6 +288,10 @@ class TestCounterexamples:
         with pytest.raises(InvalidRuleParams):
             Counterexample("pair-favoritism")
 
+    def test_pair_favoritism_needs_distinct_ids(self):
+        with pytest.raises(InvalidRuleParams, match="i='a', j='a'"):
+            Counterexample("pair-favoritism", i="a", j="a")
+
     def test_lowest_takes_all(self):
         assert vector(Counterexample("lowest-takes-all"), 3, 6.0) == (0.0, 0.0, 6.0)
 
@@ -475,8 +481,9 @@ SPEC_HEADS = {
     "param:hyperarithmetic": st.just(hyperarithmetic_rule()),
     "cx": st.sampled_from([n for n in COUNTEREXAMPLE_NAMES if n != "pair-favoritism"])
     .map(Counterexample),
-    "cx:pair-favoritism": st.tuples(competitor_id, competitor_id).map(
-        lambda ij: Counterexample("pair-favoritism", *ij)),
+    "cx:pair-favoritism": st.tuples(competitor_id, competitor_id)
+    .filter(lambda ij: ij[0] != ij[1])
+    .map(lambda ij: Counterexample("pair-favoritism", *ij)),
 }
 
 
@@ -526,3 +533,37 @@ def test_solver_failure_names_rule_n_and_endowment():
     with pytest.raises(SolverFailure) as exc:
         allocate(arithmetic_rule(), standard_competition(3, 10.0), SolverConfig(max_iter=1))
     assert "sp:arithmetic at n=3, E=10.0: " in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# prize_vector, the position-order entry point under allocate
+
+
+@pytest.mark.parametrize("endowment", [-1.0, math.nan, math.inf])
+def test_prize_vector_rejects_what_competition_rejects(endowment):
+    with pytest.raises(PrizeAllocError) as expected:
+        Competition(ranking=Ranking(("a", "b")), endowment=endowment)
+    with pytest.raises(type(expected.value)) as got:
+        prize_vector(ED(), ("a", "b"), endowment)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_prize_vector_solver_failure_matches_allocate():
+    cfg = SolverConfig(max_iter=1)
+    with pytest.raises(SolverFailure) as via_allocate:
+        allocate(arithmetic_rule(), standard_competition(3, 10.0), cfg)
+    with pytest.raises(SolverFailure) as direct:
+        prize_vector(arithmetic_rule(), ("c1", "c2", "c3"), 10.0, cfg)
+    assert str(direct.value) == str(via_allocate.value)
+
+
+@pytest.mark.parametrize("spec", ["ed", "sp:arithmetic", "param:hyperarithmetic",
+                                  "cx:pair-favoritism=p,q", "interval:[0,1];[1,inf]"])
+def test_allocate_is_prize_vector_keyed_by_id(spec):
+    rule = parse_rule_spec(spec)
+    for ids in (("p", "q", "z1"), ("z1", "q", "p", "z2")):
+        comp = Competition(ranking=Ranking(ids), endowment=7.5)
+        vec = prize_vector(rule, ids, 7.5)
+        assert all(type(p) is float for p in vec)
+        assert allocate(rule, comp).prizes == dict(zip(ids, vec))
