@@ -5,6 +5,13 @@ pass-with-count or fail-with-witness.  The checkers are falsifiers, not
 provers — the axioms quantify over infinite domains, so Pass only means
 "no violation within the budget", and every verdict states the budget.
 
+Each axiom's relation is written once, as a fault function ``fault(vector,
+*sample, mode, tol) -> Witness | None``; ``vector(ids, E)`` gives the prizes
+of the field ``ids`` in position order.  A checker runs the fault on the
+samples it enumerates, the snap re-runs it, and ``verify_witness`` runs it
+on freshly allocated prizes.  ``tests/test_fixture_witnesses.py`` re-checks
+the fixture witnesses with relations of its own.
+
 Samples are enumerated in a deterministic ascending order (field size,
 identity arrangement, endowment, subset size), so the first witness found
 is already small; a snapping pass then moves endowments onto round grid
@@ -21,20 +28,16 @@ one.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
-from .core import (
-    TAU_EQ,
-    Competition,
-    PrizeAllocError,
-    Ranking,
-    subranking,
-)
+from .core import TAU_EQ, Competition, PrizeAllocError, Ranking
 from .rules import RuleSpec, allocate, describe, prize_vector
 from .solver import SolverConfig
 
@@ -65,6 +68,15 @@ class InvalidBudget(PrizeAllocError, ValueError):
 
 class DuplicateRow(PrizeAllocError):
     pass
+
+
+class InvalidCheck(PrizeAllocError, ValueError):
+    """A cell the axiom matrix lacks, or a tolerance not finite and >= 0."""
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:  # also NaN
+        raise InvalidCheck(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -98,10 +110,8 @@ class SampleBudget:
     def scan_grid(self) -> tuple[float, ...]:
         """Grid in scan order: round quarter-dollar values first, so the
         first witness found lands on a readable endowment."""
-        values = sorted(set(self.endowment_grid))
-        round_vals = [e for e in values if abs(e * 4 - round(e * 4)) < 1e-12]
-        rest = [e for e in values if abs(e * 4 - round(e * 4)) >= 1e-12]
-        return tuple(round_vals + rest)
+        return tuple(sorted(self.sorted_grid(),
+                            key=lambda e: abs(e * 4 - round(e * 4)) >= 1e-12))
 
     def describe(self) -> str:
         return (
@@ -164,6 +174,16 @@ class Verdict:
         return "pass" if self.passed else "fail"
 
 
+def _witness(axiom, mode, fields, pos, competitor, lhs, rhs, relation, margin,
+             subset=None) -> Witness:
+    """A witness on the competitions ``fields``, pairs (ids, E)."""
+    return Witness(
+        axiom=axiom, mode=mode, competitions=tuple(_competition(*f) for f in fields),
+        subset=subset, competitor=competitor, position=pos,
+        lhs=lhs, rhs=rhs, relation=relation, margin=margin,
+    )
+
+
 def _verdict(axiom, mode, budget, tol, count, witness=None) -> Verdict:
     return Verdict(
         axiom=axiom,
@@ -189,17 +209,13 @@ def _arrangements(rule: RuleSpec, n: int) -> list[tuple[str, ...]]:
     one, plus placements of a rule's designated competitors at varying
     position pairs."""
     rankings = [_generic_ids(n)]
-    if rule.designated and n >= 2:
+    if rule.designated:
         i, j = rule.designated
         fillers = [f"z{k}" for k in range(1, n + 1)]
-        for pi in range(1, n + 1):
-            for pj in range(1, n + 1):
-                if pi == pj:
-                    continue
-                ids = fillers[:]
-                ids[pi - 1] = i
-                ids[pj - 1] = j
-                rankings.append(tuple(ids))
+        for pi, pj in permutations(range(n), 2):
+            ids = fillers[:]
+            ids[pi], ids[pj] = i, j
+            rankings.append(tuple(ids))
     return rankings
 
 
@@ -226,19 +242,65 @@ class _Memo:
             vec = by_e[e] = prize_vector(self.rule, ids, e, CHECK_SOLVER)
         return vec
 
-    def compute(self, ids: tuple[str, ...], e: float) -> tuple[float, ...]:
-        """Allocate without storing the vector, for a field ``vector`` has read."""
-        return prize_vector(self.rule, ids, e, CHECK_SOLVER)
-
 
 def _snap_candidates(e: float) -> list[float]:
     """Round grid points to try in place of a raw endowment, nearest first."""
-    snapped = round(e * 4) / 4
     out = []
-    for cand in (snapped, round(e), round(e * 2) / 2):
+    for cand in (round(e * 4) / 4, round(e), round(e * 2) / 2):
         if cand >= 0 and abs(cand - e) > 1e-12 and cand not in out:
             out.append(cand)
     return out
+
+
+def _snap_pair(w: Witness, recheck: Callable[[float, float], Witness | None]) -> Witness:
+    e_lo = w.competitions[0].endowment
+    e_hi = w.competitions[1].endowment
+    for lo_cand in [e_lo] + _snap_candidates(e_lo):
+        for hi_cand in [e_hi] + _snap_candidates(e_hi):
+            if (lo_cand, hi_cand) == (e_lo, e_hi):
+                continue
+            w2 = recheck(lo_cand, hi_cand)
+            if w2 is not None:
+                return w2
+    return w
+
+
+def _scan(axiom, mode, budget, tol, vector, fault, samples, snap=True) -> Verdict:
+    """The verdict of ``fault`` over ``samples`` in order.  If ``snap``, the
+    witness moves to the first round endowment, in place of the second item
+    of its sample, where the fault persists."""
+    count = 0
+    for count, sample in enumerate(samples, start=1):
+        w = fault(vector, *sample, mode, tol)
+        if w is not None:
+            ids, e, *rest = sample
+            for cand in _snap_candidates(e) if snap else ():
+                w2 = fault(vector, ids, cand, *rest, mode, tol)
+                if w2 is not None:
+                    w = w2
+                    break
+            return _verdict(axiom, mode, budget, tol, count, w)
+    return _verdict(axiom, mode, budget, tol, count)
+
+
+def _scan_pairs(axiom, mode, budget, tol, vector, fault, fields, first_pair, snap) -> Verdict:
+    """The verdict of ``fault`` over the grid pairs (E, E') of each field in
+    ``fields``, in row-major order.  ``first_pair(grid, vectors)`` finds a
+    field's first failing pair; the witness's endowments are snapped if ``snap``."""
+    grid = budget.sorted_grid()
+    g = len(grid)
+    count = 0
+    for ids in fields:
+        hit = first_pair(grid, [vector(ids, e) for e in grid])
+        if hit is None:
+            count += g * (g - 1) // 2
+            continue
+        a, b = hit
+        count += a * (g - 1) - a * (a - 1) // 2 + (b - a)  # the pairs up to and including (a, b)
+        recheck = partial(fault, vector, ids, mode=mode, tol=tol)
+        w = recheck(grid[a], grid[b])
+        return _verdict(axiom, mode, budget, tol, count, _snap_pair(w, recheck) if snap else w)
+    return _verdict(axiom, mode, budget, tol, count)
 
 
 # ---------------------------------------------------------------------------
@@ -248,95 +310,65 @@ def _snap_candidates(e: float) -> list[float]:
 def check_anonymity(
     rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ, *, memo: _Memo | None = None
 ) -> Verdict:
-    memo = memo or _Memo(rule)
     grid = budget.scan_grid()
-    count = 0
-    for n in range(1, budget.max_n + 1):
-        rankings = _arrangements(rule, n)
-        if len(rankings) == 1:
-            # generic rules still get one relabelled arrangement to compare
-            rankings.append(tuple(f"d{k}" for k in range(n, 0, -1)))
-        base_ids = rankings[0]
-        for e in grid:
-            base = memo.vector(base_ids, e)
-            for ids in rankings[1:]:
-                vec = memo.vector(ids, e)
-                count += 1
-                for pos in range(1, n + 1):
-                    if abs(vec[pos - 1] - base[pos - 1]) > tol:
-                        w = Witness(
-                            axiom="anonymity", mode=None,
-                            competitions=(_competition(base_ids, e), _competition(ids, e)),
-                            subset=None, competitor=ids[pos - 1], position=pos,
-                            lhs=base[pos - 1], rhs=vec[pos - 1],
-                            relation="equal prize for equal position",
-                            margin=abs(vec[pos - 1] - base[pos - 1]),
-                        )
-                        return _verdict("anonymity", None, budget, tol, count, w)
-    return _verdict("anonymity", None, budget, tol, count)
+
+    def samples():
+        for n in range(1, budget.max_n + 1):
+            rankings = _arrangements(rule, n)
+            if len(rankings) == 1:
+                # generic rules still get one relabelled arrangement to compare
+                rankings.append(tuple(f"d{k}" for k in range(n, 0, -1)))
+            for e in grid:
+                yield from ((rankings[0], ids, e) for ids in rankings[1:])
+
+    return _scan("anonymity", None, budget, tol, (memo or _Memo(rule)).vector,
+                 _anonymity_fault, samples(), snap=False)
+
+
+def _anonymity_fault(vector, base_ids, ids, e, mode, tol) -> Witness | None:
+    """The fields ``base_ids`` and ``ids`` get equal prizes position by position."""
+    base, vec = vector(base_ids, e), vector(ids, e)
+    for pos, (lhs, rhs) in enumerate(zip(base, vec), start=1):
+        if abs(rhs - lhs) > tol:
+            return _witness("anonymity", None, ((base_ids, e), (ids, e)), pos, ids[pos - 1],
+                            lhs, rhs, "equal prize for equal position", abs(rhs - lhs))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Order preservation
 
 
-ORDER_MODES = ("weak", "winner_loser_strict", "strict")
-
-
 def check_order_preservation(
     rule: RuleSpec, budget: SampleBudget, mode: str = "weak", tol: float = TAU_EQ,
     *, memo: _Memo | None = None,
 ) -> Verdict:
-    if mode not in ORDER_MODES:
-        raise ValueError(f"unknown order-preservation mode: {mode}")
-    memo = memo or _Memo(rule)
+    cell_key("order_preservation", mode)  # refuses a mode the axiom lacks
     grid = budget.scan_grid()
-    count = 0
+    samples = ((ids, e) for n in range(2, budget.max_n + 1)
+               for ids in _arrangements(rule, n) for e in grid)
+    return _scan("order_preservation", mode, budget, tol, (memo or _Memo(rule)).vector,
+                 _order_fault, samples)
 
-    def violation(ids: tuple[str, ...], e: float) -> Witness | None:
-        vec = memo.vector(ids, e)
-        n = len(ids)
 
-        def make(hi: int, lo: int, relation: str, margin: float) -> Witness:
-            return Witness(
-                axiom="order_preservation", mode=mode, competitions=(_competition(ids, e),),
-                subset=None, competitor=ids[hi - 1], position=hi,
-                lhs=vec[hi - 1], rhs=vec[lo - 1], relation=relation, margin=margin,
-            )
-
-        for r in range(1, n):
-            if vec[r - 1] < vec[r] - tol:
-                return make(r, r + 1, "prize(r) >= prize(r+1)", vec[r] - vec[r - 1])
-        if e > 0 and mode == "winner_loser_strict" and n >= 2:
-            if vec[0] <= vec[n - 1] + tol:
-                return make(1, n, "prize(1) > prize(n) for E > 0",
-                            vec[n - 1] - vec[0] + tol)
-        if e > 0 and mode == "strict":
-            for r in range(1, n):
-                if vec[r - 1] <= vec[r] + tol:
-                    return make(r, r + 1, "prize(r) > prize(r+1) for E > 0",
-                                vec[r] - vec[r - 1] + tol)
+def _order_fault(vector, ids, e, mode, tol) -> Witness | None:
+    """Prizes do not rise with position; for E > 0 they also fall from first
+    to last (winner_loser_strict) or at every step (strict)."""
+    vec = vector(ids, e)
+    n = len(ids)
+    hit = next(((r, r + 1, "prize(r) >= prize(r+1)", vec[r] - vec[r - 1])
+                for r in range(1, n) if vec[r - 1] < vec[r] - tol), None)
+    if hit is None and e > 0 and mode == "winner_loser_strict" and n >= 2:
+        if vec[0] <= vec[n - 1] + tol:
+            hit = 1, n, "prize(1) > prize(n) for E > 0", vec[n - 1] - vec[0] + tol
+    if hit is None and e > 0 and mode == "strict":
+        hit = next(((r, r + 1, "prize(r) > prize(r+1) for E > 0", vec[r] - vec[r - 1] + tol)
+                    for r in range(1, n) if vec[r - 1] <= vec[r] + tol), None)
+    if hit is None:
         return None
-
-    for n in range(2, budget.max_n + 1):
-        for ids in _arrangements(rule, n):
-            for e in grid:
-                count += 1
-                w = violation(ids, e)
-                if w is not None:
-                    w = _snap_single(w, lambda e2: violation(ids, e2))
-                    return _verdict("order_preservation", mode, budget, tol, count, w)
-    return _verdict("order_preservation", mode, budget, tol, count)
-
-
-def _snap_single(w: Witness, recheck: Callable[[float], Witness | None]) -> Witness:
-    """Try to move a one-competition witness onto a round endowment."""
-    e = w.competitions[0].endowment
-    for cand in _snap_candidates(e):
-        w2 = recheck(cand)
-        if w2 is not None:
-            return w2
-    return w
+    hi, lo, relation, margin = hit
+    return _witness("order_preservation", mode, ((ids, e),), hi, ids[hi - 1],
+                    vec[hi - 1], vec[lo - 1], relation, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -350,33 +382,14 @@ def check_endowment_monotonicity(
     rule: RuleSpec, budget: SampleBudget, mode: str = "weak", tol: float = TAU_EQ,
     *, memo: _Memo | None = None,
 ) -> Verdict:
-    if mode not in MONOTONICITY_MODES:
-        raise ValueError(f"unknown endowment-monotonicity mode: {mode}")
-    memo = memo or _Memo(rule)
-    count = 0
-    grid = budget.sorted_grid()
-    g = len(grid)
-    for n in range(1, budget.max_n + 1):
-        for ids in _arrangements(rule, n):
-            hit = _first_monotonicity_pair(grid, [memo.vector(ids, e) for e in grid], mode, tol)
-            if hit is None:
-                count += g * (g - 1) // 2
-                continue
-            a, b = hit
-            count += _pairs_through(a, b, g)
-            w = _monotonicity_witness(memo, ids, grid[a], grid[b], mode, tol)
-            w = _snap_pair(w, lambda lo, hi: _monotonicity_witness(memo, ids, lo, hi, mode, tol))
-            return _verdict("endowment_monotonicity", mode, budget, tol, count, w)
-    return _verdict("endowment_monotonicity", mode, budget, tol, count)
+    cell_key("endowment_monotonicity", mode)  # refuses a mode the axiom lacks
+    fields = (ids for n in range(1, budget.max_n + 1) for ids in _arrangements(rule, n))
+    return _scan_pairs("endowment_monotonicity", mode, budget, tol, (memo or _Memo(rule)).vector,
+                       _monotonicity_fault, fields,
+                       partial(_first_monotonicity_pair, mode=mode, tol=tol), snap=True)
 
 
-def _pairs_through(a: int, b: int, g: int) -> int:
-    """The pairs of a G-point grid scanned in row-major order up to and
-    including (a, b)."""
-    return a * (g - 1) - a * (a - 1) // 2 + (b - a)
-
-
-def _monotonicity_fault(lo, hi, gap, mode, tol, strict_hi=None):
+def _monotonicity_test(lo, hi, gap, mode, tol, strict_hi=None):
     """The pair test on prize vectors at endowments ``gap`` apart: (position,
     relation, margin) or None.  Strict modes compare ``lo`` with ``strict_hi``
     (default ``hi``) and skip gaps below MIN_STRICT_GAP."""
@@ -414,40 +427,24 @@ def _first_monotonicity_pair(grid, vecs, mode, tol) -> tuple[int, int] | None:
         while b0 < g and grid[b0] - grid[a] < MIN_STRICT_GAP:
             b0 += 1
         gap = grid[b0] - grid[a] if b0 < g else 0.0
-        if _monotonicity_fault(vecs[a], suffix[a + 1], gap, mode, tol, suffix[b0]):
+        if _monotonicity_test(vecs[a], suffix[a + 1], gap, mode, tol, suffix[b0]):
             for b in range(a + 1, g):
-                if _monotonicity_fault(vecs[a], vecs[b], grid[b] - grid[a], mode, tol):
+                if _monotonicity_test(vecs[a], vecs[b], grid[b] - grid[a], mode, tol):
                     return a, b
     return None
 
 
-def _monotonicity_witness(memo, ids, e_lo, e_hi, mode, tol) -> Witness | None:
+def _monotonicity_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
+    """The pair test on the field ``ids`` at endowments ``e_lo`` < ``e_hi``."""
     if e_hi <= e_lo:
         return None
-    lo, hi = memo.vector(ids, e_lo), memo.vector(ids, e_hi)
-    fault = _monotonicity_fault(lo, hi, e_hi - e_lo, mode, tol)
-    if fault is None:
+    lo, hi = vector(ids, e_lo), vector(ids, e_hi)
+    hit = _monotonicity_test(lo, hi, e_hi - e_lo, mode, tol)
+    if hit is None:
         return None
-    pos, relation, margin = fault
-    return Witness(
-        axiom="endowment_monotonicity", mode=mode,
-        competitions=(_competition(ids, e_lo), _competition(ids, e_hi)),
-        subset=None, competitor=ids[pos - 1], position=pos,
-        lhs=lo[pos - 1], rhs=hi[pos - 1], relation=relation, margin=margin,
-    )
-
-
-def _snap_pair(w: Witness, recheck: Callable[[float, float], Witness | None]) -> Witness:
-    e_lo = w.competitions[0].endowment
-    e_hi = w.competitions[1].endowment
-    for lo_cand in [e_lo] + _snap_candidates(e_lo):
-        for hi_cand in [e_hi] + _snap_candidates(e_hi):
-            if (lo_cand, hi_cand) == (e_lo, e_hi):
-                continue
-            w2 = recheck(lo_cand, hi_cand)
-            if w2 is not None:
-                return w2
-    return w
+    pos, relation, margin = hit
+    return _witness("endowment_monotonicity", mode, ((ids, e_lo), (ids, e_hi)), pos,
+                    ids[pos - 1], lo[pos - 1], hi[pos - 1], relation, margin)
 
 
 def check_lipschitz(
@@ -471,36 +468,24 @@ def check_lipschitz(
         raise PreconditionNotChecked("expected a weak endowment-monotonicity verdict")
     if not monotonicity.passed:
         raise PreconditionNotChecked("rule fails weak endowment monotonicity")
-    memo = memo or _Memo(rule)
-    count = 0
-    grid = budget.sorted_grid()
-    g = len(grid)
-    for n in range(1, budget.max_n + 1):
-        ids = _generic_ids(n)
-        vecs = [memo.vector(ids, e) for e in grid]
-        hit = _first_lipschitz_pair(grid, vecs, tol)
-        if hit is None:
-            count += g * (g - 1) // 2
-            continue
-        a, b = hit
-        count += _pairs_through(a, b, g)
-        e_lo, e_hi = grid[a], grid[b]
-        lo, hi = vecs[a], vecs[b]
-        pos = _lipschitz_fault(lo, hi, e_hi - e_lo, tol)
-        gap = abs(hi[pos - 1] - lo[pos - 1])
-        w = Witness(
-            axiom="lipschitz", mode=None,
-            competitions=(_competition(ids, e_lo), _competition(ids, e_hi)),
-            subset=None, competitor=ids[pos - 1], position=pos,
-            lhs=gap, rhs=e_hi - e_lo,
-            relation="|prize(E) - prize(E')| <= |E - E'|",
-            margin=gap - (e_hi - e_lo),
-        )
-        return _verdict("lipschitz", None, budget, tol, count, w)
-    return _verdict("lipschitz", None, budget, tol, count)
+    return _scan_pairs("lipschitz", None, budget, tol, (memo or _Memo(rule)).vector,
+                       _lipschitz_fault, map(_generic_ids, range(1, budget.max_n + 1)),
+                       partial(_first_lipschitz_pair, tol=tol), snap=False)
 
 
-def _lipschitz_fault(lo, hi, gap, tol) -> int | None:
+def _lipschitz_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
+    """The Lipschitz pair test on the field ``ids`` at endowments ``e_lo`` and ``e_hi``."""
+    lo, hi = vector(ids, e_lo), vector(ids, e_hi)
+    d_e = abs(e_hi - e_lo)
+    pos = _lipschitz_test(lo, hi, d_e, tol)
+    if pos is None:
+        return None
+    gap = abs(hi[pos - 1] - lo[pos - 1])
+    return _witness("lipschitz", None, ((ids, e_lo), (ids, e_hi)), pos, ids[pos - 1],
+                    gap, d_e, "|prize(E) - prize(E')| <= |E - E'|", gap - d_e)
+
+
+def _lipschitz_test(lo, hi, gap, tol) -> int | None:
     """The Lipschitz pair test on prize vectors at endowments ``gap`` apart:
     the first position whose prize moves by more than gap + tol, or None."""
     for pos in range(1, len(lo) + 1):
@@ -535,7 +520,7 @@ def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
         if (any(m > x + loose for m, x in zip(max_below[a + 1], below[a]))
                 or any(m < x - loose for m, x in zip(min_above[a + 1], above[a]))):
             for b in range(a + 1, g):
-                if _lipschitz_fault(vecs[a], vecs[b], grid[b] - grid[a], tol):
+                if _lipschitz_test(vecs[a], vecs[b], grid[b] - grid[a], tol):
                     return a, b
     return None
 
@@ -544,73 +529,72 @@ def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
 # Scale invariance (checked jointly with endowment additivity)
 
 
+# The scalars c of prize(c * E) = c * prize(E).
+SCALARS = (0.0, 0.25, 0.5, 2.0, 3.0)
+
+
 def check_scale_invariance(
     rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ, *, memo: _Memo | None = None
 ) -> Verdict:
+    """Scale invariance, checked jointly with endowment additivity.  A sample
+    runs the fault only if some prize differs by more than tol, as the
+    fault's relative test cannot fail otherwise."""
     memo = memo or _Memo(rule)
     count = 0
     values = _pair_values(budget.endowment_grid)
     on_grid = set(budget.endowment_grid)
-    scalars = [0.0, 0.25, 0.5, 2.0, 3.0]
+    scalings = [(c, c.__mul__) for c in SCALARS]
     for n in range(1, budget.max_n + 1):
         ids = _generic_ids(n)
         # c*E and E + E' off the grid: no other cell reads them, so they
         # stay out of the shared memo
         products: dict[float, tuple[float, ...]] = {}
 
-        def get(e: float) -> tuple[float, ...]:
+        def vector(ids: tuple[str, ...], e: float) -> tuple[float, ...]:
             if e in on_grid:
                 return memo.vector(ids, e)
             if e not in products:
-                products[e] = memo.compute(ids, e)
+                products[e] = prize_vector(rule, ids, e, CHECK_SOLVER)
             return products[e]
 
-        # scale: prize(c * E) = c * prize(E)
-        for e in values:
-            base = get(e)
-            for c in scalars:
+        base = [vector(ids, e) for e in values]
+        for e, p in zip(values, base):
+            for c, times_c in scalings:
                 count += 1
-                scaled = get(c * e)
-                for pos in range(1, n + 1):
-                    lhs, rhs = scaled[pos - 1], c * base[pos - 1]
-                    if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
-                        w = Witness(
-                            axiom="scale_invariance", mode="scale",
-                            competitions=(_competition(ids, e), _competition(ids, c * e)),
-                            subset=None, competitor=ids[pos - 1], position=pos,
-                            lhs=lhs, rhs=rhs,
-                            relation=f"prize({c}*E) = {c}*prize(E)",
-                            margin=abs(lhs - rhs),
-                        )
+                if not max(map(abs, map(sub, vector(ids, c * e), map(times_c, p)))) <= tol:
+                    w = _scale_fault(vector, ids, e, c, "scale", tol)
+                    if w is not None:
                         return _verdict("scale_invariance", None, budget, tol, count, w)
-        # additivity: prize(E + E') = prize(E) + prize(E')
-        for a_idx in range(len(values)):
-            for b_idx in range(a_idx, len(values)):
-                e1, e2 = values[a_idx], values[b_idx]
+        for a, (e1, p1) in enumerate(zip(values, base)):
+            for e2, p2 in zip(values[a:], base[a:]):
                 count += 1
-                total = get(e1 + e2)
-                p1, p2 = get(e1), get(e2)
-                for pos in range(1, n + 1):
-                    lhs = total[pos - 1]
-                    rhs = p1[pos - 1] + p2[pos - 1]
-                    if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
-                        w = Witness(
-                            axiom="scale_invariance", mode="additivity",
-                            competitions=(_competition(ids, e1), _competition(ids, e2)),
-                            subset=None, competitor=ids[pos - 1], position=pos,
-                            lhs=lhs, rhs=rhs,
-                            relation="prize(E + E') = prize(E) + prize(E')",
-                            margin=abs(lhs - rhs),
-                        )
+                if not max(map(abs, map(sub, vector(ids, e1 + e2), map(add, p1, p2)))) <= tol:
+                    w = _scale_fault(vector, ids, e1, e2, "additivity", tol)
+                    if w is not None:
                         return _verdict("scale_invariance", None, budget, tol, count, w)
     return _verdict("scale_invariance", None, budget, tol, count)
 
 
+def _scale_fault(vector, ids, e, x, mode, tol) -> Witness | None:
+    """Mode "scale": prize(x*E) = x*prize(E); mode "additivity": prize(E + x) =
+    prize(E) + prize(x).  Each equality holds within tol * max(1, |lhs|, |rhs|)."""
+    if mode == "scale":
+        fields, lhs_vec = ((ids, e), (ids, x * e)), vector(ids, x * e)
+        rhs_vec = tuple(x * p for p in vector(ids, e))
+        relation = f"prize({x}*E) = {x}*prize(E)"
+    else:
+        fields, lhs_vec = ((ids, e), (ids, x)), vector(ids, e + x)
+        rhs_vec = tuple(map(add, vector(ids, e), vector(ids, x)))
+        relation = "prize(E + E') = prize(E) + prize(E')"
+    for pos, (lhs, rhs) in enumerate(zip(lhs_vec, rhs_vec), start=1):
+        if abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs)):
+            return _witness("scale_invariance", mode, fields, pos, ids[pos - 1],
+                            lhs, rhs, relation, abs(lhs - rhs))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Consistency (full / bilateral / local / top)
-
-
-CONSISTENCY_MODES = ("full", "bilateral", "local", "top")
 
 
 def _position_subsets(n: int, mode: str, pair_only: bool) -> Iterator[tuple[int, ...]]:
@@ -634,30 +618,19 @@ def check_consistency(
     rule: RuleSpec, budget: SampleBudget, mode: str = "full", tol: float = TAU_EQ,
     *, memo: _Memo | None = None,
 ) -> Verdict:
-    if mode not in CONSISTENCY_MODES:
-        raise ValueError(f"unknown consistency mode: {mode}")
-    memo = memo or _Memo(rule)
+    cell_key("consistency", mode)  # refuses a mode the axiom lacks
     grid = budget.scan_grid()
-    count = 0
-    for n in range(3, budget.max_n + 1):
-        for ids in _arrangements(rule, n):
-            for positions in _position_subsets(n, mode, budget.pair_only):
-                for e in grid:
-                    count += 1
-                    w = _consistency_violation(memo.vector, ids, e, positions, mode, tol)
-                    if w is not None:
-                        w = _snap_single(
-                            w,
-                            lambda e2: _consistency_violation(
-                                memo.vector, ids, e2, positions, mode, tol),
-                        )
-                        return _verdict("consistency", mode, budget, tol, count, w)
-    return _verdict("consistency", mode, budget, tol, count)
+    samples = ((ids, e, positions) for n in range(3, budget.max_n + 1)
+               for ids in _arrangements(rule, n)
+               for positions in _position_subsets(n, mode, budget.pair_only) for e in grid)
+    return _scan("consistency", mode, budget, tol, (memo or _Memo(rule)).vector,
+                 _consistency_fault, samples)
 
 
-def _consistency_violation(vector, ids, e, positions, mode, tol) -> Witness | None:
-    """``vector(ids, E)`` gives prize vectors; ``positions`` ascend, so the
-    subset's ids are already in ranking order."""
+def _consistency_fault(vector, ids, e, positions, mode, tol) -> Witness | None:
+    """The competition reduced to ``positions`` and to the prizes they won
+    pays each of them the same.  ``positions`` ascend, so the subset's ids
+    are already in ranking order."""
     vec = vector(ids, e)
     subset = tuple(ids[p - 1] for p in positions)
     sub_e = sum(vec[p - 1] for p in positions)
@@ -666,18 +639,10 @@ def _consistency_violation(vector, ids, e, positions, mode, tol) -> Witness | No
         lhs = vec[orig_pos - 1]
         rhs = red_vec[sub_pos - 1]
         if abs(lhs - rhs) > tol:
-            ranking = Ranking(ids)
-            return Witness(
-                axiom="consistency", mode=mode,
-                competitions=(
-                    Competition(ranking=ranking, endowment=e),
-                    Competition(ranking=subranking(ranking, subset), endowment=sub_e),
-                ),
-                subset=subset, competitor=ids[orig_pos - 1], position=orig_pos,
-                lhs=lhs, rhs=rhs,
-                relation="prize in reduced competition equals original prize",
-                margin=abs(lhs - rhs),
-            )
+            return _witness("consistency", mode, ((ids, e), (subset, sub_e)), orig_pos,
+                            ids[orig_pos - 1], lhs, rhs,
+                            "prize in reduced competition equals original prize",
+                            abs(lhs - rhs), subset)
     return None
 
 
@@ -685,79 +650,50 @@ def _consistency_violation(vector, ids, e, positions, mode, tol) -> Witness | No
 # Witness re-verification
 
 
+# Each axiom's fault, called as fault(vector, *sample, mode, tol).
+_FAULTS = {
+    "anonymity": _anonymity_fault,
+    "order_preservation": _order_fault,
+    "endowment_monotonicity": _monotonicity_fault,
+    "lipschitz": _lipschitz_fault,
+    "scale_invariance": _scale_fault,
+    "consistency": _consistency_fault,
+}
+
+
 def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tuple[bool, float]:
-    """Re-evaluate a witness from scratch.
+    """Re-run the checker's fault on the witness's sample, with prizes freshly
+    allocated through ``allocate`` (no memo).
 
-    Returns (still_violates, margin).  For equality- and weak-inequality
-    violations the margin must exceed the tolerance; for strict-inequality
-    violations the claim is the absence of the required strict gap.
+    Returns (still_violates, margin): the witness still violates when the
+    fault reports the same position and relation, and the margin is the one
+    it reports (0.0 when it does not).  A scale witness does not store its
+    scalar: each c in SCALARS with c * E1 == E2 is tried.
     """
-    ax, mode = witness.axiom, witness.mode
+    _check_tol(tol)
+    fault = _FAULTS.get(witness.axiom)
+    if fault is None:
+        raise InvalidCheck(f"unknown witness axiom: {witness.axiom}")
 
-    def prizes(comp: Competition) -> tuple[float, ...]:
+    def vector(ids: tuple[str, ...], e: float) -> tuple[float, ...]:
+        comp = _competition(ids, e)
         return allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
 
-    if ax == "anonymity":
-        c1, c2 = witness.competitions
-        v1, v2 = prizes(c1), prizes(c2)
-        margin = abs(v1[witness.position - 1] - v2[witness.position - 1])
-        return margin > tol, margin
-    if ax == "order_preservation":
-        (comp,) = witness.competitions
-        vec = prizes(comp)
-        hi = witness.position
-        lo = _order_partner(witness, comp.ranking.n)
-        gap = vec[hi - 1] - vec[lo - 1]
-        if mode == "weak" or gap < -tol:
-            return gap < -tol, -gap
-        return gap <= tol, tol - gap
-    if ax == "endowment_monotonicity":
-        c_lo, c_hi = witness.competitions
-        v_lo, v_hi = prizes(c_lo), prizes(c_hi)
-        pos = witness.position
-        diff = v_hi[pos - 1] - v_lo[pos - 1]
-        if diff < -tol:
-            return True, -diff
-        if mode in ("winner_strict", "strict"):
-            return diff <= tol, tol - diff
-        return False, diff
-    if ax == "lipschitz":
-        c_lo, c_hi = witness.competitions
-        v_lo, v_hi = prizes(c_lo), prizes(c_hi)
-        pos = witness.position
-        gap = abs(v_hi[pos - 1] - v_lo[pos - 1])
-        margin = gap - abs(c_hi.endowment - c_lo.endowment)
-        return margin > tol, margin
-    if ax == "scale_invariance":
-        c1, c2 = witness.competitions
-        v1, v2 = prizes(c1), prizes(c2)
-        pos = witness.position
-        if mode == "scale":
-            c = c2.endowment / c1.endowment if c1.endowment else 0.0
-            margin = abs(v2[pos - 1] - c * v1[pos - 1])
-        else:
-            comp3 = Competition(ranking=c1.ranking, endowment=c1.endowment + c2.endowment)
-            v3 = prizes(comp3)
-            margin = abs(v3[pos - 1] - (v1[pos - 1] + v2[pos - 1]))
-        return margin > tol, margin
-    if ax == "consistency":
-        comp, _ = witness.competitions
-        w2 = _consistency_violation(
-            lambda ids, e: prizes(_competition(ids, e)),
-            comp.ranking.by_position, comp.endowment,
-            tuple(sorted(comp.ranking.position_of(cid) for cid in witness.subset)),
-            mode, tol,
-        )
-        if w2 is None:
-            return False, 0.0
-        return True, w2.margin
-    raise ValueError(f"unknown witness axiom: {ax}")
-
-
-def _order_partner(witness: Witness, n: int) -> int:
-    if witness.mode == "winner_loser_strict" and witness.position == 1:
-        return n
-    return witness.position + 1
+    first, *rest = witness.competitions
+    ids, e = first.ranking.by_position, first.endowment
+    if witness.axiom == "anonymity":
+        samples = [(ids, rest[0].ranking.by_position, e)]
+    elif witness.axiom == "consistency":
+        samples = [(ids, e, tuple(sorted(map(first.ranking.position_of, witness.subset))))]
+    elif witness.mode == "scale":
+        samples = [(ids, e, c) for c in SCALARS if c * e == rest[0].endowment]
+    else:  # the field at the endowment of each competition
+        samples = [(ids, e, *(c.endowment for c in rest))]
+    for sample in samples:
+        w = fault(vector, *sample, witness.mode, tol)
+        if w is not None and (w.position, w.relation) == (witness.position, witness.relation):
+            return True, w.margin
+    return False, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -782,37 +718,42 @@ MATRIX_CELLS = (
 
 
 def cell_key(axiom: str, mode: str | None) -> str:
+    """The matrix key of the cell (axiom, mode); InvalidCheck if there is none."""
+    if (axiom, mode) not in MATRIX_CELLS:
+        modes = [m for a, m in MATRIX_CELLS if a == axiom]
+        raise InvalidCheck(f"axiom {axiom!r} has no mode {mode!r}; expected one of {modes}")
     return axiom if mode is None else f"{axiom}:{mode}"
 
 
-def _lipschitz_cell(rule, budget, tol, memo, mode=None) -> Verdict:
-    """Lipschitz continuity is checked only once weak monotonicity passes;
-    a failing weak-monotonicity verdict is returned in its place."""
-    mono = _cell_verdict(cell_key("endowment_monotonicity", "weak"), rule, budget, tol, memo)
-    return check_lipschitz(rule, budget, mono, tol, memo=memo) if mono.passed else mono
+def _run_checker(axiom: str, mode: str | None, rule, budget, tol, memo) -> Verdict:
+    """The cell's verdict from ``check_<axiom>``, looked up in the module at
+    call time, so a patched checker runs.  Lipschitz continuity is checked
+    only once weak monotonicity passes; a failing weak-monotonicity verdict
+    is returned in its place."""
+    args = {} if mode is None else {"mode": mode}
+    if axiom == "lipschitz":
+        mono = _cell_verdict(cell_key("endowment_monotonicity", "weak"), rule, budget, tol, memo)
+        if not mono.passed:
+            return mono
+        args["monotonicity"] = mono
+    return globals()[f"check_{axiom}"](rule, budget, tol=tol, memo=memo, **args)
 
-
-# One entry per axiom, called as (rule, budget, tol, memo, mode).  Each calls
-# its checker through the module name at call time, so a patched check_* runs.
-_AXIOM_ENTRIES = {
-    "anonymity": lambda rule, budget, tol, memo, mode: check_anonymity(
-        rule, budget, tol, memo=memo),
-    "order_preservation": lambda rule, budget, tol, memo, mode: check_order_preservation(
-        rule, budget, mode, tol, memo=memo),
-    "endowment_monotonicity": lambda rule, budget, tol, memo, mode: (
-        check_endowment_monotonicity(rule, budget, mode, tol, memo=memo)),
-    "lipschitz": _lipschitz_cell,
-    "scale_invariance": lambda rule, budget, tol, memo, mode: check_scale_invariance(
-        rule, budget, tol, memo=memo),
-    "consistency": lambda rule, budget, tol, memo, mode: check_consistency(
-        rule, budget, mode, tol, memo=memo),
-}
 
 # The matrix cells in MATRIX_CELLS order, each taking (rule, budget, tol, memo).
 _CELLS: dict[str, Callable[[RuleSpec, SampleBudget, float, _Memo], Verdict]] = {
-    cell_key(axiom, mode): partial(_AXIOM_ENTRIES[axiom], mode=mode)
-    for axiom, mode in MATRIX_CELLS
+    cell_key(axiom, mode): partial(_run_checker, axiom, mode) for axiom, mode in MATRIX_CELLS
 }
+
+
+def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
+             tol: float = TAU_EQ) -> Verdict:
+    """One matrix cell on a fresh memo.  The first mode MATRIX_CELLS lists for
+    an axiom is its default; an axiom without modes ignores ``mode``."""
+    _check_tol(tol)
+    modes = [m for a, m in MATRIX_CELLS if a == axiom]
+    if modes and (modes[0] is None or mode is None):
+        mode = modes[0]
+    return _CELLS[cell_key(axiom, mode)](rule, budget, tol, _Memo(rule))
 
 
 def _cell_verdict(key: str, rule, budget, tol, memo: _Memo) -> Verdict:
@@ -842,6 +783,7 @@ def run_axiom_matrix(
     ``describe(rule)``; two rules with the same description raise
     DuplicateRow.
     """
+    _check_tol(tol)
     names = [describe(rule) for rule in rules]
     seen: set[str] = set()
     for name in names:

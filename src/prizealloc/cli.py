@@ -58,10 +58,9 @@ from .axioms import (
     SampleBudget,
     Verdict,
     Witness,
-    _CELLS,
-    _Memo,
     cell_key,
     run_axiom_matrix,
+    run_cell,
 )
 from .analysis import (
     TAU_FIT,
@@ -365,21 +364,10 @@ def _cmd_path(args, out) -> int:
 AXIOM_NAMES = tuple(dict.fromkeys(axiom for axiom, _ in MATRIX_CELLS))
 
 
-def _run_check(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
-               tol: float) -> Verdict:
-    """One matrix cell on a fresh memo.  The first mode MATRIX_CELLS lists
-    for an axiom is its default; an axiom without modes ignores --mode."""
-    modes = [m for a, m in MATRIX_CELLS if a == axiom]
-    key = axiom if modes[0] is None else cell_key(axiom, mode or modes[0])
-    if key not in _CELLS:
-        raise SchemaError(f"axiom {axiom!r} has no mode {mode!r}; expected one of {modes}")
-    return _CELLS[key](rule, budget, tol, _Memo(rule))
-
-
 def _cmd_check(args, out) -> int:
     rule = parse_rule_spec(args.rule)
     budget = _budget_from_args(args)
-    verdict = _run_check(rule, args.axiom, args.mode, budget, args.tol)
+    verdict = run_cell(rule, args.axiom, args.mode, budget, args.tol)
     report = {
         "command": "check",
         "rule": describe(rule),

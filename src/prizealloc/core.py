@@ -82,9 +82,8 @@ class Ranking:
             raise NotAPermutation("ranking must cover at least one competitor")
         if len(set(self.by_position)) != len(self.by_position):
             raise DuplicateId(f"duplicate competitor ids in ranking: {self.by_position}")
-        for cid in self.by_position:
-            if not cid:
-                raise DuplicateId("competitor ids must be non-empty strings")
+        if not all(self.by_position):
+            raise DuplicateId("competitor ids must be non-empty strings")
 
     @property
     def n(self) -> int:

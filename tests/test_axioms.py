@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from prizealloc.axioms import (
     MATRIX_CELLS,
     MIN_STRICT_GAP,
     MONOTONICITY_MODES,
+    InvalidCheck,
     PreconditionNotChecked,
     SampleBudget,
     Verdict,
@@ -22,6 +24,7 @@ from prizealloc.axioms import (
     check_order_preservation,
     check_scale_invariance,
     run_axiom_matrix,
+    run_cell,
     verify_witness,
 )
 from prizealloc.cli import bundled_rules, parse_rule_spec
@@ -31,6 +34,7 @@ from prizealloc.rules import (
     WTS,
     Counterexample,
     Geometric,
+    RuleSpec,
     arithmetic_rule,
     describe,
     hyperarithmetic_rule,
@@ -499,3 +503,102 @@ def test_matrix_row_allocates_each_grid_vector_once(monkeypatch):
         assert calls, describe(rule)
         repeated = {key: k for key, k in calls.items() if key[1] in grid and k > 1}
         assert not repeated, describe(rule)
+
+
+# ---------------------------------------------------------------------------
+# verify_witness judges a witness by the relation its checker used
+
+
+@dataclass(frozen=True)
+class _Shares(RuleSpec):
+    """Pays the fixed shares SHARES[n] of the endowment to a field of n."""
+
+    SHARES = {1: (1.0,), 2: (0.6, 0.4), 3: (0.3, 0.5, 0.2)}
+
+    def prizes(self, ids, e, cfg):
+        return [s * e for s in self.SHARES[len(ids)]]
+
+    def spec(self):
+        return "test:shares"
+
+
+@dataclass(frozen=True)
+class _ThreeThousandSkew(RuleSpec):
+    """Equal division, except that at E = 3000 the top two prizes of a field
+    of two or more move 1e-7 apart."""
+
+    def prizes(self, ids, e, cfg):
+        prizes = [e / len(ids)] * len(ids)
+        if e == 3000.0 and len(ids) >= 2:
+            prizes[0] += 1e-7
+            prizes[1] -= 1e-7
+        return prizes
+
+    def spec(self):
+        return "test:skew-at-3000"
+
+
+def test_order_witness_behind_a_weak_failure_verifies():
+    # winner_loser_strict fails its weak part first, at position 1 of n = 3
+    verdict = check_order_preservation(_Shares(), SampleBudget(max_n=3), "winner_loser_strict")
+    w = verdict.witness
+    assert (w.position, w.relation) == (1, "prize(r) >= prize(r+1)")
+    ok, margin = verify_witness(_Shares(), w, verdict.tolerance)
+    assert ok and margin > 1e-9
+
+
+def test_scale_witness_is_judged_with_the_checker_relative_tolerance():
+    rule = _ThreeThousandSkew()
+    assert check_scale_invariance(rule, SampleBudget(max_n=2, endowment_grid=(1000.0,))).passed
+    ranking = Ranking(("c1", "c2"))
+    w = Witness(
+        axiom="scale_invariance", mode="scale",
+        competitions=(Competition(ranking=ranking, endowment=1000.0),
+                      Competition(ranking=ranking, endowment=3000.0)),
+        subset=None, competitor="c1", position=1, lhs=1500.0 + 1e-7, rhs=1500.0,
+        relation="prize(3.0*E) = 3.0*prize(E)", margin=1e-7,
+    )
+    assert not verify_witness(rule, w)[0]
+
+
+# ---------------------------------------------------------------------------
+# The entry points refuse unusable tolerances and cells the matrix lacks
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_unusable_tolerance_rejected(tol):
+    w = check_anonymity(Counterexample("pair-favoritism", i="p", j="q"), SMALL).witness
+    calls = [
+        lambda: run_axiom_matrix([ED()], SMALL, tol),
+        lambda: run_cell(ED(), "anonymity", None, SMALL, tol),
+        lambda: verify_witness(Counterexample("pair-favoritism", i="p", j="q"), w, tol),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidCheck, match="tolerance must be finite and >= 0"):
+            call()
+    assert issubclass(InvalidCheck, PrizeAllocError) and issubclass(InvalidCheck, ValueError)
+
+
+def test_zero_tolerance_accepted():
+    assert run_cell(ED(), "anonymity", None, SMALL, 0.0).passed
+    assert not run_cell(WTS(1.0), "scale_invariance", None, SMALL, 0.0).passed
+
+
+class TestRunCell:
+    def test_equals_the_matrix_cell(self):
+        row = run_axiom_matrix([Geometric(0.5)], SMALL)["geometric:lambda=0.5"]
+        for axiom, mode in MATRIX_CELLS:
+            verdict = run_cell(Geometric(0.5), axiom, mode, SMALL)
+            assert verdict == row[cell_key(axiom, mode)], cell_key(axiom, mode)
+
+    def test_first_listed_mode_is_the_default(self):
+        assert run_cell(ED(), "consistency", None, SMALL).mode == "full"
+
+    def test_axiom_without_modes_ignores_mode(self):
+        assert run_cell(ED(), "anonymity", "strict", SMALL).mode is None
+
+    @pytest.mark.parametrize("axiom, mode", [("order_preservation", "full"),
+                                             ("consistency", "bogus")])
+    def test_unknown_mode(self, axiom, mode):
+        with pytest.raises(InvalidCheck, match=f"has no mode '{mode}'"):
+            run_cell(ED(), axiom, mode, SMALL)

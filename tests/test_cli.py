@@ -373,6 +373,22 @@ class TestMalformedInputExits2:
         assert out == ""
         assert "max_n must be <= 12" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("matrix", "--rules", "cx:ed2wta3", "--samples", "3"),
+        ("check", "--rule", "cx:lowest-takes-all", "--axiom", "order_preservation"),
+    ])
+    def test_unusable_tolerance(self, argv, tol):
+        code, out, err = run_cli(*argv, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be finite and >= 0" in err
+
+    def test_zero_tolerance_is_legal(self):
+        code, _, err = run_cli("check", "--rule", "ed", "--axiom", "anonymity",
+                               "--samples", "3", "--tol", "0")
+        assert code == 0, err
+
     def test_unknown_mode_for_axiom(self):
         code, out, err = run_cli("check", "--rule", "ed", "--axiom",
                                  "order_preservation", "--mode", "full")

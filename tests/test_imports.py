@@ -61,3 +61,20 @@ def test_only_verify_witness_calls_allocate_in_axioms():
                     or isinstance(node.func, ast.Attribute) and node.func.attr == "allocate"):
                 found.append(f"axioms.py:{node.lineno}")
     assert not found, f"allocate called outside verify_witness: {found}"
+
+
+def test_one_witness_builder_in_axioms():
+    """Every witness is built by one helper, so its fields are filled one way."""
+    found = [f"axioms.py:{node.lineno}" for node in ast.walk(_tree("axioms.py"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Witness"]
+    assert len(found) == 1, f"Witness(...) called at {found}"
+
+
+def test_cli_imports_no_private_axioms_name():
+    """The CLI reaches the checkers through the public cell entry points."""
+    found = [f"cli.py:{node.lineno}: {alias.name}"
+             for node in ast.walk(_tree("cli.py"))
+             if isinstance(node, ast.ImportFrom) and node.module == "axioms" and node.level == 1
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"cli.py imports private axioms names: {found}"
