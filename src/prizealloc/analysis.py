@@ -23,7 +23,7 @@ from .core import (
     standard_competition,
 )
 from .rules import RuleSpec, allocate
-from .axioms import CHECK_SOLVER, Verdict, Witness
+from .axioms import CHECK_SOLVER, Verdict, Witness, check_tolerance
 
 # Default fit tolerance: 1% relative, loose enough to absorb the rounding
 # noise in published prize lists.
@@ -70,6 +70,11 @@ def _excess(observed: float, predicted: float, abs_slack: float) -> float:
     return gap / denom if denom else math.inf
 
 
+def _check_fit_args(tau_fit: float, abs_slack: float) -> None:
+    check_tolerance(tau_fit)
+    check_tolerance(abs_slack, "slack")
+
+
 def fit_geometric(
     table: PrizeTable, tau_fit: float = TAU_FIT, abs_slack: float = 0.0
 ) -> FitReport:
@@ -80,6 +85,7 @@ def fit_geometric(
     the shape only when it starts at position 2 (all-to-the-winner, lam=0);
     a later zero block is a shape violation, since lam^k > 0 for lam > 0.
     """
+    _check_fit_args(tau_fit, abs_slack)
     prizes = table.prizes
     if len(prizes) < 2:
         raise TooFewPositions("need at least two positions to fit a decay ratio")
@@ -137,6 +143,7 @@ def fit_proportional(
     The verdict is true iff the shares are non-increasing and every event's
     prizes are reproduced from the shares within the tolerance.
     """
+    _check_fit_args(tau_fit, abs_slack)
     if events.positions < 1:
         raise TooFewPositions("need at least one position")
     shares = [
@@ -171,6 +178,7 @@ def detect_interval_pattern(
     transitional prize x must satisfy a <= x <= b.  All-equal tables match
     trivially with a = b.
     """
+    _check_fit_args(tau_fit, abs_slack)
     prizes = table.prizes
     if len(prizes) < 2:
         raise TooFewPositions("need at least two positions to detect the pattern")
@@ -222,6 +230,7 @@ def classify(
     locally-consistent; proportional fit holds -> top-consistent; otherwise
     unordered.  Prizes that increase with position force unordered.
     """
+    _check_fit_args(tau_fit, abs_slack)
     order_preserved = all(
         all(ev.prizes[k] >= ev.prizes[k + 1] for k in range(len(ev.prizes) - 1))
         for ev in events.events
@@ -267,6 +276,7 @@ def check_data_top_consistency(
     allocated by the rule to an m-competitor field; the result must match
     the observed prizes within the (relative) tolerance plus slack.
     """
+    _check_fit_args(tol, abs_slack)
     prizes = table.prizes
     budget = f"{len(prizes)} prefixes of table {table.name!r}"
     count = 0

@@ -74,9 +74,10 @@ class InvalidCheck(PrizeAllocError, ValueError):
     """A cell the axiom matrix lacks, or a tolerance not finite and >= 0."""
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 <= tol < math.inf:  # also NaN
-        raise InvalidCheck(f"tolerance must be finite and >= 0, got {tol!r}")
+def check_tolerance(value: float, name: str = "tolerance") -> None:
+    """InvalidCheck unless a tolerance (or a slack) is finite and >= 0."""
+    if not 0 <= value < math.inf:  # also NaN
+        raise InvalidCheck(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -670,7 +671,7 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
     it reports (0.0 when it does not).  A scale witness does not store its
     scalar: each c in SCALARS with c * E1 == E2 is tried.
     """
-    _check_tol(tol)
+    check_tolerance(tol)
     fault = _FAULTS.get(witness.axiom)
     if fault is None:
         raise InvalidCheck(f"unknown witness axiom: {witness.axiom}")
@@ -749,7 +750,7 @@ def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
              tol: float = TAU_EQ) -> Verdict:
     """One matrix cell on a fresh memo.  The first mode MATRIX_CELLS lists for
     an axiom is its default; an axiom without modes ignores ``mode``."""
-    _check_tol(tol)
+    check_tolerance(tol)
     modes = [m for a, m in MATRIX_CELLS if a == axiom]
     if modes and (modes[0] is None or mode is None):
         mode = modes[0]
@@ -783,7 +784,7 @@ def run_axiom_matrix(
     ``describe(rule)``; two rules with the same description raise
     DuplicateRow.
     """
-    _check_tol(tol)
+    check_tolerance(tol)
     names = [describe(rule) for rule in rules]
     seen: set[str] = set()
     for name in names:

@@ -303,6 +303,18 @@ def _parse_endowments(spec: str) -> list[float]:
         raise NonNumeric(f"endowment list {spec!r}: {exc}") from exc
 
 
+# Largest --n that allocate, table and path accept.  At this size one
+# allocation takes 1-1.5 s for the costliest bundled families (sp:pwl,
+# sp:cap, param:hyperarithmetic); without a cap a mistyped --n hangs.
+MAX_ALLOCATION_N = 100_000
+
+
+def _field_size(n: int) -> int:
+    if n > MAX_ALLOCATION_N:
+        raise SchemaError(f"--n must be at most {MAX_ALLOCATION_N}, got {n}")
+    return n
+
+
 def _budget_from_args(args) -> SampleBudget:
     return SampleBudget(max_n=args.samples, rng_seed=args.seed)
 
@@ -317,7 +329,7 @@ def _emit(report: dict, as_json: bool, out, human_lines: list[str]) -> None:
 
 def _cmd_allocate(args, out) -> int:
     rule = parse_rule_spec(args.rule)
-    comp = standard_competition(args.n, args.endowment)
+    comp = standard_competition(_field_size(args.n), args.endowment)
     vec = allocate(rule, comp).by_position(comp.ranking)
     report = {
         "command": "allocate",
@@ -332,10 +344,11 @@ def _cmd_allocate(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     rule = parse_rule_spec(args.rule)
+    n = _field_size(args.n)
     endowments = _parse_endowments(args.endowments)
     rows = []
     for e in endowments:
-        comp = standard_competition(args.n, e)
+        comp = standard_competition(n, e)
         rows.append((e, allocate(rule, comp).by_position(comp.ranking)))
     report = {
         "command": "table",
@@ -352,7 +365,7 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_path(args, out) -> int:
     rule = parse_rule_spec(args.rule)
-    trace = trace_path(rule, args.n, args.endowment, args.step)
+    trace = trace_path(rule, _field_size(args.n), args.endowment, args.step)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["endowment"] + [f"prize_{k}" for k in range(1, args.n + 1)])
     for e, alloc in trace.samples:

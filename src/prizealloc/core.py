@@ -131,7 +131,8 @@ class Allocation:
 
     def by_position(self, ranking: Ranking) -> tuple[float, ...]:
         """The prize vector in position order (winner first)."""
-        return tuple(self.prizes[cid] for cid in ranking.by_position)
+        # a list first, as in standard_competition
+        return tuple([self.prizes[cid] for cid in ranking.by_position])
 
     def total(self) -> float:
         return sum(self.prizes.values())
@@ -155,8 +156,11 @@ def make_competition(
 
 def standard_competition(n: int, endowment: float, prefix: str = "c") -> Competition:
     """A competition with generic ids c1..cn ranked in index order."""
+    # tuple() of a list, not of a generator: a generator's tuple is grown by
+    # resizing, and CPython then parks it on the free list of its final size,
+    # where no later tuple(generator) reuses it (up to 2,000 per size).
     return Competition(
-        ranking=Ranking(tuple(f"{prefix}{k}" for k in range(1, n + 1))),
+        ranking=Ranking(tuple([f"{prefix}{k}" for k in range(1, n + 1)])),
         endowment=float(endowment),
     )
 

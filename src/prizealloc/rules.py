@@ -43,9 +43,10 @@ from .solver import (
     DEFAULT_SOLVER,
     SolverConfig,
     SolverFailure,
-    iterate_f,
     interval_locate,
+    iterates,
     solve_level,
+    solve_level_sum,
 )
 
 
@@ -396,13 +397,9 @@ class SingleParametric(RuleSpec):
     f: MonotoneFn
 
     def prizes(self, ids, e, cfg):
-        n, f = len(ids), self.f
-        levels = [lambda x, k=k: iterate_f(f, x, k) for k in range(n)]
-        x = solve_level(levels, n, e, cfg)
-        prizes = [x]
-        for _ in range(n - 1):
-            prizes.append(f(prizes[-1]))
-        return prizes
+        n, f = len(ids), self.f._eval
+        x = solve_level_sum(lambda x: sum(iterates(f, x, n)), n, e, cfg)
+        return list(iterates(f, x, n))
 
     def spec(self):
         return "sp:arithmetic" if self == arithmetic_rule() else "sp:" + self.f.spec()
@@ -413,7 +410,8 @@ class Parametric(RuleSpec):
     """Explicit prefix of level functions, lazily extensible by a generator.
 
     ``extend(k)`` supplies the function for position k beyond the prefix.
-    f_1 must be the identity and f_{k+1} <= f_k pointwise.
+    f_1 must be the identity and f_{k+1} <= f_k pointwise.  The rule's spec
+    is ``param:<name>``; a rule without a name has none.
     """
 
     fs: tuple[MonotoneFn, ...] = ()
@@ -427,6 +425,8 @@ class Parametric(RuleSpec):
         for f_hi, f_lo in zip(self.fs, self.fs[1:]):
             if not pointwise_leq(f_lo, f_hi, xs):
                 raise InvalidRuleParams("level functions must be pointwise non-increasing in k")
+        # not a field: the evaluators of f_1, f_2, ..., grown to the largest n seen
+        object.__setattr__(self, "_levels", ())
 
     def fn(self, k: int) -> MonotoneFn:
         if k <= len(self.fs):
@@ -438,13 +438,19 @@ class Parametric(RuleSpec):
         )
 
     def prizes(self, ids, e, cfg):
-        n = len(ids)
-        fns = [self.fn(k) for k in range(1, n + 1)]
-        x = solve_level(fns, n, e, cfg)
-        return [fn(x) for fn in fns]
+        n, levels = len(ids), self._levels
+        if len(levels) < n:
+            levels += tuple(self.fn(k)._eval for k in range(len(levels) + 1, n + 1))
+            object.__setattr__(self, "_levels", levels)
+        levels = levels[:n]
+        x = solve_level(levels, n, e, cfg)
+        return [f(x) for f in levels]
 
     def spec(self):
-        return f"param:{self.name or 'custom'}"
+        if not self.name:
+            raise InvalidRuleParams(
+                "a Parametric rule without a name has no spec; name it: Parametric(..., name=...)")
+        return f"param:{self.name}"
 
 
 def _order_check_points(fs: Sequence[MonotoneFn]) -> list[float]:
@@ -745,7 +751,8 @@ def prize_vector(
     """
     if not 0 <= e < math.inf:
         raise endowment_error(e)
-    return tuple(_float_prizes(rule, ids, e, cfg))
+    # a list first, as in core.standard_competition
+    return tuple(list(_float_prizes(rule, ids, e, cfg)))
 
 
 def allocate(
@@ -765,7 +772,11 @@ def _float_prizes(rule: RuleSpec, ids: tuple[str, ...], e: float, cfg: SolverCon
     try:
         prizes = rule.prizes(ids, e, cfg)
     except SolverFailure as exc:
-        raise SolverFailure(f"{rule.spec()} at n={len(ids)}, E={e!r}: {exc}") from exc
+        try:
+            name = rule.spec()
+        except InvalidRuleParams:
+            name = f"unnamed {type(rule).__name__} rule"
+        raise SolverFailure(f"{name} at n={len(ids)}, E={e!r}: {exc}") from exc
     return map(float, prizes)
 
 

@@ -12,6 +12,7 @@ from prizealloc.analysis import (
     fit_geometric,
     fit_proportional,
 )
+from prizealloc.axioms import InvalidCheck
 from prizealloc.rules import (
     Geometric,
     Interval,
@@ -212,3 +213,22 @@ class TestDataTopConsistency:
         verdict = check_data_top_consistency(GENESIS, Geometric(lam), tol=0.01)
         assert not verdict.passed
         assert verdict.witness is not None
+
+
+FITS = {
+    "fit_geometric": lambda tol, slack: fit_geometric(POKER, tol, slack),
+    "fit_proportional": lambda tol, slack: fit_proportional(GOLF, tol, slack),
+    "detect_interval_pattern": lambda tol, slack: detect_interval_pattern(GENESIS, tol, slack),
+    "classify": lambda tol, slack: classify(GOLF, tol, slack),
+    "check_data_top_consistency":
+        lambda tol, slack: check_data_top_consistency(POKER, Geometric(0.7), tol, slack),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("name", FITS)
+def test_unusable_tolerance_or_slack_rejected(name, value):
+    with pytest.raises(InvalidCheck, match="tolerance must be finite and >= 0"):
+        FITS[name](value, 0.0)
+    with pytest.raises(InvalidCheck, match="slack must be finite and >= 0"):
+        FITS[name](0.01, value)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from prizealloc.cli import (
+    MAX_ALLOCATION_N,
     MAX_RANGE_ROWS,
     IoError,
     NonNumeric,
@@ -383,6 +384,38 @@ class TestMalformedInputExits2:
         assert code == 2
         assert out == ""
         assert "tolerance must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("argv,flag", [
+        (("fit", "--family", "geometric", "--data", "wcoop2019.json"), "tol"),
+        (("fit", "--family", "interval", "--data", "pga2019.json"), "slack"),
+        (("classify", "--data", "pga2019.json"), "tol"),
+        (("classify", "--data", "pga2019.json"), "slack"),
+    ])
+    def test_unusable_fit_tolerance_or_slack(self, argv, flag, value):
+        code, out, err = run_cli(*argv, f"--{flag}={value}")
+        assert code == 2
+        assert out == ""
+        name = "tolerance" if flag == "tol" else "slack"
+        assert f"{name} must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("allocate", "--rule", "sp:arithmetic", "--endowment", "1"),
+        ("table", "--rule", "ed", "--endowments", "1,2"),
+        ("path", "--rule", "ed", "--endowment", "1"),
+    ])
+    @pytest.mark.parametrize("n", [MAX_ALLOCATION_N + 1, 3_000_000])
+    def test_field_size_is_capped(self, argv, n):
+        code, out, err = run_cli(*argv, "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert f"--n must be at most {MAX_ALLOCATION_N}, got {n}" in err
+
+    def test_field_size_at_the_cap_is_legal(self):
+        code, out, err = run_cli("allocate", "--rule", "wta", "--n", str(MAX_ALLOCATION_N),
+                                 "--endowment", "1", "--json")
+        assert code == 0, err
+        assert len(json.loads(out)["prizes"]) == MAX_ALLOCATION_N
 
     def test_zero_tolerance_is_legal(self):
         code, _, err = run_cli("check", "--rule", "ed", "--axiom", "anonymity",

@@ -3,20 +3,23 @@
 Each witness's competitions are rebuilt from the JSON and re-allocated
 through ``allocate``; the relation the witness states is evaluated here,
 keyed on its ``relation`` text, so this check shares no relation code with
-``prizealloc.axioms``.
+``prizealloc.axioms``.  No bundled rule fails the Lipschitz cell or the
+additivity half of scale invariance, so two rules built here supply those
+witnesses.
 """
 
 import json
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from prizealloc.axioms import CHECK_SOLVER
-from prizealloc.cli import bundled_rules
+from prizealloc.axioms import CHECK_SOLVER, SampleBudget, run_cell
+from prizealloc.cli import bundled_rules, witness_to_dict
 from prizealloc.core import Competition, Ranking
-from prizealloc.rules import allocate, describe
+from prizealloc.rules import RuleSpec, allocate, describe
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,12 +98,58 @@ def _stated_relation(rule, witness, tol):
     return ids[pos - 1], lhs, rhs, abs(lhs - rhs) > tol * max(1.0, abs(lhs), abs(rhs))
 
 
-@pytest.mark.parametrize("rule_name, verdict", list(_failed_cells()))
-def test_fixture_witness_violates_its_relation(rule_name, verdict):
-    witness = verdict["witness"]
-    competitor, lhs, rhs, violated = _stated_relation(
-        RULES[rule_name], witness, verdict["tolerance"])
+def _assert_violates_its_relation(rule, witness, tol):
+    competitor, lhs, rhs, violated = _stated_relation(rule, witness, tol)
     assert violated
     assert competitor == witness["competitor"]
     assert math.isclose(lhs, witness["lhs"], rel_tol=0, abs_tol=1e-12)
     assert math.isclose(rhs, witness["rhs"], rel_tol=0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("rule_name, verdict", list(_failed_cells()))
+def test_fixture_witness_violates_its_relation(rule_name, verdict):
+    _assert_violates_its_relation(RULES[rule_name], verdict["witness"], verdict["tolerance"])
+
+
+@dataclass(frozen=True)
+class Doubling(RuleSpec):
+    """Pays the winner 2E: weakly monotone in E but not 1-Lipschitz.  A rule
+    that pays out exactly E and is monotone is 1-Lipschitz, so this one pays
+    more than E, which no cell reads."""
+
+    def prizes(self, ids, e, cfg):
+        return [2.0 * e] + [0.0] * (len(ids) - 1)
+
+    def spec(self):
+        return "test:doubling"
+
+
+@dataclass(frozen=True)
+class DyadicSwitch(RuleSpec):
+    """Winner-takes-all when E is a binary fraction with a numerator below
+    2**20 (the grid's quarter-dollar values), equal division otherwise (its
+    random draws).  Every checked scalar keeps E on its side, so scale
+    invariance holds; a quarter-dollar value plus a random draw changes side,
+    so additivity fails."""
+
+    def prizes(self, ids, e, cfg):
+        n = len(ids)
+        if e.as_integer_ratio()[0] < 2 ** 20:
+            return [e] + [0.0] * (n - 1)
+        return [e / n] * n
+
+    def spec(self):
+        return "test:dyadic-switch"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rule, axiom, relation", [
+    (Doubling(), "lipschitz", "|prize(E) - prize(E')| <= |E - E'|"),
+    (DyadicSwitch(), "scale_invariance", "prize(E + E') = prize(E) + prize(E')"),
+], ids=["lipschitz", "additivity"])
+def test_built_witness_violates_its_relation(rule, axiom, relation, seed):
+    verdict = run_cell(rule, axiom, None, SampleBudget(max_n=3, rng_seed=seed))
+    assert (verdict.axiom, verdict.passed) == (axiom, False)
+    witness = witness_to_dict(verdict.witness)
+    assert witness["relation"] == relation
+    _assert_violates_its_relation(rule, witness, verdict.tolerance)

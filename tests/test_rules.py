@@ -34,7 +34,7 @@ from prizealloc.rules import (
     prize_vector,
     step_rule,
 )
-from prizealloc.solver import SolverConfig, SolverFailure
+from prizealloc.solver import SolverConfig, SolverFailure, iterate_f, solve_level
 
 from golden import table_rows
 
@@ -273,6 +273,69 @@ class TestLevelRules:
     def test_proportional_needs_enough_weights(self):
         with pytest.raises(InvalidRuleParams):
             vector(Proportional((1.0,)), 2, 1.0)
+
+    def test_parametric_builds_each_level_once(self):
+        calls = []
+
+        def extend(k):
+            calls.append(k)
+            return MonotoneFn.shift(float(k))
+
+        rule = Parametric(fs=(MonotoneFn.identity(),), extend=extend, name="counted")
+        big = prize_vector(rule, ("a", "b", "c", "d", "e", "f"), 30.0)
+        small = prize_vector(rule, ("a", "b", "c"), 30.0)
+        assert prize_vector(rule, ("a", "b", "c", "d", "e", "f"), 30.0) == big
+        assert calls == [2, 3, 4, 5, 6]
+        fresh = Parametric(fs=(MonotoneFn.identity(),), extend=extend, name="fresh")
+        assert small == prize_vector(fresh, ("a", "b", "c"), 30.0)
+
+    def test_unnamed_parametric_has_no_spec(self):
+        rule = Parametric(fs=(MonotoneFn.identity(), MonotoneFn.linear(0.5)))
+        with pytest.raises(InvalidRuleParams, match="name it"):
+            describe(rule)
+        assert describe(Parametric(fs=rule.fs, name="halves")) == "param:halves"
+
+    def test_unnamed_parametric_solver_failure_is_readable(self):
+        rule = Parametric(fs=(MonotoneFn.identity(), MonotoneFn.linear(0.5)))
+        with pytest.raises(SolverFailure, match=r"^unnamed Parametric rule at n=2, E=3\.3: "):
+            prize_vector(rule, ("a", "b"), 3.3, SolverConfig(max_iter=1))
+
+
+# ---------------------------------------------------------------------------
+# Kernel parity: the one-pass level sum against the quadratic reference
+
+
+def quadratic_reference(rule, n, e):
+    """The level solve as it was before the one-pass sum: the list form of
+    solve_level over n level functions, each evaluated from x, so a
+    single-parametric level k re-applies f k - 1 times."""
+    if isinstance(rule, SingleParametric):
+        fs = [lambda x, k=k: iterate_f(rule.f, x, k) for k in range(n)]
+    else:
+        fs = [rule.fn(k) for k in range(1, n + 1)]
+    x = solve_level(fs, n, e)
+    return tuple(float(f(x)) for f in fs)
+
+
+PARITY_SPECS = ("sp:arithmetic", "sp:linear=0.5", "sp:cap=2", "sp:pwl=0:0,2:1,4:1",
+                "param:hyperarithmetic")
+# the reference costs n(n-1)/2 calls to f per bisection step
+PARITY_EXAMPLES = {1: 30, 2: 30, 8: 30, 50: 10, 106: 4, 200: 3}
+
+
+@pytest.mark.parametrize("n", PARITY_EXAMPLES)
+@pytest.mark.parametrize("spec", PARITY_SPECS)
+def test_kernel_matches_quadratic_reference(spec, n):
+    rule = parse_rule_spec(spec)
+    ids = tuple(f"c{k}" for k in range(1, n + 1))
+
+    # up to n^2 covers fields where every position is paid and ones where few are
+    @given(st.floats(min_value=0.0, max_value=float(n * n + 10)))
+    @settings(max_examples=PARITY_EXAMPLES[n], deadline=None)
+    def check(e):
+        assert prize_vector(rule, ids, e) == quadratic_reference(rule, n, e)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from prizealloc.solver import (
     SolverFailure,
     interval_locate,
     iterate_f,
+    iterates,
     solve_level,
 )
 
@@ -25,6 +26,18 @@ class TestIterate:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             iterate_f(lambda x: x, 1.0, -1)
+
+    def test_iterates_are_the_first_n_iterates(self):
+        assert list(iterates(lambda x: x / 2, 8.0, 4)) == [8.0, 4.0, 2.0, 1.0]
+        assert list(iterates(lambda x: x / 2, 8.0, 0)) == []
+
+    @given(st.integers(min_value=1, max_value=60), st.floats(min_value=0.0, max_value=1e4),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_one_pass_level_sum_is_bit_identical(self, n, x, slope):
+        # the single-parametric level sum, against each level re-iterated from x
+        def f(y):
+            return y - 1.0 if y > 1.0 else slope * y
+        assert sum(iterates(f, x, n)) == sum(iterate_f(f, x, k) for k in range(n))
 
 
 class TestSolveLevel:
