@@ -7,15 +7,16 @@ provers — the axioms quantify over infinite domains, so Pass only means
 
 Each axiom's relation is written once, as a fault function ``fault(vector,
 *sample, mode, tol) -> Witness | None``; ``vector(ids, E)`` gives the prizes
-of the field ``ids`` in position order.  A checker runs the fault on the
-samples it enumerates, the snap re-runs it, and ``verify_witness`` runs it
-on freshly allocated prizes.  ``tests/test_fixture_witnesses.py`` re-checks
+of the field ``ids`` in position order.  A checker only enumerates samples;
+``_scan``, the one loop that turns samples into a Verdict, runs the fault on
+them and re-runs it to snap a witness, and ``verify_witness`` runs it on
+freshly allocated prizes.  ``tests/test_fixture_witnesses.py`` re-checks
 the fixture witnesses with relations of its own.
 
 Samples are enumerated in a deterministic ascending order (field size,
 identity arrangement, endowment, subset size), so the first witness found
-is already small; a snapping pass then moves endowments onto round grid
-points while the violation persists.
+is already small; ``_scan`` then moves the endowments a checker names onto
+round grid points while the violation persists.
 
 Prize vectors are read through a memo keyed by the ranking's ids and the
 endowment, and computed by ``rules.prize_vector`` on position tuples;
@@ -33,9 +34,9 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations, product
 from operator import add, sub
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import TAU_EQ, Competition, PrizeAllocError, Ranking
 from .rules import RuleSpec, allocate, describe, prize_vector
@@ -87,7 +88,6 @@ class SampleBudget:
     max_n: int = 5
     endowment_grid: tuple[float, ...] = ()
     rng_seed: int = 0
-    pair_only: bool = False
 
     def __post_init__(self) -> None:
         if self.max_n < 2:
@@ -253,55 +253,41 @@ def _snap_candidates(e: float) -> list[float]:
     return out
 
 
-def _snap_pair(w: Witness, recheck: Callable[[float, float], Witness | None]) -> Witness:
-    e_lo = w.competitions[0].endowment
-    e_hi = w.competitions[1].endowment
-    for lo_cand in [e_lo] + _snap_candidates(e_lo):
-        for hi_cand in [e_hi] + _snap_candidates(e_hi):
-            if (lo_cand, hi_cand) == (e_lo, e_hi):
-                continue
-            w2 = recheck(lo_cand, hi_cand)
-            if w2 is not None:
-                return w2
-    return w
-
-
-def _scan(axiom, mode, budget, tol, vector, fault, samples, snap=True) -> Verdict:
-    """The verdict of ``fault`` over ``samples`` in order.  If ``snap``, the
-    witness moves to the first round endowment, in place of the second item
-    of its sample, where the fault persists."""
-    count = 0
-    for count, sample in enumerate(samples, start=1):
-        w = fault(vector, *sample, mode, tol)
+def _scan(axiom, mode, budget, tol, vector, fault, samples, slots=()) -> Verdict:
+    """The verdict of ``fault`` over ``samples``, pairs (count, sample) where
+    count is the number of samples enumerated so far; a None sample stands
+    for samples a screen cleared, counted but not tested.  A witness moves to
+    the first combination of round endowments, at the sample indices
+    ``slots``, where the fault persists."""
+    count, w = 0, None
+    for count, sample in samples:
+        w = None if sample is None else fault(vector, *sample, mode, tol)
         if w is not None:
-            ids, e, *rest = sample
-            for cand in _snap_candidates(e) if snap else ():
-                w2 = fault(vector, ids, cand, *rest, mode, tol)
+            grids = ([sample[i]] + _snap_candidates(sample[i]) for i in slots)
+            for es in islice(product(*grids), 1, None):  # the first is the sample itself
+                moved = [dict(zip(slots, es)).get(i, x) for i, x in enumerate(sample)]
+                w2 = fault(vector, *moved, mode, tol)
                 if w2 is not None:
                     w = w2
                     break
-            return _verdict(axiom, mode, budget, tol, count, w)
-    return _verdict(axiom, mode, budget, tol, count)
+            break
+    return _verdict(axiom, mode, budget, tol, count, w)
 
 
-def _scan_pairs(axiom, mode, budget, tol, vector, fault, fields, first_pair, snap) -> Verdict:
-    """The verdict of ``fault`` over the grid pairs (E, E') of each field in
-    ``fields``, in row-major order.  ``first_pair(grid, vectors)`` finds a
-    field's first failing pair; the witness's endowments are snapped if ``snap``."""
+def _pair_samples(budget, vector, fields, first_pair):
+    """``_scan`` samples over the grid pairs (E, E') of each field in
+    ``fields``, in row-major order: a field's first failing pair, as found by
+    ``first_pair(grid, vectors)``, then the field's pairs as cleared."""
     grid = budget.sorted_grid()
     g = len(grid)
     count = 0
     for ids in fields:
         hit = first_pair(grid, [vector(ids, e) for e in grid])
-        if hit is None:
-            count += g * (g - 1) // 2
-            continue
-        a, b = hit
-        count += a * (g - 1) - a * (a - 1) // 2 + (b - a)  # the pairs up to and including (a, b)
-        recheck = partial(fault, vector, ids, mode=mode, tol=tol)
-        w = recheck(grid[a], grid[b])
-        return _verdict(axiom, mode, budget, tol, count, _snap_pair(w, recheck) if snap else w)
-    return _verdict(axiom, mode, budget, tol, count)
+        if hit is not None:
+            a, b = hit  # (a, b) is pair number a(g-1) - a(a-1)/2 + (b-a) of the field
+            yield count + a * (g - 1) - a * (a - 1) // 2 + (b - a), (ids, grid[a], grid[b])
+        count += g * (g - 1) // 2
+        yield count, None
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +309,7 @@ def check_anonymity(
                 yield from ((rankings[0], ids, e) for ids in rankings[1:])
 
     return _scan("anonymity", None, budget, tol, (memo or _Memo(rule)).vector,
-                 _anonymity_fault, samples(), snap=False)
+                 _anonymity_fault, enumerate(samples(), 1))
 
 
 def _anonymity_fault(vector, base_ids, ids, e, mode, tol) -> Witness | None:
@@ -349,7 +335,7 @@ def check_order_preservation(
     samples = ((ids, e) for n in range(2, budget.max_n + 1)
                for ids in _arrangements(rule, n) for e in grid)
     return _scan("order_preservation", mode, budget, tol, (memo or _Memo(rule)).vector,
-                 _order_fault, samples)
+                 _order_fault, enumerate(samples, 1), slots=(1,))
 
 
 def _order_fault(vector, ids, e, mode, tol) -> Witness | None:
@@ -384,10 +370,12 @@ def check_endowment_monotonicity(
     *, memo: _Memo | None = None,
 ) -> Verdict:
     cell_key("endowment_monotonicity", mode)  # refuses a mode the axiom lacks
+    vector = (memo or _Memo(rule)).vector
     fields = (ids for n in range(1, budget.max_n + 1) for ids in _arrangements(rule, n))
-    return _scan_pairs("endowment_monotonicity", mode, budget, tol, (memo or _Memo(rule)).vector,
-                       _monotonicity_fault, fields,
-                       partial(_first_monotonicity_pair, mode=mode, tol=tol), snap=True)
+    samples = _pair_samples(budget, vector, fields,
+                            partial(_first_monotonicity_pair, mode=mode, tol=tol))
+    return _scan("endowment_monotonicity", mode, budget, tol, vector, _monotonicity_fault,
+                 samples, slots=(1, 2))
 
 
 def _monotonicity_test(lo, hi, gap, mode, tol, strict_hi=None):
@@ -469,9 +457,10 @@ def check_lipschitz(
         raise PreconditionNotChecked("expected a weak endowment-monotonicity verdict")
     if not monotonicity.passed:
         raise PreconditionNotChecked("rule fails weak endowment monotonicity")
-    return _scan_pairs("lipschitz", None, budget, tol, (memo or _Memo(rule)).vector,
-                       _lipschitz_fault, map(_generic_ids, range(1, budget.max_n + 1)),
-                       partial(_first_lipschitz_pair, tol=tol), snap=False)
+    vector = (memo or _Memo(rule)).vector
+    samples = _pair_samples(budget, vector, map(_generic_ids, range(1, budget.max_n + 1)),
+                            partial(_first_lipschitz_pair, tol=tol))
+    return _scan("lipschitz", None, budget, tol, vector, _lipschitz_fault, samples)
 
 
 def _lipschitz_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
@@ -541,39 +530,41 @@ def check_scale_invariance(
     runs the fault only if some prize differs by more than tol, as the
     fault's relative test cannot fail otherwise."""
     memo = memo or _Memo(rule)
-    count = 0
     values = _pair_values(budget.endowment_grid)
     on_grid = set(budget.endowment_grid)
-    scalings = [(c, c.__mul__) for c in SCALARS]
-    for n in range(1, budget.max_n + 1):
-        ids = _generic_ids(n)
-        # c*E and E + E' off the grid: no other cell reads them, so they
-        # stay out of the shared memo
-        products: dict[float, tuple[float, ...]] = {}
+    # c*E and E + E' off the grid, for the current field: no other cell reads
+    # them, so they stay out of the shared memo
+    products: dict[float, tuple[float, ...]] = {}
 
-        def vector(ids: tuple[str, ...], e: float) -> tuple[float, ...]:
-            if e in on_grid:
-                return memo.vector(ids, e)
-            if e not in products:
-                products[e] = prize_vector(rule, ids, e, CHECK_SOLVER)
-            return products[e]
+    def vector(ids: tuple[str, ...], e: float) -> tuple[float, ...]:
+        if e in on_grid:
+            return memo.vector(ids, e)
+        if e not in products:
+            products[e] = prize_vector(rule, ids, e, CHECK_SOLVER)
+        return products[e]
 
-        base = [vector(ids, e) for e in values]
-        for e, p in zip(values, base):
-            for c, times_c in scalings:
-                count += 1
-                if not max(map(abs, map(sub, vector(ids, c * e), map(times_c, p)))) <= tol:
-                    w = _scale_fault(vector, ids, e, c, "scale", tol)
-                    if w is not None:
-                        return _verdict("scale_invariance", None, budget, tol, count, w)
-        for a, (e1, p1) in enumerate(zip(values, base)):
-            for e2, p2 in zip(values[a:], base[a:]):
-                count += 1
-                if not max(map(abs, map(sub, vector(ids, e1 + e2), map(add, p1, p2)))) <= tol:
-                    w = _scale_fault(vector, ids, e1, e2, "additivity", tol)
-                    if w is not None:
-                        return _verdict("scale_invariance", None, budget, tol, count, w)
-    return _verdict("scale_invariance", None, budget, tol, count)
+    def samples():
+        count = 0
+        for n in range(1, budget.max_n + 1):
+            ids = _generic_ids(n)
+            products.clear()
+            base = [vector(ids, e) for e in values]
+            for e, p in zip(values, base):
+                for c in SCALARS:
+                    count += 1
+                    if not max(map(abs, map(sub, vector(ids, c * e), map(c.__mul__, p)))) <= tol:
+                        yield count, (ids, e, c, "scale")
+            for a, (e1, p1) in enumerate(zip(values, base)):
+                for e2, p2 in zip(values[a:], base[a:]):
+                    count += 1
+                    if not max(map(abs, map(sub, vector(ids, e1 + e2), map(add, p1, p2)))) <= tol:
+                        yield count, (ids, e1, e2, "additivity")
+        yield count, None
+
+    # a sample names its relation, scale or additivity; the cell has no mode
+    return _scan("scale_invariance", None, budget, tol, vector,
+                 lambda vector, ids, e, x, kind, _, tol: _scale_fault(vector, ids, e, x, kind, tol),
+                 samples())
 
 
 def _scale_fault(vector, ids, e, x, mode, tol) -> Witness | None:
@@ -598,13 +589,13 @@ def _scale_fault(vector, ids, e, x, mode, tol) -> Witness | None:
 # Consistency (full / bilateral / local / top)
 
 
-def _position_subsets(n: int, mode: str, pair_only: bool) -> Iterator[tuple[int, ...]]:
+def _position_subsets(n: int, mode: str) -> Iterator[tuple[int, ...]]:
     """Qualifying position subsets of sizes 2..n-1, smallest first.
 
     Size-1 subsets and the full set make the consistency identity trivially
     true and are skipped.
     """
-    max_size = 2 if (mode == "bilateral" or pair_only) else n - 1
+    max_size = 2 if mode == "bilateral" else n - 1
     for size in range(2, max_size + 1):
         if mode == "top":
             yield tuple(range(1, size + 1))
@@ -623,9 +614,9 @@ def check_consistency(
     grid = budget.scan_grid()
     samples = ((ids, e, positions) for n in range(3, budget.max_n + 1)
                for ids in _arrangements(rule, n)
-               for positions in _position_subsets(n, mode, budget.pair_only) for e in grid)
+               for positions in _position_subsets(n, mode) for e in grid)
     return _scan("consistency", mode, budget, tol, (memo or _Memo(rule)).vector,
-                 _consistency_fault, samples)
+                 _consistency_fault, enumerate(samples, 1), slots=(1,))
 
 
 def _consistency_fault(vector, ids, e, positions, mode, tol) -> Witness | None:
@@ -726,24 +717,21 @@ def cell_key(axiom: str, mode: str | None) -> str:
     return axiom if mode is None else f"{axiom}:{mode}"
 
 
-def _run_checker(axiom: str, mode: str | None, rule, budget, tol, memo) -> Verdict:
-    """The cell's verdict from ``check_<axiom>``, looked up in the module at
-    call time, so a patched checker runs.  Lipschitz continuity is checked
-    only once weak monotonicity passes; a failing weak-monotonicity verdict
-    is returned in its place."""
+def _cell(axiom: str, mode: str | None, rule, budget, tol, memo: _Memo) -> Verdict:
+    """The cell's verdict from ``check_<axiom>``, computed at most once per
+    memo.  The checker is looked up in the module at call time, so a patched
+    checker runs.  Lipschitz continuity is checked only once weak
+    monotonicity passes; a failing weak-monotonicity verdict stands in its
+    place."""
     args = {} if mode is None else {"mode": mode}
     if axiom == "lipschitz":
-        mono = _cell_verdict(cell_key("endowment_monotonicity", "weak"), rule, budget, tol, memo)
-        if not mono.passed:
-            return mono
-        args["monotonicity"] = mono
-    return globals()[f"check_{axiom}"](rule, budget, tol=tol, memo=memo, **args)
-
-
-# The matrix cells in MATRIX_CELLS order, each taking (rule, budget, tol, memo).
-_CELLS: dict[str, Callable[[RuleSpec, SampleBudget, float, _Memo], Verdict]] = {
-    cell_key(axiom, mode): partial(_run_checker, axiom, mode) for axiom, mode in MATRIX_CELLS
-}
+        args["monotonicity"] = _cell("endowment_monotonicity", "weak", rule, budget, tol, memo)
+        if not args["monotonicity"].passed:
+            return args["monotonicity"]
+    key = cell_key(axiom, mode)
+    if key not in memo.verdicts:
+        memo.verdicts[key] = globals()[f"check_{axiom}"](rule, budget, tol=tol, memo=memo, **args)
+    return memo.verdicts[key]
 
 
 def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
@@ -754,23 +742,16 @@ def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
     modes = [m for a, m in MATRIX_CELLS if a == axiom]
     if modes and (modes[0] is None or mode is None):
         mode = modes[0]
-    return _CELLS[cell_key(axiom, mode)](rule, budget, tol, _Memo(rule))
-
-
-def _cell_verdict(key: str, rule, budget, tol, memo: _Memo) -> Verdict:
-    """A cell's verdict, computed at most once per memo."""
-    if key not in memo.verdicts:
-        memo.verdicts[key] = _CELLS[key](rule, budget, tol, memo)
-    return memo.verdicts[key]
+    return _cell(axiom, mode, rule, budget, tol, _Memo(rule))
 
 
 def _matrix_row(rule, budget, tol) -> dict[str, Verdict | None]:
     memo = _Memo(rule)  # shared by the row's cells, dropped on return
     row: dict[str, Verdict | None] = {}
-    for key in _CELLS:
-        verdict = _cell_verdict(key, rule, budget, tol, memo)
+    for axiom, mode in MATRIX_CELLS:
+        verdict = _cell(axiom, mode, rule, budget, tol, memo)
         # a Lipschitz cell that holds its failed precondition shows as None
-        row[key] = verdict if cell_key(verdict.axiom, verdict.mode) == key else None
+        row[cell_key(axiom, mode)] = verdict if verdict.axiom == axiom else None
     return row
 
 

@@ -95,10 +95,11 @@ def _number(text: str, token: str, at: int, expected: str) -> float:
 class MonotoneFn:
     """A continuous, non-decreasing function with 0 <= f(x) <= x on x >= 0.
 
-    Either a named builtin (identity, zero, linear, shift, cap) or a
-    piecewise-linear curve given by breakpoints.  Piecewise curves start at
-    (0, 0) and extrapolate the final segment's slope, which must lie in
-    [0, 1] so that f(x) <= x keeps holding beyond the last breakpoint.
+    Either a named builtin (linear, shift, cap; the identity and zero are
+    linear with slope 1 and 0) or a piecewise-linear curve given by
+    breakpoints.  Piecewise curves start at (0, 0) and extrapolate the final
+    segment's slope, which must lie in [0, 1] so that f(x) <= x keeps
+    holding beyond the last breakpoint.
     """
 
     kind: str
@@ -117,11 +118,11 @@ class MonotoneFn:
 
     @staticmethod
     def identity() -> "MonotoneFn":
-        return MonotoneFn("identity")
+        return MonotoneFn("linear", param=1.0)
 
     @staticmethod
     def zero() -> "MonotoneFn":
-        return MonotoneFn("zero")
+        return MonotoneFn("linear", param=0.0)
 
     @staticmethod
     def linear(slope: float) -> "MonotoneFn":
@@ -183,14 +184,6 @@ def _pwl_problem(f: MonotoneFn) -> str | None:
     return None
 
 
-def _identity(x: float) -> float:
-    return x
-
-
-def _zero(x: float) -> float:
-    return 0.0
-
-
 def _shift(c: float, x: float) -> float:
     return x - c if x > c else 0.0  # max(0, x - c), bit for bit
 
@@ -235,8 +228,6 @@ def _offset_problem(f: MonotoneFn) -> str | None:
 
 
 _KINDS: dict[str, _Kind] = {
-    "identity": _Kind(lambda f: _identity, lambda f: None, lambda f: "linear=1"),
-    "zero": _Kind(lambda f: _zero, lambda f: None, lambda f: "linear=0"),
     "linear": _Kind(lambda f: partial(operator.mul, f.param),
                     lambda f: None if 0.0 <= f.param <= 1.0
                     else f"linear slope must be in [0, 1], got {f.param}",
@@ -768,15 +759,16 @@ def allocate(
 
 
 def _float_prizes(rule: RuleSpec, ids: tuple[str, ...], e: float, cfg: SolverConfig):
-    """``rule.prizes`` as an iterator of floats; a SolverFailure names the rule, n and E."""
+    """``rule.prizes`` as an iterator of floats; a SolverFailure or an
+    InvalidRuleParams names the rule, n and E."""
     try:
         prizes = rule.prizes(ids, e, cfg)
-    except SolverFailure as exc:
+    except (SolverFailure, InvalidRuleParams) as exc:
         try:
             name = rule.spec()
         except InvalidRuleParams:
             name = f"unnamed {type(rule).__name__} rule"
-        raise SolverFailure(f"{name} at n={len(ids)}, E={e!r}: {exc}") from exc
+        raise type(exc)(f"{name} at n={len(ids)}, E={e!r}: {exc}") from exc
     return map(float, prizes)
 
 

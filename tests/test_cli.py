@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from prizealloc.cli import (
     NonNumeric,
     ParseError,
     SchemaError,
+    _build_parser,
     _parse_endowments,
     bundled_rules,
     load_prize_data,
@@ -428,6 +430,78 @@ class TestMalformedInputExits2:
         assert code == 2
         assert out == ""
         assert "has no mode 'full'" in err
+
+    @pytest.mark.parametrize("argv,spec,n", [
+        # the bundled proportional rule defines 5 weights
+        (("matrix", "--samples", "6"), "proportional:18,10.9,6.9,4.9,4.1", 6),
+        (("check", "--rule", "proportional:1,0.5", "--axiom", "anonymity", "--samples", "3"),
+         "proportional:1,0.5", 3),
+    ])
+    def test_rule_parameter_error_names_rule_n_and_endowment(self, argv, spec, n):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {spec} at n={n}, E=0.0: proportional rule defines")
+
+
+# ---------------------------------------------------------------------------
+# Every float flag against nan, inf, -inf and -1
+
+
+def _float_flags() -> set[tuple[str, str]]:
+    """(command, flag) for every option the parser reads as a float."""
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return {(name, flag) for name, sub in commands.items() for a in sub._actions
+            if a.type is float for flag in a.option_strings}
+
+
+# The other arguments of a command that runs, per float flag; "{csv}" stands
+# for a CSV prize table, the one input --endowment applies to.
+FLOAT_FLAG_COMMANDS = {
+    ("allocate", "--endowment"): ("allocate", "--rule", "ed", "--n", "3"),
+    ("path", "--endowment"): ("path", "--rule", "ed", "--n", "3"),
+    ("path", "--step"): ("path", "--rule", "ed", "--n", "3", "--endowment", "2"),
+    ("check", "--tol"): ("check", "--rule", "ed", "--axiom", "anonymity", "--samples", "2"),
+    ("matrix", "--tol"): ("matrix", "--rules", "ed", "--samples", "2"),
+    ("fit", "--endowment"): ("fit", "--family", "geometric", "--data", "{csv}"),
+    ("fit", "--tol"): ("fit", "--family", "geometric", "--data", "{csv}", "--endowment", "1"),
+    ("fit", "--slack"): ("fit", "--family", "geometric", "--data", "{csv}", "--endowment", "1"),
+    ("classify", "--endowment"): ("classify", "--data", "{csv}"),
+    ("classify", "--tol"): ("classify", "--data", "{csv}", "--endowment", "1"),
+    ("classify", "--slack"): ("classify", "--data", "{csv}", "--endowment", "1"),
+}
+
+UNUSABLE_FLOATS = ("nan", "inf", "-inf", "-1")
+
+
+def test_every_float_flag_is_covered():
+    assert _float_flags() == set(FLOAT_FLAG_COMMANDS)
+
+
+@pytest.mark.parametrize("value", UNUSABLE_FLOATS)
+@pytest.mark.parametrize("command,flag", sorted(FLOAT_FLAG_COMMANDS))
+def test_unusable_float_flag_exits_2(tmp_path, command, flag, value):
+    csv = tmp_path / "table.csv"
+    csv.write_text("position,prize\n1,0.5\n2,0.3\n3,0.2\n")
+    argv = [str(csv) if a == "{csv}" else a for a in FLOAT_FLAG_COMMANDS[command, flag]]
+    code, _, err = run_cli(*argv, f"{flag}=1")
+    assert code in (0, 1), err  # the command runs with a usable value
+    code, out, err = run_cli(*argv, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+# The allow-list: a float flag whose unusable value has a documented meaning.
+@pytest.mark.parametrize("value", UNUSABLE_FLOATS)
+@pytest.mark.parametrize("argv", [
+    ("fit", "--family", "geometric", "--data", "pga2019.json"),
+    ("classify", "--data", "wcoop2019.json"),
+])
+def test_endowment_flag_is_ignored_for_json_data(argv, value):
+    # JSON events state their own endowments; --endowment is for CSV input
+    assert run_cli(*argv, f"--endowment={value}") == run_cli(*argv)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -78,3 +78,14 @@ def test_cli_imports_no_private_axioms_name():
              if isinstance(node, ast.ImportFrom) and node.module == "axioms" and node.level == 1
              for alias in node.names if alias.name.startswith("_")]
     assert not found, f"cli.py imports private axioms names: {found}"
+
+
+def test_one_scan_driver_in_axioms():
+    """Every verdict comes out of ``_scan``: the checkers only enumerate samples."""
+    found = [f"axioms.py:{node.lineno}"
+             for stmt in _tree("axioms.py").body
+             if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "_scan")
+             for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_verdict"]
+    assert not found, f"_verdict(...) called outside _scan at {found}"

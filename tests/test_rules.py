@@ -211,6 +211,13 @@ class TestMonotoneFn:
         with pytest.raises(InvalidRuleParams):
             MonotoneFn.linear(1.5)
 
+    @pytest.mark.parametrize("fn,spec", [(MonotoneFn.identity(), "sp:linear=1"),
+                                         (MonotoneFn.zero(), "sp:linear=0")])
+    def test_identity_and_zero_specs_round_trip(self, fn, spec):
+        rule = SingleParametric(fn)
+        assert describe(rule) == spec
+        assert parse_rule_spec(spec) == rule
+
 
 class TestLevelRules:
     def test_single_parametric_iterates_f(self):
