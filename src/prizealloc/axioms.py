@@ -33,7 +33,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, islice, permutations, product
 from operator import add, sub
 from typing import Iterator, Sequence
@@ -115,12 +115,14 @@ class SampleBudget:
                             key=lambda e: abs(e * 4 - round(e * 4)) >= 1e-12))
 
     def describe(self) -> str:
-        return (
-            f"max_n={self.max_n}, {len(self.endowment_grid)} grid endowments, "
-            f"seed={self.rng_seed}"
-        )
+        """The budget in words; a grid other than the seed's default is
+        written out, so two budgets that sample differently read differently."""
+        grid = self.endowment_grid
+        values = "" if grid == _default_grid(self.rng_seed) else f" {list(grid)}"
+        return f"max_n={self.max_n}, {len(grid)} grid endowments{values}, seed={self.rng_seed}"
 
 
+@lru_cache
 def _default_grid(seed: int) -> tuple[float, ...]:
     uniform = [k * 0.25 for k in range(41)]
     rng = random.Random(seed)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -151,10 +152,11 @@ class MonotoneFn:
 
 
 class _Kind(NamedTuple):
-    """One MonotoneFn kind: its evaluation (bound to a function's parameters
-    once, at construction), its parameter check (a message, or None when the
-    parameters are valid), its spec text and, for kinds the spec grammar
-    names, the parser of that text's argument."""
+    """One MonotoneFn kind: ``bind``, which does a function's per-curve work
+    once, at construction, and returns its evaluator (a ``partial`` over a
+    module-level function, so rules pickle), its parameter check (a message,
+    or None when the parameters are valid), its spec text and, for kinds the
+    spec grammar names, the parser of that text's argument."""
 
     bind: Callable[[MonotoneFn], Callable[[float], float]]
     check: Callable[[MonotoneFn], str | None]
@@ -192,15 +194,24 @@ def _cap(c: float, x: float) -> float:
     return x if x < c else c  # min(c, x), bit for bit
 
 
-def _eval_pwl(pts: tuple[tuple[float, float], ...], x: float) -> float:
-    if len(pts) == 1 or x <= pts[0][0]:
-        return pts[0][1] if x >= pts[0][0] else 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x <= x1:
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    (x0, y0), (x1, y1) = pts[-2], pts[-1]
-    slope = (y1 - y0) / (x1 - x0)
-    return y1 + slope * (x - pts[-1][0])
+def _bind_pwl(f: MonotoneFn) -> Callable[[float], float]:
+    """Bind a curve once: (x0, y0, rise, run) per segment, indexed by the
+    upper x's, and the final slope as a segment with run 1.0, an exact
+    divisor; each value is y0 + (y1 - y0) * (x - x0) / (x1 - x0) between
+    breakpoints and y1 + slope * (x - x1) beyond, bit for bit."""
+    pts = f.points
+    segs = [(x0, y0, y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+    if segs:
+        segs.append((*pts[-1], segs[-1][2] / segs[-1][3], 1.0))
+    return partial(_eval_pwl, *pts[0], tuple(x for x, _ in pts[1:]), tuple(segs))
+
+
+def _eval_pwl(x_start: float, y_start: float, uppers: tuple[float, ...],
+              segs: tuple[tuple[float, float, float, float], ...], x: float) -> float:
+    if x <= x_start or not uppers:  # a single breakpoint is flat beyond it
+        return y_start if x >= x_start else 0.0
+    x0, y0, rise, run = segs[bisect_left(uppers, x)]
+    return y0 + rise * (x - x0) / run
 
 
 def _parse_pwl(text: str, arg: str, at: int) -> MonotoneFn:
@@ -237,7 +248,7 @@ _KINDS: dict[str, _Kind] = {
                    lambda f: f"shift={_num(f.param)}", _one_param("shift", "a shift >= 0")),
     "cap": _Kind(lambda f: partial(_cap, f.param), _offset_problem,
                  lambda f: f"cap={_num(f.param)}", _one_param("cap", "a cap >= 0")),
-    "pwl": _Kind(lambda f: partial(_eval_pwl, f.points), _pwl_problem,
+    "pwl": _Kind(_bind_pwl, _pwl_problem,
                  lambda f: "pwl=" + ",".join(f"{_num(x)}:{_num(y)}" for x, y in f.points),
                  _parse_pwl),
 }

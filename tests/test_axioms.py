@@ -92,6 +92,15 @@ class TestSampleBudget:
         budget = SampleBudget(endowment_grid=(0.3, 1.0, 0.13, 0.25))
         assert budget.scan_grid() == (0.25, 1.0, 0.13, 0.3)
 
+    def test_describe_names_a_custom_grid(self):
+        one, seven = (SampleBudget(max_n=3, endowment_grid=(0.0, e)) for e in (1.0, 7.0))
+        assert one.describe() == "max_n=3, 2 grid endowments [0.0, 1.0], seed=0"
+        assert seven.describe() == "max_n=3, 2 grid endowments [0.0, 7.0], seed=0"
+        assert SampleBudget(max_n=3, rng_seed=2).describe() == "max_n=3, 91 grid endowments, seed=2"
+        default = SampleBudget(max_n=3).endowment_grid
+        assert SampleBudget(max_n=3, endowment_grid=default).describe() == (
+            "max_n=3, 91 grid endowments, seed=0")
+
 
 class TestSingleCheckers:
     def test_anonymity_pass_for_position_based_rule(self):

@@ -1,8 +1,11 @@
 import math
+import pickle
+import struct
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from prizealloc.cli import bundled_rules
 from prizealloc.core import (
     PrizeAllocError,
     Ranking,
@@ -26,6 +29,7 @@ from prizealloc.rules import (
     Proportional,
     SingleParametric,
     UnknownCounterexample,
+    _KINDS,
     allocate,
     arithmetic_rule,
     describe,
@@ -217,6 +221,78 @@ class TestMonotoneFn:
         rule = SingleParametric(fn)
         assert describe(rule) == spec
         assert parse_rule_spec(spec) == rule
+
+
+def segment_loop_pwl(pts, x):
+    """The piecewise-linear evaluation written as a walk over the segments,
+    recomputing each rise, run and the final slope per call; the reference
+    the bound evaluator must match bit for bit."""
+    if len(pts) == 1 or x <= pts[0][0]:
+        return pts[0][1] if x >= pts[0][0] else 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    (x0, y0), (x1, y1) = pts[-2], pts[-1]
+    slope = (y1 - y0) / (x1 - x0)
+    return y1 + slope * (x - pts[-1][0])
+
+
+def same_float(a, b):
+    """Equal bit for bit (so 0.0 and -0.0 differ), or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@st.composite
+def pwl_points(draw):
+    """1-6 breakpoints from a (0, 0) or (-0.0, -0.0) start."""
+    start = draw(st.sampled_from([0.0, -0.0]))
+    points = [(start, start)]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        x, y = points[-1]
+        dx = draw(st.floats(min_value=1e-9, max_value=1e9))
+        points.append((x + dx, y + draw(st.floats(min_value=0.0, max_value=1.0)) * dx))
+    try:
+        return MonotoneFn.piecewise(points).points
+    except InvalidRuleParams:  # rounding pushed a slope or a value past x
+        assume(False)
+
+
+@given(
+    pts=pwl_points(),
+    fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    below=st.floats(max_value=0.0),
+    beyond=st.floats(min_value=0.0),
+)
+@settings(max_examples=400)
+def test_piecewise_matches_segment_loop_bit_for_bit(pts, fracs, below, beyond):
+    f = MonotoneFn.piecewise(pts)
+    xs = [0.0, -0.0, math.inf, -math.inf, math.nan, below, pts[-1][0] + beyond]
+    for x, _ in pts:  # at each breakpoint and one float either side
+        xs += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        xs += [x0 + t * (x1 - x0) for t in fracs]
+    for x in xs:
+        assert same_float(f(x), segment_loop_pwl(pts, x)), (pts, x)
+
+
+PICKLE_FNS = (MonotoneFn.identity(), MonotoneFn.zero(), MonotoneFn.linear(0.5),
+              MonotoneFn.shift(1.0), MonotoneFn.cap(2.0), MonotoneFn.piecewise([(0.0, 0.0)]),
+              MonotoneFn.piecewise([(0.0, 0.0), (2.0, 1.0), (4.0, 1.0)]))
+PICKLE_IDS = ("q", "p", "c3", "c4", "c5")  # pair-favoritism reads p and q
+
+
+def test_pickle_examples_cover_every_kind():
+    assert {f.kind for f in PICKLE_FNS} == set(_KINDS)
+
+
+@pytest.mark.parametrize(
+    "rule", [SingleParametric(f) for f in PICKLE_FNS] + list(bundled_rules()), ids=describe)
+def test_rules_pickle_round_trip(rule):
+    back = pickle.loads(pickle.dumps(rule))
+    assert back == rule
+    for n in (1, 2, 5):
+        for e in (0.0, 1.5, 7.0, 40.25):
+            assert prize_vector(back, PICKLE_IDS[:n], e) == prize_vector(rule, PICKLE_IDS[:n], e)
 
 
 class TestLevelRules:
