@@ -198,7 +198,8 @@ def _bind_pwl(f: MonotoneFn) -> Callable[[float], float]:
     """Bind a curve once: (x0, y0, rise, run) per segment, indexed by the
     upper x's, and the final slope as a segment with run 1.0, an exact
     divisor; each value is y0 + (y1 - y0) * (x - x0) / (x1 - x0) between
-    breakpoints and y1 + slope * (x - x1) beyond, bit for bit."""
+    breakpoints and y1 + slope * (x - x1) beyond, bit for bit; only where
+    (y1 - y0) * (x - x0) overflows is the quotient taken first."""
     pts = f.points
     segs = [(x0, y0, y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
     if segs:
@@ -211,7 +212,10 @@ def _eval_pwl(x_start: float, y_start: float, uppers: tuple[float, ...],
     if x <= x_start or not uppers:  # a single breakpoint is flat beyond it
         return y_start if x >= x_start else 0.0
     x0, y0, rise, run = segs[bisect_left(uppers, x)]
-    return y0 + rise * (x - x0) / run
+    lift = rise * (x - x0)
+    if lift == math.inf and x < math.inf:  # overflowed above ~1e154: divide first
+        return y0 + rise / run * (x - x0)
+    return y0 + lift / run
 
 
 def _parse_pwl(text: str, arg: str, at: int) -> MonotoneFn:

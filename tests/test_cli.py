@@ -166,6 +166,13 @@ class TestAllocateCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_pwl_with_breakpoints_near_the_largest_float(self):
+        # f is the identity on [0, 1.7e308]; (y1 - y0) * (x - x0) overflows there
+        code, out, err = run_cli("allocate", "--rule", "sp:pwl=0:0,1e308:1e308,1.7e308:1.7e308",
+                                 "--n", "4", "--endowment", "10", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["prizes"] == [2.5, 2.5, 2.5, 2.5]
+
 
 class TestTableCommand:
     def test_golden_output_is_stable(self):

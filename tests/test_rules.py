@@ -226,11 +226,14 @@ class TestMonotoneFn:
 def segment_loop_pwl(pts, x):
     """The piecewise-linear evaluation written as a walk over the segments,
     recomputing each rise, run and the final slope per call; the reference
-    the bound evaluator must match bit for bit."""
+    the bound evaluator must match bit for bit.  Where the product
+    (y1 - y0) * (x - x0) overflows at a finite x, it divides first."""
     if len(pts) == 1 or x <= pts[0][0]:
         return pts[0][1] if x >= pts[0][0] else 0.0
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if x <= x1:
+            if math.isinf((y1 - y0) * (x - x0)) and math.isfinite(x):
+                return y0 + (y1 - y0) / (x1 - x0) * (x - x0)
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     (x0, y0), (x1, y1) = pts[-2], pts[-1]
     slope = (y1 - y0) / (x1 - x0)
@@ -273,6 +276,16 @@ def test_piecewise_matches_segment_loop_bit_for_bit(pts, fracs, below, beyond):
         xs += [x0 + t * (x1 - x0) for t in fracs]
     for x in xs:
         assert same_float(f(x), segment_loop_pwl(pts, x)), (pts, x)
+
+
+@given(st.floats(min_value=0.0, max_value=1.7e308),
+       st.floats(min_value=1e153, max_value=1.7e308))
+def test_piecewise_near_the_largest_float_matches_segment_loop(x, x1):
+    # (y1 - y0) * (x - x0) overflows from about 1e154 on; the values stay finite
+    pts = MonotoneFn.piecewise([(0.0, 0.0), (x1 / 2, x1 / 4), (x1, x1 / 2)]).points
+    f = MonotoneFn.piecewise(pts)
+    assert math.isfinite(f(x))
+    assert same_float(f(x), segment_loop_pwl(pts, x)), (pts, x)
 
 
 PICKLE_FNS = (MonotoneFn.identity(), MonotoneFn.zero(), MonotoneFn.linear(0.5),

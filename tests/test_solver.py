@@ -1,19 +1,37 @@
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prizealloc import trace_path
+from prizealloc import rules, solver, trace_path
+from prizealloc.axioms import CHECK_SOLVER, MAX_FIELD_SIZE
+from prizealloc.cli import MAX_ALLOCATION_N, parse_rule_spec
 from prizealloc.core import standard_competition
-from prizealloc.rules import MAX_RANGE_ROWS, ED, IntervalList, InvalidPath, allocate, step_rule
+from prizealloc.rules import (
+    MAX_RANGE_ROWS,
+    ED,
+    IntervalList,
+    InvalidPath,
+    MonotoneFn,
+    allocate,
+    hyperarithmetic_rule,
+    prize_vector,
+    step_rule,
+)
 from prizealloc.solver import (
+    DEFAULT_SOLVER,
     SolverConfig,
     SolverFailure,
     interval_locate,
     iterate_f,
     iterates,
     solve_level,
+    solve_level_sum,
 )
+
+from test_rules import PARITY_SPECS, pwl_points
 
 
 class TestIterate:
@@ -73,6 +91,14 @@ class TestSolveLevel:
             SolverConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+        # a NaN tolerance accepted no residual, so every solve "failed"; a
+        # fractional count died in range() at every solve
+        for tol in (math.nan, math.inf, -math.inf, -1e-10):
+            with pytest.raises(ValueError, match="residual_tol"):
+                SolverConfig(residual_tol=tol)
+        for max_iter in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="max_iter"):
+                SolverConfig(max_iter=max_iter)
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -86,6 +112,118 @@ class TestSolveLevel:
         x = solve_level(fs, n, endowment)
         residual = abs(sum(f(x) for f in fs) - endowment)
         assert residual <= 1e-10 * max(1.0, endowment)
+
+
+# ---------------------------------------------------------------------------
+# Probe and replay against plain bisection
+
+
+def plain_bisection(g, n, endowment, cfg=DEFAULT_SOLVER):
+    """solve_level_sum as it was before the probes: bisection on [0, E] that
+    calls g at every midpoint.  The solver must return its float bit for bit,
+    or fail with its message."""
+    if endowment == 0:
+        return 0.0
+    tol = cfg.residual_tol * max(1.0, endowment)
+    lo, hi = 0.0, endowment
+    for _ in range(cfg.max_iter):
+        x = 0.5 * (lo + hi)
+        r = g(x) - endowment
+        if abs(r) <= tol:
+            return x
+        if r < 0:
+            lo = x
+        else:
+            hi = x
+    r = g(x) - endowment
+    if abs(r) <= tol:
+        return x
+    raise SolverFailure(
+        f"bisection did not reach residual {tol:g} within {cfg.max_iter} "
+        f"iterations (last residual {r:g})"
+    )
+
+
+def outcome(solve, g, n, e, cfg):
+    try:
+        return struct.pack("<d", solve(g, n, e, cfg))
+    except SolverFailure as exc:
+        return str(exc)
+
+
+SOLVER_CONFIGS = (DEFAULT_SOLVER, CHECK_SOLVER, SolverConfig(residual_tol=1e-14, max_iter=3))
+MONOTONE_FNS = st.one_of(
+    st.sampled_from([MonotoneFn.identity(), MonotoneFn.zero(), MonotoneFn.shift(math.inf),
+                     MonotoneFn.cap(math.inf)]),
+    st.floats(min_value=0.0, max_value=1.0).map(MonotoneFn.linear),
+    st.floats(min_value=0.0, max_value=1e3).map(MonotoneFn.shift),
+    st.floats(min_value=0.0, max_value=1e3).map(MonotoneFn.cap),
+    pwl_points().map(MonotoneFn.piecewise),
+)
+HYPERARITHMETIC = hyperarithmetic_rule()
+
+
+@st.composite
+def level_sums(draw, n):
+    """g for n levels: a single-parametric rule over any MonotoneFn, or the
+    hyperarithmetic rule's levels."""
+    f = draw(st.one_of(MONOTONE_FNS, st.just(None)))
+    if f is not None:
+        return lambda x: sum(iterates(f._eval, x, n))
+    levels = [HYPERARITHMETIC.fn(k)._eval for k in range(1, n + 1)]
+    return lambda x: sum(level(x) for level in levels)
+
+
+@given(st.data(), st.sampled_from([1, 2, 5, 8, 50, 106]), st.sampled_from(SOLVER_CONFIGS))
+@settings(max_examples=300)
+def test_solve_matches_plain_bisection_bit_for_bit(data, n, cfg):
+    g = data.draw(level_sums(n))
+    e = data.draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e12]),
+        st.floats(min_value=0.0, max_value=2 * cfg.residual_tol),  # inside the probe band
+        st.floats(min_value=0.0, max_value=5.0 * n),
+    ))
+    assert outcome(solve_level_sum, g, n, e, cfg) == outcome(plain_bisection, g, n, e, cfg)
+
+
+def level_sum_calls(monkeypatch, solve, sample):
+    """The prize vectors of a sample of (rule, n, E) with every level solve
+    routed through `solve`, and the number of level sums it evaluated."""
+    calls = 0
+
+    def counted(g, n, e, cfg=DEFAULT_SOLVER):
+        def g_counted(x):
+            nonlocal calls
+            calls += 1
+            return g(x)
+        return solve(g_counted, n, e, cfg)
+
+    monkeypatch.setattr(rules, "solve_level_sum", counted)  # single-parametric rules
+    monkeypatch.setattr(solver, "solve_level_sum", counted)  # solve_level, for Parametric
+    ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
+    vectors = [prize_vector(rule, ids[:n], e) for rule, n, e in sample]
+    return vectors, calls
+
+
+def test_probes_save_level_sums(monkeypatch):
+    """The probes must keep paying: on a sample shaped like the benchmark's
+    `tables` workload they evaluate at most 40% of the level sums plain
+    bisection does, for the same vectors.
+
+    That the vectors stay the same rests on one premise: the probe band of
+    2 tol covers fl(g)'s non-monotonicity, at most about n * 2**-52 * E.
+    That is below tol = residual_tol * max(1, E) for every n up to
+    MAX_ALLOCATION_N at the default 1e-10, and for every field the axiom
+    checks build (n <= MAX_FIELD_SIZE) at CHECK_SOLVER's 1e-12."""
+    assert MAX_ALLOCATION_N * 2.0 ** -52 < DEFAULT_SOLVER.residual_tol
+    assert MAX_FIELD_SIZE * 2.0 ** -52 < CHECK_SOLVER.residual_tol
+    rng = random.Random("solver-tables-sample")
+    sample = [(parse_rule_spec(spec), n, rng.uniform(0.0, 5.0 * n))
+              for spec in PARITY_SPECS for n in (8, 50, 106) for _ in range(8)]
+    vectors, probed = level_sum_calls(monkeypatch, solve_level_sum, sample)
+    plain_vectors, plain = level_sum_calls(monkeypatch, plain_bisection, sample)
+    assert vectors == plain_vectors
+    assert probed <= 0.4 * plain, (probed, plain)
 
 
 class TestIntervalLocate:
