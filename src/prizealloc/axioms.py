@@ -10,8 +10,10 @@ Each axiom's relation is written once, as a fault function ``fault(vector,
 of the field ``ids`` in position order.  A checker only enumerates samples;
 ``_scan``, the one loop that turns samples into a Verdict, runs the fault on
 them and re-runs it to snap a witness, and ``verify_witness`` runs it on
-freshly allocated prizes.  ``tests/test_fixture_witnesses.py`` re-checks
-the fixture witnesses with relations of its own.
+freshly allocated prizes.  Every cell but order preservation screens its
+samples in batches and hands ``_scan`` only the flagged ones, counting the
+rest.  ``tests/test_fixture_witnesses.py`` re-checks the fixture witnesses
+with relations of its own.
 
 Samples are enumerated in a deterministic ascending order (field size,
 identity arrangement, endowment, subset size), so the first witness found
@@ -22,9 +24,9 @@ Prize vectors are read through a memo keyed by the ranking's ids and the
 endowment, and computed by ``rules.prize_vector`` on position tuples;
 ``Competition`` objects are built only for a reported witness and while
 snapping it.  ``run_axiom_matrix`` shares one memo across the cells of a
-rule's row and drops it when the row is done; a standalone check builds
-its own, and ``verify_witness`` re-allocates through ``allocate`` without
-one.
+rule's row, so the four consistency modes screen each batch once, and
+drops it when the row is done; a standalone check builds its own, and
+``verify_witness`` re-allocates through ``allocate`` without one.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, islice, permutations, product
-from operator import add, sub
-from typing import Iterator, Sequence
+from itertools import accumulate, combinations, islice, permutations, product
+from operator import add, itemgetter, sub
+from typing import Callable, Iterator, Sequence
 
 from .core import TAU_EQ, Competition, PrizeAllocError, Ranking
 from .rules import RuleSpec, allocate, describe, prize_vector
@@ -188,15 +190,8 @@ def _witness(axiom, mode, fields, pos, competitor, lhs, rhs, relation, margin,
 
 
 def _verdict(axiom, mode, budget, tol, count, witness=None) -> Verdict:
-    return Verdict(
-        axiom=axiom,
-        mode=mode,
-        passed=witness is None,
-        samples_checked=count,
-        witness=witness,
-        tolerance=tol,
-        budget=budget.describe(),
-    )
+    return Verdict(axiom=axiom, mode=mode, passed=witness is None, samples_checked=count,
+                   witness=witness, tolerance=tol, budget=budget.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +221,38 @@ def _competition(ids: tuple[str, ...], endowment: float) -> Competition:
     return Competition(ranking=Ranking(ids), endowment=endowment)
 
 
+class _Field(dict):
+    """One field's prize vectors ``{E: vector}``, each computed on first lookup."""
+
+    def __init__(self, rule: RuleSpec, ids: tuple[str, ...]):
+        self.rule, self.ids = rule, ids  # dict.__new__ has made the empty dict
+
+    def __missing__(self, e: float) -> tuple[float, ...]:
+        vec = self[e] = prize_vector(self.rule, self.ids, e, CHECK_SOLVER)
+        return vec
+
+
 class _Memo:
-    """One rule's prize vectors in position order, ``{ids: {E: vector}}``,
-    and the cell verdicts computed from them."""
+    """One rule's prize vectors in position order, ``{ids: {E: vector}}``, and
+    the cell verdicts and consistency batches computed from them."""
 
     def __init__(self, rule: RuleSpec):
         self.rule = rule
-        self.vectors: dict[tuple[str, ...], dict[float, tuple[float, ...]]] = {}
+        self.vectors: dict[tuple[str, ...], _Field] = {}
         self.verdicts: dict[str, Verdict] = {}
+        # {(grid, tol): {(ids, positions): first failing grid index or None}}
+        self.batches: dict[tuple, dict[tuple, int | None]] = {}
 
-    def vector(self, ids: tuple[str, ...], e: float) -> tuple[float, ...]:
+    def field(self, ids: tuple[str, ...]) -> Callable[[float], tuple[float, ...]]:
+        """``E -> vector`` for the field ``ids``: a loop over E looks it up once."""
         by_e = self.vectors.get(ids)
         if by_e is None:
             Ranking(ids)  # the distinct-id check, once per field rather than per (field, E)
-            by_e = self.vectors[ids] = {}
-        vec = by_e.get(e)
-        if vec is None:
-            vec = by_e[e] = prize_vector(self.rule, ids, e, CHECK_SOLVER)
-        return vec
+            by_e = self.vectors[ids] = _Field(self.rule, ids)
+        return by_e.__getitem__
+
+    def vector(self, ids: tuple[str, ...], e: float) -> tuple[float, ...]:
+        return self.field(ids)(e)
 
 
 def _snap_candidates(e: float) -> list[float]:
@@ -266,17 +275,14 @@ def _scan(axiom, mode, budget, tol, vector, fault, samples, slots=()) -> Verdict
         w = None if sample is None else fault(vector, *sample, mode, tol)
         if w is not None:
             grids = ([sample[i]] + _snap_candidates(sample[i]) for i in slots)
-            for es in islice(product(*grids), 1, None):  # the first is the sample itself
-                moved = [dict(zip(slots, es)).get(i, x) for i, x in enumerate(sample)]
-                w2 = fault(vector, *moved, mode, tol)
-                if w2 is not None:
-                    w = w2
-                    break
+            moves = ([dict(zip(slots, es)).get(i, x) for i, x in enumerate(sample)]
+                     for es in islice(product(*grids), 1, None))  # the first is the sample itself
+            w = next(filter(None, (fault(vector, *moved, mode, tol) for moved in moves)), w)
             break
     return _verdict(axiom, mode, budget, tol, count, w)
 
 
-def _pair_samples(budget, vector, fields, first_pair):
+def _pair_samples(budget, memo, fields, first_pair):
     """``_scan`` samples over the grid pairs (E, E') of each field in
     ``fields``, in row-major order: a field's first failing pair, as found by
     ``first_pair(grid, vectors)``, then the field's pairs as cleared."""
@@ -284,7 +290,7 @@ def _pair_samples(budget, vector, fields, first_pair):
     g = len(grid)
     count = 0
     for ids in fields:
-        hit = first_pair(grid, [vector(ids, e) for e in grid])
+        hit = first_pair(grid, list(map(memo.field(ids), grid)))
         if hit is not None:
             a, b = hit  # (a, b) is pair number a(g-1) - a(a-1)/2 + (b-a) of the field
             yield count + a * (g - 1) - a * (a - 1) // 2 + (b - a), (ids, grid[a], grid[b])
@@ -299,19 +305,28 @@ def _pair_samples(budget, vector, fields, first_pair):
 def check_anonymity(
     rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ, *, memo: _Memo | None = None
 ) -> Verdict:
+    """Each relabelled field meets the base field one grid endowment at a
+    time; only prizes that differ by more than tol run the fault."""
+    memo = memo or _Memo(rule)
     grid = budget.scan_grid()
 
     def samples():
+        count = 0
         for n in range(1, budget.max_n + 1):
-            rankings = _arrangements(rule, n)
-            if len(rankings) == 1:
-                # generic rules still get one relabelled arrangement to compare
-                rankings.append(tuple(f"d{k}" for k in range(n, 0, -1)))
+            base_ids, *others = _arrangements(rule, n)
+            # generic rules still get one relabelled arrangement to compare
+            others = others or [tuple(f"d{k}" for k in range(n, 0, -1))]
+            base, fields = memo.field(base_ids), [(ids, memo.field(ids)) for ids in others]
             for e in grid:
-                yield from ((rankings[0], ids, e) for ids in rankings[1:])
+                p = base(e)
+                for ids, field in fields:
+                    count += 1
+                    q = field(e)
+                    if q != p and not max(map(abs, map(sub, q, p))) <= tol:
+                        yield count, (base_ids, ids, e)
+        yield count, None
 
-    return _scan("anonymity", None, budget, tol, (memo or _Memo(rule)).vector,
-                 _anonymity_fault, enumerate(samples(), 1))
+    return _scan("anonymity", None, budget, tol, memo.vector, _anonymity_fault, samples())
 
 
 def _anonymity_fault(vector, base_ids, ids, e, mode, tol) -> Witness | None:
@@ -372,11 +387,11 @@ def check_endowment_monotonicity(
     *, memo: _Memo | None = None,
 ) -> Verdict:
     cell_key("endowment_monotonicity", mode)  # refuses a mode the axiom lacks
-    vector = (memo or _Memo(rule)).vector
+    memo = memo or _Memo(rule)
     fields = (ids for n in range(1, budget.max_n + 1) for ids in _arrangements(rule, n))
-    samples = _pair_samples(budget, vector, fields,
+    samples = _pair_samples(budget, memo, fields,
                             partial(_first_monotonicity_pair, mode=mode, tol=tol))
-    return _scan("endowment_monotonicity", mode, budget, tol, vector, _monotonicity_fault,
+    return _scan("endowment_monotonicity", mode, budget, tol, memo.vector, _monotonicity_fault,
                  samples, slots=(1, 2))
 
 
@@ -453,16 +468,15 @@ def check_lipschitz(
     """
     if monotonicity is None:
         raise PreconditionNotChecked(
-            "check endowment monotonicity (weak) first and pass its verdict"
-        )
+            "check endowment monotonicity (weak) first and pass its verdict")
     if monotonicity.axiom != "endowment_monotonicity" or monotonicity.mode != "weak":
         raise PreconditionNotChecked("expected a weak endowment-monotonicity verdict")
     if not monotonicity.passed:
         raise PreconditionNotChecked("rule fails weak endowment monotonicity")
-    vector = (memo or _Memo(rule)).vector
-    samples = _pair_samples(budget, vector, map(_generic_ids, range(1, budget.max_n + 1)),
+    memo = memo or _Memo(rule)
+    samples = _pair_samples(budget, memo, map(_generic_ids, range(1, budget.max_n + 1)),
                             partial(_first_lipschitz_pair, tol=tol))
-    return _scan("lipschitz", None, budget, tol, vector, _lipschitz_fault, samples)
+    return _scan("lipschitz", None, budget, tol, memo.vector, _lipschitz_fault, samples)
 
 
 def _lipschitz_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
@@ -503,11 +517,9 @@ def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
     loose = tol - 1e-12 * scale
     below = [tuple(p - e for p in vec) for e, vec in zip(grid, vecs)]
     above = [tuple(p + e for p in vec) for e, vec in zip(grid, vecs)]
-    max_below, min_above = [None] * g, [None] * g  # [k]: over rows k..g-1
-    max_below[-1], min_above[-1] = below[-1], above[-1]
-    for k in reversed(range(g - 1)):
-        max_below[k] = tuple(map(max, below[k], max_below[k + 1]))
-        min_above[k] = tuple(map(min, above[k], min_above[k + 1]))
+    # [k]: per-position maxima of below[k:] and minima of above[k:]
+    max_below = list(accumulate(below[::-1], lambda m, x: tuple(map(max, x, m))))[::-1]
+    min_above = list(accumulate(above[::-1], lambda m, x: tuple(map(min, x, m))))[::-1]
     for a in range(g - 1):
         if (any(m > x + loose for m, x in zip(max_below[a + 1], below[a]))
                 or any(m < x - loose for m, x in zip(min_above[a + 1], above[a]))):
@@ -534,37 +546,32 @@ def check_scale_invariance(
     memo = memo or _Memo(rule)
     values = _pair_values(budget.endowment_grid)
     on_grid = set(budget.endowment_grid)
-    # c*E and E + E' off the grid, for the current field: no other cell reads
-    # them, so they stay out of the shared memo
-    products: dict[float, tuple[float, ...]] = {}
-
-    def vector(ids: tuple[str, ...], e: float) -> tuple[float, ...]:
-        if e in on_grid:
-            return memo.vector(ids, e)
-        if e not in products:
-            products[e] = prize_vector(rule, ids, e, CHECK_SOLVER)
-        return products[e]
+    at = None  # E -> vector, for the current field
 
     def samples():
+        nonlocal at
         count = 0
         for n in range(1, budget.max_n + 1):
             ids = _generic_ids(n)
-            products.clear()
-            base = [vector(ids, e) for e in values]
+            # c*E and E + E' off the grid: no other cell reads them, so they
+            # stay out of the shared memo
+            on, off = memo.field(ids), _Field(rule, ids).__getitem__
+            at = lambda e: (on if e in on_grid else off)(e)
+            base = list(map(on, values))
             for e, p in zip(values, base):
                 for c in SCALARS:
                     count += 1
-                    if not max(map(abs, map(sub, vector(ids, c * e), map(c.__mul__, p)))) <= tol:
+                    if not max(map(abs, map(sub, at(c * e), map(c.__mul__, p)))) <= tol:
                         yield count, (ids, e, c, "scale")
             for a, (e1, p1) in enumerate(zip(values, base)):
                 for e2, p2 in zip(values[a:], base[a:]):
                     count += 1
-                    if not max(map(abs, map(sub, vector(ids, e1 + e2), map(add, p1, p2)))) <= tol:
+                    if not max(map(abs, map(sub, at(e1 + e2), map(add, p1, p2)))) <= tol:
                         yield count, (ids, e1, e2, "additivity")
         yield count, None
 
     # a sample names its relation, scale or additivity; the cell has no mode
-    return _scan("scale_invariance", None, budget, tol, vector,
+    return _scan("scale_invariance", None, budget, tol, lambda ids, e: at(e),
                  lambda vector, ids, e, x, kind, _, tol: _scale_fault(vector, ids, e, x, kind, tol),
                  samples())
 
@@ -612,13 +619,38 @@ def check_consistency(
     rule: RuleSpec, budget: SampleBudget, mode: str = "full", tol: float = TAU_EQ,
     *, memo: _Memo | None = None,
 ) -> Verdict:
+    """A batch, one field and position subset over the scan grid, is screened
+    at once; its first grid index where the fault holds is kept in the memo,
+    which the four modes share, as the relation does not depend on the mode."""
     cell_key("consistency", mode)  # refuses a mode the axiom lacks
+    memo = memo or _Memo(rule)
     grid = budget.scan_grid()
-    samples = ((ids, e, positions) for n in range(3, budget.max_n + 1)
-               for ids in _arrangements(rule, n)
-               for positions in _position_subsets(n, mode) for e in grid)
-    return _scan("consistency", mode, budget, tol, (memo or _Memo(rule)).vector,
-                 _consistency_fault, enumerate(samples, 1), slots=(1,))
+    batches = memo.batches.setdefault((grid, tol), {})
+
+    def first_fault(ids, positions):
+        field, take = memo.field(ids), itemgetter(*(p - 1 for p in positions))
+        reduced = memo.field(take(ids))
+        for k, e in enumerate(grid):
+            prizes = take(field(e))
+            red = reduced(sum(prizes))
+            if (red != prizes and not max(map(abs, map(sub, prizes, red))) <= tol
+                    and _consistency_fault(memo.vector, ids, e, positions, mode, tol)):
+                return k
+        return None
+
+    def samples():
+        count = 0
+        for key in ((ids, positions) for n in range(3, budget.max_n + 1)
+                    for ids in _arrangements(rule, n) for positions in _position_subsets(n, mode)):
+            if key not in batches:
+                batches[key] = first_fault(*key)
+            if batches[key] is not None:
+                yield count + batches[key] + 1, (key[0], grid[batches[key]], key[1])
+            count += len(grid)
+        yield count, None
+
+    return _scan("consistency", mode, budget, tol, memo.vector, _consistency_fault,
+                 samples(), slots=(1,))
 
 
 def _consistency_fault(vector, ids, e, positions, mode, tol) -> Witness | None:
@@ -769,9 +801,7 @@ def run_axiom_matrix(
     """
     check_tolerance(tol)
     names = [describe(rule) for rule in rules]
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
+    for k, name in enumerate(names):
+        if name in names[:k]:
             raise DuplicateRow(f"two rules describe as {name!r}; matrix rows need distinct names")
-        seen.add(name)
     return {name: _matrix_row(rule, budget, tol) for rule, name in zip(rules, names)}

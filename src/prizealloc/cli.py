@@ -296,6 +296,8 @@ def _parse_endowments(spec: str) -> list[float]:
                 raise SchemaError(f"endowment range {spec!r} has more than {MAX_RANGE_ROWS} rows")
             out.append(e)
             k += 1
+        if not out:
+            raise SchemaError(f"endowment range {spec!r} has no rows: start is above stop")
         return out
     try:
         return [float(p) for p in spec.split(",")]

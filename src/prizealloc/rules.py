@@ -525,6 +525,9 @@ class Proportional(RuleSpec):
             )
         weights = self.lams[:n]
         total = sum(weights)
+        if total == math.inf:  # finite weights, too large to add: divide by the largest
+            weights = [w / weights[0] for w in weights]
+            total = sum(weights)
         return [w / total * e for w in weights]
 
     def spec(self):

@@ -609,3 +609,140 @@ class TestRunCell:
     def test_unknown_mode(self, axiom, mode):
         with pytest.raises(InvalidCheck, match=f"has no mode '{mode}'"):
             run_cell(ED(), axiom, mode, SMALL)
+
+
+# ---------------------------------------------------------------------------
+# Batched consistency and anonymity screens against per-sample scans
+
+
+def _per_sample_anonymity(rule, budget, tol):
+    """The anonymity cell as a per-sample scan: every (base, relabelled, E)
+    sample runs the fault."""
+    grid = budget.scan_grid()
+
+    def samples():
+        for n in range(1, budget.max_n + 1):
+            rankings = axioms._arrangements(rule, n)
+            if len(rankings) == 1:
+                rankings.append(tuple(f"d{k}" for k in range(n, 0, -1)))
+            for e in grid:
+                yield from ((rankings[0], ids, e) for ids in rankings[1:])
+
+    return axioms._scan("anonymity", None, budget, tol, axioms._Memo(rule).vector,
+                        axioms._anonymity_fault, enumerate(samples(), 1))
+
+
+def _per_sample_consistency(rule, budget, mode, tol):
+    """A consistency cell as a per-sample scan: every (field, E, positions)
+    sample runs the fault."""
+    grid = budget.scan_grid()
+    samples = ((ids, e, positions) for n in range(3, budget.max_n + 1)
+               for ids in axioms._arrangements(rule, n)
+               for positions in axioms._position_subsets(n, mode) for e in grid)
+    return axioms._scan("consistency", mode, budget, tol, axioms._Memo(rule).vector,
+                        axioms._consistency_fault, enumerate(samples, 1), slots=(1,))
+
+
+def _outcome(check, *args):
+    """A check's verdict, or the type and text of the error it raised."""
+    try:
+        return check(*args)
+    except PrizeAllocError as exc:
+        return type(exc), str(exc)
+
+
+@dataclass(frozen=True)
+class _Faulty(RuleSpec):
+    """Equal division but for ``defects``, each (n, E, kind) at one field
+    size and endowment: "skew" moves E/(2n) from the last prize to the first,
+    which breaks consistency; "relabel" does so only when the winner's id
+    starts with c, which also breaks anonymity; "nan" pays such a winner NaN,
+    which no fault confirms."""
+
+    defects: tuple[tuple[int, float, str], ...] = ()
+
+    def prizes(self, ids, e, cfg):
+        n = len(ids)
+        prizes = [e / n] * n
+        for size, at, kind in self.defects:
+            if (size, at) == (n, e) and (kind == "skew" or ids[0].startswith("c")):
+                if kind == "nan":
+                    prizes[0] = math.nan
+                else:
+                    prizes[0] += e / (2 * n)
+                    prizes[-1] -= e / (2 * n)
+        return prizes
+
+    def spec(self):
+        return "test:faulty" + "".join(f";{kind}@{n},{e!r}" for n, e, kind in self.defects)
+
+
+@st.composite
+def _faulty_rules(draw, grid, max_n):
+    def defect():
+        e, n = draw(st.sampled_from(grid)), draw(st.integers(1, max_n))
+        if n >= 3 and draw(st.booleans()):  # at the endowment of a reduced field of k
+            k = draw(st.integers(2, n - 1))
+            n, e = k, sum([e / n] * k)
+        return n, e, draw(st.sampled_from(["skew", "relabel", "nan"]))
+
+    return _Faulty(tuple(defect() for _ in range(draw(st.integers(1, 3)))))
+
+
+@st.composite
+def _screen_cases(draw):
+    max_n = draw(st.integers(3, 6))
+    grid = tuple(draw(st.lists(
+        st.one_of(st.sampled_from([k * 0.25 for k in range(41)]), st.floats(0.0, 10.0)),
+        min_size=1, max_size=6, unique=True)))
+    rule = draw(st.one_of(st.sampled_from(bundled_rules()), _faulty_rules(grid, max_n)))
+    tol = draw(st.sampled_from([0.0, TAU_EQ, 1e-3]))
+    return rule, SampleBudget(max_n=max_n, endowment_grid=grid), tol
+
+
+@settings(max_examples=60)
+@given(case=_screen_cases())
+def test_batched_screens_match_per_sample_scans(case):
+    rule, budget, tol = case
+    assert (_outcome(run_cell, rule, "anonymity", None, budget, tol)
+            == _outcome(_per_sample_anonymity, rule, budget, tol))
+    for mode in ("full", "bilateral", "local", "top"):
+        assert (_outcome(run_cell, rule, "consistency", mode, budget, tol)
+                == _outcome(_per_sample_consistency, rule, budget, mode, tol)), mode
+
+
+def test_unconfirmed_flag_does_not_end_its_batch():
+    # at E = 1 the reduced field (c1, c2) is paid NaN: the screen flags it and
+    # the fault does not confirm it; at E = 2 the field of three is skewed
+    rule = _Faulty(((2, sum([1.0 / 3] * 2), "nan"), (3, 2.0, "skew")))
+    budget = SampleBudget(max_n=3, endowment_grid=(1.0, 2.0))
+    verdict = run_cell(rule, "consistency", "full", budget)
+    assert verdict == _per_sample_consistency(rule, budget, "full", TAU_EQ)
+    assert (verdict.samples_checked, verdict.witness.subset) == (2, ("c1", "c2"))
+    assert verdict.witness.competitions[0].endowment == 2.0
+    anonymity = run_cell(_Faulty(((3, 2.0, "nan"),)), "anonymity", None, budget)
+    assert anonymity.passed and anonymity.samples_checked == 6
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_consistency_modes_share_batches_in_any_order(seed):
+    budget = SampleBudget(rng_seed=seed)
+    modes = [mode for axiom, mode in reversed(MATRIX_CELLS) if axiom == "consistency"]
+    for rule in bundled_rules():
+        memo = axioms._Memo(rule)
+        for mode in modes:
+            verdict = check_consistency(rule, budget, mode, memo=memo)
+            assert verdict == run_cell(rule, "consistency", mode, budget), (describe(rule), mode)
+
+
+def test_consistency_batches_are_kept_per_grid_and_tolerance():
+    # the skew at E = 2 moves prizes by 1/6 in the reduced fields: within
+    # tol 0.2, outside tol 1e-3; it is grid index 1 of the first grid, 0 of the second
+    rule = _Faulty(((3, 2.0, "skew"),))
+    memo = axioms._Memo(rule)
+    wide, narrow = (SampleBudget(max_n=3, endowment_grid=g) for g in ((1.0, 2.0), (2.0,)))
+    for budget, tol in ((wide, 0.2), (wide, 1e-3), (narrow, 1e-3), (narrow, 0.2)):
+        verdict = check_consistency(rule, budget, "full", tol, memo=memo)
+        assert verdict == run_cell(rule, "consistency", "full", budget, tol), (budget, tol)
+    assert [run_cell(rule, "consistency", "full", b, 1e-3).samples_checked
+            for b in (wide, narrow)] == [2, 1]

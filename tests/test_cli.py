@@ -173,6 +173,11 @@ class TestAllocateCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["prizes"] == [2.5, 2.5, 2.5, 2.5]
 
+    def test_proportional_weights_whose_sum_overflows(self):
+        code, out, err = run_cli("allocate", "--rule", "proportional:1e308,1e308",
+                                 "--n", "2", "--endowment", "1")
+        assert (code, out, err) == (0, "0.5 0.5\n", "")
+
 
 class TestTableCommand:
     def test_golden_output_is_stable(self):
@@ -196,6 +201,15 @@ class TestTableCommand:
         code, _, err = run_cli("table", "--rule", "ed", "--n", "2",
                                "--endowments", "1:2")
         assert code == 2
+
+    def test_reversed_range_exits_2(self):
+        code, out, err = run_cli("table", "--rule", "ed", "--n", "3",
+                                 "--endowments", "1:0:0.5", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: endowment range '1:0:0.5' has no rows: start is above stop\n"
+        with pytest.raises(SchemaError):
+            _parse_endowments("1:0:0.5")
+        assert _parse_endowments("1:1:0.5") == [1.0]
 
 
 class TestPathCommand:

@@ -186,6 +186,30 @@ def test_solve_matches_plain_bisection_bit_for_bit(data, n, cfg):
     assert outcome(solve_level_sum, g, n, e, cfg) == outcome(plain_bisection, g, n, e, cfg)
 
 
+@given(st.data(), st.sampled_from([1, 2, 5, 8, 50, 106]), st.sampled_from(SOLVER_CONFIGS))
+@settings(max_examples=300)
+def test_bracket_ends_clear_the_probe_band(data, n, cfg):
+    """The bisection skips g at midpoints outside the probe bracket, so each
+    finite end must be a point where g - E clears tol by a further tol."""
+    g = data.draw(level_sums(n))
+    e = data.draw(st.one_of(
+        st.sampled_from([5e-324, 1e12]),
+        st.floats(min_value=0.0, max_value=5.0 * n, exclude_min=True),
+        st.floats(min_value=1e11, max_value=1e13),
+    ))
+    tol = cfg.residual_tol * max(1.0, e)
+    x = 0.5 * e
+    r = g(x) - e
+    if abs(r) <= tol:
+        return  # solve_level_sum returns x without a bracket
+    xl, xu = solver._bracket(g, e, tol, x, r)
+    assert xl < xu
+    if math.isfinite(xl):
+        assert g(xl) - e < -2 * tol
+    if math.isfinite(xu):
+        assert g(xu) - e > 2 * tol
+
+
 def level_sum_calls(monkeypatch, solve, sample):
     """The prize vectors of a sample of (rule, n, E) with every level solve
     routed through `solve`, and the number of level sums it evaluated."""
