@@ -12,7 +12,6 @@ reports describe how well the data matches the shape, nothing more.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -118,7 +117,7 @@ def fit_geometric(
         if any(r == 0 for r in ratios):
             lam = 0.0
         else:
-            lam = math.exp(statistics.fmean(math.log(r) for r in ratios))
+            lam = math.exp(math.fsum(map(math.log, ratios)) / len(ratios))
 
     # deviation of each consecutive prize from lam times its predecessor,
     # measured relative to the predecessor (the larger of the two)
@@ -147,7 +146,7 @@ def fit_proportional(
     if events.positions < 1:
         raise TooFewPositions("need at least one position")
     shares = [
-        statistics.fmean(ev.prizes[k] / ev.endowment for ev in events.events)
+        math.fsum(ev.prizes[k] / ev.endowment for ev in events.events) / len(events.events)
         for k in range(events.positions)
     ]
     warnings = []
@@ -187,8 +186,8 @@ def detect_interval_pattern(
         prefix = prizes[: r - 1]
         suffix = prizes[r:]
         x = prizes[r - 1]
-        b = statistics.fmean(prefix) if prefix else x
-        a = statistics.fmean(suffix) if suffix else x
+        b = math.fsum(prefix) / len(prefix) if prefix else x
+        a = math.fsum(suffix) / len(suffix) if suffix else x
         dev = 0.0
         for p in prefix:
             dev = max(dev, _excess(p, b, abs_slack))

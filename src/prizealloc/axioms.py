@@ -7,18 +7,14 @@ provers — the axioms quantify over infinite domains, so Pass only means
 
 Each axiom's relation is written once, as a fault function ``fault(vector,
 *sample, mode, tol) -> Witness | None``; ``vector(ids, E)`` gives the prizes
-of the field ``ids`` in position order.  A checker only enumerates samples;
-``_scan``, the one loop that turns samples into a Verdict, runs the fault on
-them and re-runs it to snap a witness, and ``verify_witness`` runs it on
-freshly allocated prizes.  Every cell but order preservation screens its
-samples in batches and hands ``_scan`` only the flagged ones, counting the
-rest.  ``tests/test_fixture_witnesses.py`` re-checks the fixture witnesses
-with relations of its own.
-
-Samples are enumerated in a deterministic ascending order (field size,
-identity arrangement, endowment, subset size), so the first witness found
-is already small; ``_scan`` then moves the endowments a checker names onto
-round grid points while the violation persists.
+of the field ``ids`` in position order.  A checker enumerates samples in a
+deterministic ascending order (field size, identity arrangement, endowment,
+subset size), so the first witness found is already small, and screens them
+in batches, such as one field over the grid or one E against every scalar.
+``_scan``, the one verdict loop, runs the fault on the flagged samples only
+and re-runs it to move a witness onto round endowments; ``verify_witness``
+runs it on freshly allocated prizes, and ``tests/test_fixture_witnesses.py``
+re-checks the fixture witnesses with relations of its own.
 
 Prize vectors are read through a memo keyed by the ranking's ids and the
 endowment, and computed by ``rules.prize_vector`` on position tuples;
@@ -36,8 +32,9 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, islice, permutations, product
-from operator import add, itemgetter, sub
+from itertools import (accumulate, chain, combinations, compress, cycle, islice, permutations,
+                       product, repeat)
+from operator import add, and_, itemgetter, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .core import TAU_EQ, Competition, PrizeAllocError, Ranking
@@ -74,7 +71,7 @@ class DuplicateRow(PrizeAllocError):
 
 
 class InvalidCheck(PrizeAllocError, ValueError):
-    """A cell the axiom matrix lacks, or a tolerance not finite and >= 0."""
+    """A missing matrix cell, a check of no samples, or a tolerance not finite and >= 0."""
 
 
 def check_tolerance(value: float, name: str = "tolerance") -> None:
@@ -126,10 +123,8 @@ class SampleBudget:
 
 @lru_cache
 def _default_grid(seed: int) -> tuple[float, ...]:
-    uniform = [k * 0.25 for k in range(41)]
     rng = random.Random(seed)
-    draws = [rng.uniform(0.0, 10.0) for _ in range(50)]
-    return tuple(uniform + draws)
+    return tuple([k * 0.25 for k in range(41)] + [rng.uniform(0.0, 10.0) for _ in range(50)])
 
 
 def _pair_values(grid: Sequence[float], limit: int = 48) -> list[float]:
@@ -182,11 +177,9 @@ class Verdict:
 def _witness(axiom, mode, fields, pos, competitor, lhs, rhs, relation, margin,
              subset=None) -> Witness:
     """A witness on the competitions ``fields``, pairs (ids, E)."""
-    return Witness(
-        axiom=axiom, mode=mode, competitions=tuple(_competition(*f) for f in fields),
-        subset=subset, competitor=competitor, position=pos,
-        lhs=lhs, rhs=rhs, relation=relation, margin=margin,
-    )
+    return Witness(axiom=axiom, mode=mode, competitions=tuple(_competition(*f) for f in fields),
+                   subset=subset, competitor=competitor, position=pos,
+                   lhs=lhs, rhs=rhs, relation=relation, margin=margin)
 
 
 def _verdict(axiom, mode, budget, tol, count, witness=None) -> Verdict:
@@ -194,7 +187,6 @@ def _verdict(axiom, mode, budget, tol, count, witness=None) -> Verdict:
                    witness=witness, tolerance=tol, budget=budget.describe())
 
 
-# ---------------------------------------------------------------------------
 # Sampling helpers
 
 
@@ -257,11 +249,8 @@ class _Memo:
 
 def _snap_candidates(e: float) -> list[float]:
     """Round grid points to try in place of a raw endowment, nearest first."""
-    out = []
-    for cand in (round(e * 4) / 4, round(e), round(e * 2) / 2):
-        if cand >= 0 and abs(cand - e) > 1e-12 and cand not in out:
-            out.append(cand)
-    return out
+    cands = (round(e * 4) / 4, round(e), round(e * 2) / 2)
+    return list(dict.fromkeys(c for c in cands if c >= 0 and abs(c - e) > 1e-12))
 
 
 def _scan(axiom, mode, budget, tol, vector, fault, samples, slots=()) -> Verdict:
@@ -287,8 +276,7 @@ def _pair_samples(budget, memo, fields, first_pair):
     ``fields``, in row-major order: a field's first failing pair, as found by
     ``first_pair(grid, vectors)``, then the field's pairs as cleared."""
     grid = budget.sorted_grid()
-    g = len(grid)
-    count = 0
+    g, count = len(grid), 0
     for ids in fields:
         hit = first_pair(grid, list(map(memo.field(ids), grid)))
         if hit is not None:
@@ -298,7 +286,6 @@ def _pair_samples(budget, memo, fields, first_pair):
         yield count, None
 
 
-# ---------------------------------------------------------------------------
 # Anonymity
 
 
@@ -339,7 +326,6 @@ def _anonymity_fault(vector, base_ids, ids, e, mode, tol) -> Witness | None:
     return None
 
 
-# ---------------------------------------------------------------------------
 # Order preservation
 
 
@@ -347,35 +333,56 @@ def check_order_preservation(
     rule: RuleSpec, budget: SampleBudget, mode: str = "weak", tol: float = TAU_EQ,
     *, memo: _Memo | None = None,
 ) -> Verdict:
+    """A batch, one field over the scan grid, is screened column by column
+    with the fault's own tests: only endowments where the fault holds run
+    it, or all of them if computing a prize raises."""
     cell_key("order_preservation", mode)  # refuses a mode the axiom lacks
+    memo = memo or _Memo(rule)
     grid = budget.scan_grid()
-    samples = ((ids, e) for n in range(2, budget.max_n + 1)
-               for ids in _arrangements(rule, n) for e in grid)
-    return _scan("order_preservation", mode, budget, tol, (memo or _Memo(rule)).vector,
-                 _order_fault, enumerate(samples, 1), slots=(1,))
+    positive = [e > 0 for e in grid]
+
+    def samples():
+        count = 0
+        for ids in (ids for n in range(2, budget.max_n + 1) for ids in _arrangements(rule, n)):
+            try:
+                cols = list(zip(*map(memo.field(ids), grid)))  # cols[r]: prize r + 1 at each E
+                flags = map(any, zip(*(
+                    map(and_, positive, map(le, cols[i], [p + tol for p in cols[j]])) if strict
+                    else map(lt, cols[i], [p - tol for p in cols[j]])
+                    for i, j, strict, _ in _order_tests(len(ids), mode))))
+            except Exception:  # the fault meets the error at its own sample
+                flags = repeat(True)
+            yield from ((k, (ids, e)) for k, e in compress(enumerate(grid, count + 1), flags))
+            count += len(grid)
+        yield count, None
+
+    return _scan("order_preservation", mode, budget, tol, memo.vector, _order_fault,
+                 samples(), slots=(1,))
+
+
+def _order_tests(n: int, mode: str) -> list[tuple[int, int, bool, str]]:
+    """The order tests on a field of n, in the fault's order, as (i, j,
+    strict, relation): prize i + 1 falls below prize j + 1 by at most tol,
+    and if strict, for E > 0, exceeds it by more than tol."""
+    tests = [(r - 1, r, False, "prize(r) >= prize(r+1)") for r in range(1, n)]
+    if mode == "winner_loser_strict" and n >= 2:
+        tests.append((0, n - 1, True, "prize(1) > prize(n) for E > 0"))
+    if mode == "strict":
+        tests += [(r - 1, r, True, "prize(r) > prize(r+1) for E > 0") for r in range(1, n)]
+    return tests
 
 
 def _order_fault(vector, ids, e, mode, tol) -> Witness | None:
     """Prizes do not rise with position; for E > 0 they also fall from first
     to last (winner_loser_strict) or at every step (strict)."""
     vec = vector(ids, e)
-    n = len(ids)
-    hit = next(((r, r + 1, "prize(r) >= prize(r+1)", vec[r] - vec[r - 1])
-                for r in range(1, n) if vec[r - 1] < vec[r] - tol), None)
-    if hit is None and e > 0 and mode == "winner_loser_strict" and n >= 2:
-        if vec[0] <= vec[n - 1] + tol:
-            hit = 1, n, "prize(1) > prize(n) for E > 0", vec[n - 1] - vec[0] + tol
-    if hit is None and e > 0 and mode == "strict":
-        hit = next(((r, r + 1, "prize(r) > prize(r+1) for E > 0", vec[r] - vec[r - 1] + tol)
-                    for r in range(1, n) if vec[r - 1] <= vec[r] + tol), None)
-    if hit is None:
-        return None
-    hi, lo, relation, margin = hit
-    return _witness("order_preservation", mode, ((ids, e),), hi, ids[hi - 1],
-                    vec[hi - 1], vec[lo - 1], relation, margin)
+    for i, j, strict, relation in _order_tests(len(ids), mode):
+        if e > 0 and vec[i] <= vec[j] + tol if strict else vec[i] < vec[j] - tol:
+            return _witness("order_preservation", mode, ((ids, e),), i + 1, ids[i], vec[i], vec[j],
+                            relation, vec[j] - vec[i] + tol if strict else vec[j] - vec[i])
+    return None
 
 
-# ---------------------------------------------------------------------------
 # Endowment monotonicity and the Lipschitz consequence
 
 
@@ -424,9 +431,8 @@ def _first_monotonicity_pair(grid, vecs, mode, tol) -> tuple[int, int] | None:
     is walked pair by pair.
     """
     g = len(grid)
-    suffix = [None] * (g + 1)  # suffix[k]: per-position minima of vecs[k:]
-    for k in reversed(range(g)):
-        suffix[k] = tuple(map(min, vecs[k], suffix[k + 1] or vecs[k]))
+    # suffix[k]: per-position minima of vecs[k:]; suffix[g] is never compared
+    suffix = list(accumulate(vecs[::-1], lambda m, x: tuple(map(min, x, m))))[::-1] + [None]
     b0 = 0
     for a in range(g - 1):
         b0 = max(b0, a + 1)
@@ -454,12 +460,8 @@ def _monotonicity_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
 
 
 def check_lipschitz(
-    rule: RuleSpec,
-    budget: SampleBudget,
-    monotonicity: Verdict | None = None,
-    tol: float = TAU_EQ,
-    *,
-    memo: _Memo | None = None,
+    rule: RuleSpec, budget: SampleBudget, monotonicity: Verdict | None = None,
+    tol: float = TAU_EQ, *, memo: _Memo | None = None,
 ) -> Verdict:
     """Check |prize(E) - prize(E')| <= |E - E'| + tol over all grid pairs.
 
@@ -481,8 +483,7 @@ def check_lipschitz(
 
 def _lipschitz_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
     """The Lipschitz pair test on the field ``ids`` at endowments ``e_lo`` and ``e_hi``."""
-    lo, hi = vector(ids, e_lo), vector(ids, e_hi)
-    d_e = abs(e_hi - e_lo)
+    lo, hi, d_e = vector(ids, e_lo), vector(ids, e_hi), abs(e_hi - e_lo)
     pos = _lipschitz_test(lo, hi, d_e, tol)
     if pos is None:
         return None
@@ -494,10 +495,8 @@ def _lipschitz_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
 def _lipschitz_test(lo, hi, gap, tol) -> int | None:
     """The Lipschitz pair test on prize vectors at endowments ``gap`` apart:
     the first position whose prize moves by more than gap + tol, or None."""
-    for pos in range(1, len(lo) + 1):
-        if abs(hi[pos - 1] - lo[pos - 1]) > gap + tol:
-            return pos
-    return None
+    return next((pos for pos in range(1, len(lo) + 1)
+                 if abs(hi[pos - 1] - lo[pos - 1]) > gap + tol), None)
 
 
 def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
@@ -529,7 +528,6 @@ def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
     return None
 
 
-# ---------------------------------------------------------------------------
 # Scale invariance (checked jointly with endowment additivity)
 
 
@@ -540,38 +538,43 @@ SCALARS = (0.0, 0.25, 0.5, 2.0, 3.0)
 def check_scale_invariance(
     rule: RuleSpec, budget: SampleBudget, tol: float = TAU_EQ, *, memo: _Memo | None = None
 ) -> Verdict:
-    """Scale invariance, checked jointly with endowment additivity.  A sample
-    runs the fault only if some prize differs by more than tol, as the
-    fault's relative test cannot fail otherwise."""
+    """Scale invariance, checked jointly with endowment additivity.  A batch
+    is one E against every c in SCALARS or every E' >= E; its samples run the
+    fault only if some prize of the batch differs by more than tol, as the
+    fault's relative test cannot fail otherwise, or if computing one raises."""
     memo = memo or _Memo(rule)
     values = _pair_values(budget.endowment_grid)
-    on_grid = set(budget.endowment_grid)
-    at = None  # E -> vector, for the current field
+    fields: dict[tuple[str, ...], _Field] = {}  # the current field, on and off the grid
 
     def samples():
-        nonlocal at
         count = 0
         for n in range(1, budget.max_n + 1):
             ids = _generic_ids(n)
-            # c*E and E + E' off the grid: no other cell reads them, so they
-            # stay out of the shared memo
-            on, off = memo.field(ids), _Field(rule, ids).__getitem__
-            at = lambda e: (on if e in on_grid else off)(e)
-            base = list(map(on, values))
-            for e, p in zip(values, base):
-                for c in SCALARS:
-                    count += 1
-                    if not max(map(abs, map(sub, at(c * e), map(c.__mul__, p)))) <= tol:
-                        yield count, (ids, e, c, "scale")
-            for a, (e1, p1) in enumerate(zip(values, base)):
-                for e2, p2 in zip(values[a:], base[a:]):
-                    count += 1
-                    if not max(map(abs, map(sub, at(e1 + e2), map(add, p1, p2)))) <= tol:
-                        yield count, (ids, e1, e2, "additivity")
+            base = list(map(memo.field(ids), values))
+            # c*E and E + E' off the grid stay out of the shared memo: no other cell reads them
+            fields.clear()
+            vec = fields[ids] = _Field(rule, ids)
+            vec |= memo.vectors[ids]
+            cs = [c for c in SCALARS for _ in ids]
+            # a batch: (E, each sample's c or E', its left-hand E, all right-hand prizes, kind)
+            for e, xs, lhs_es, rhs, kind in chain(
+                ((e, SCALARS, map(mul, SCALARS, repeat(e)), map(mul, cs, cycle(p)), "scale")
+                 for e, p in zip(values, base)),
+                ((e, values[a:], map(add, repeat(e), values[a:]),
+                  map(add, cycle(p), chain.from_iterable(base[a:])), "additivity")
+                 for a, (e, p) in enumerate(zip(values, base)))):
+                try:
+                    lhs = chain.from_iterable(map(vec.__getitem__, lhs_es))
+                    flagged = not max(map(abs, map(sub, lhs, rhs))) <= tol
+                except Exception:  # the fault meets the error at its own sample
+                    flagged = True
+                if flagged:
+                    yield from ((k, (ids, e, x, kind)) for k, x in enumerate(xs, count + 1))
+                count += len(xs)
         yield count, None
 
     # a sample names its relation, scale or additivity; the cell has no mode
-    return _scan("scale_invariance", None, budget, tol, lambda ids, e: at(e),
+    return _scan("scale_invariance", None, budget, tol, lambda ids, e: fields[ids][e],
                  lambda vector, ids, e, x, kind, _, tol: _scale_fault(vector, ids, e, x, kind, tol),
                  samples())
 
@@ -594,16 +597,12 @@ def _scale_fault(vector, ids, e, x, mode, tol) -> Witness | None:
     return None
 
 
-# ---------------------------------------------------------------------------
 # Consistency (full / bilateral / local / top)
 
 
 def _position_subsets(n: int, mode: str) -> Iterator[tuple[int, ...]]:
-    """Qualifying position subsets of sizes 2..n-1, smallest first.
-
-    Size-1 subsets and the full set make the consistency identity trivially
-    true and are skipped.
-    """
+    """Qualifying position subsets of sizes 2..n-1, smallest first: a single
+    position or the full set makes the consistency identity trivially true."""
     max_size = 2 if mode == "bilateral" else n - 1
     for size in range(2, max_size + 1):
         if mode == "top":
@@ -662,8 +661,7 @@ def _consistency_fault(vector, ids, e, positions, mode, tol) -> Witness | None:
     sub_e = sum(vec[p - 1] for p in positions)
     red_vec = vector(subset, sub_e)
     for sub_pos, orig_pos in enumerate(positions, start=1):
-        lhs = vec[orig_pos - 1]
-        rhs = red_vec[sub_pos - 1]
+        lhs, rhs = vec[orig_pos - 1], red_vec[sub_pos - 1]
         if abs(lhs - rhs) > tol:
             return _witness("consistency", mode, ((ids, e), (subset, sub_e)), orig_pos,
                             ids[orig_pos - 1], lhs, rhs,
@@ -672,7 +670,6 @@ def _consistency_fault(vector, ids, e, positions, mode, tol) -> Witness | None:
     return None
 
 
-# ---------------------------------------------------------------------------
 # Witness re-verification
 
 
@@ -722,7 +719,6 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
     return False, 0.0
 
 
-# ---------------------------------------------------------------------------
 # Axiom matrix
 
 
@@ -776,7 +772,11 @@ def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
     modes = [m for a, m in MATRIX_CELLS if a == axiom]
     if modes and (modes[0] is None or mode is None):
         mode = modes[0]
-    return _cell(axiom, mode, rule, budget, tol, _Memo(rule))
+    verdict = _cell(axiom, mode, rule, budget, tol, _Memo(rule))
+    if not verdict.samples_checked:
+        raise InvalidCheck(f"{cell_key(axiom, mode)} checks no samples at max_n={budget.max_n}: "
+                           "consistency needs max_n >= 3, an endowment pair two grid endowments")
+    return verdict
 
 
 def _matrix_row(rule, budget, tol) -> dict[str, Verdict | None]:

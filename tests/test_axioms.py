@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from prizealloc.rules import (
     WTS,
     Counterexample,
     Geometric,
+    InvalidRuleParams,
     RuleSpec,
     describe,
     hyperarithmetic_rule,
@@ -604,6 +606,16 @@ class TestRunCell:
     def test_axiom_without_modes_ignores_mode(self):
         assert run_cell(ED(), "anonymity", "strict", SMALL).mode is None
 
+    @pytest.mark.parametrize("axiom, mode, budget", [
+        ("consistency", "local", SampleBudget(max_n=2)),
+        ("endowment_monotonicity", "weak", SampleBudget(endowment_grid=(1.0,))),
+        ("lipschitz", None, SampleBudget(endowment_grid=(1.0, 1.0))),
+    ])
+    def test_a_cell_of_no_samples_is_refused(self, axiom, mode, budget):
+        key = cell_key(axiom, mode)
+        with pytest.raises(InvalidCheck, match=f"{key} checks no samples at max_n={budget.max_n}"):
+            run_cell(ED(), axiom, mode, budget)
+
     @pytest.mark.parametrize("axiom, mode", [("order_preservation", "full"),
                                              ("consistency", "bogus")])
     def test_unknown_mode(self, axiom, mode):
@@ -612,7 +624,7 @@ class TestRunCell:
 
 
 # ---------------------------------------------------------------------------
-# Batched consistency and anonymity screens against per-sample scans
+# Batched screens against per-sample scans
 
 
 def _per_sample_anonymity(rule, budget, tol):
@@ -643,6 +655,49 @@ def _per_sample_consistency(rule, budget, mode, tol):
                         axioms._consistency_fault, enumerate(samples, 1), slots=(1,))
 
 
+def _per_sample_order_preservation(rule, budget, mode, tol):
+    """An order-preservation cell as a per-sample scan: every (field, E)
+    sample runs the fault."""
+    grid = budget.scan_grid()
+    samples = ((ids, e) for n in range(2, budget.max_n + 1)
+               for ids in axioms._arrangements(rule, n) for e in grid)
+    return axioms._scan("order_preservation", mode, budget, tol, axioms._Memo(rule).vector,
+                        axioms._order_fault, enumerate(samples, 1), slots=(1,))
+
+
+def _per_sample_scale_invariance(rule, budget, tol):
+    """The scale-invariance cell as a per-sample scan: each (E, c) and
+    (E, E') sample is screened on its own before the fault runs."""
+    memo = axioms._Memo(rule)
+    values = axioms._pair_values(budget.endowment_grid)
+    on_grid = set(budget.endowment_grid)
+    at = None
+
+    def samples():
+        nonlocal at
+        count = 0
+        for n in range(1, budget.max_n + 1):
+            ids = axioms._generic_ids(n)
+            on, off = memo.field(ids), axioms._Field(rule, ids).__getitem__
+            at = lambda e: (on if e in on_grid else off)(e)
+            base = list(map(on, values))
+            for e, p in zip(values, base):
+                for c in axioms.SCALARS:
+                    count += 1
+                    if not max(map(abs, map(sub, at(c * e), map(c.__mul__, p)))) <= tol:
+                        yield count, (ids, e, c, "scale")
+            for a, (e1, p1) in enumerate(zip(values, base)):
+                for e2, p2 in zip(values[a:], base[a:]):
+                    count += 1
+                    if not max(map(abs, map(sub, at(e1 + e2), map(add, p1, p2)))) <= tol:
+                        yield count, (ids, e1, e2, "additivity")
+        yield count, None
+
+    return axioms._scan("scale_invariance", None, budget, tol, lambda ids, e: at(e),
+                        lambda vector, ids, e, x, kind, _, tol:
+                        axioms._scale_fault(vector, ids, e, x, kind, tol), samples())
+
+
 def _outcome(check, *args):
     """A check's verdict, or the type and text of the error it raised."""
     try:
@@ -655,9 +710,11 @@ def _outcome(check, *args):
 class _Faulty(RuleSpec):
     """Equal division but for ``defects``, each (n, E, kind) at one field
     size and endowment: "skew" moves E/(2n) from the last prize to the first,
-    which breaks consistency; "relabel" does so only when the winner's id
-    starts with c, which also breaks anonymity; "nan" pays such a winner NaN,
-    which no fault confirms."""
+    which breaks consistency and, off the grid, scale invariance; "swap" moves
+    it from the first to the last, which breaks order preservation; "raise"
+    raises InvalidRuleParams; "relabel" skews only when the winner's id starts
+    with c, which also breaks anonymity; "nan" pays such a winner NaN, which
+    no fault confirms."""
 
     defects: tuple[tuple[int, float, str], ...] = ()
 
@@ -665,12 +722,16 @@ class _Faulty(RuleSpec):
         n = len(ids)
         prizes = [e / n] * n
         for size, at, kind in self.defects:
-            if (size, at) == (n, e) and (kind == "skew" or ids[0].startswith("c")):
-                if kind == "nan":
-                    prizes[0] = math.nan
-                else:
-                    prizes[0] += e / (2 * n)
-                    prizes[-1] -= e / (2 * n)
+            if (size, at) != (n, e) or kind in ("relabel", "nan") and not ids[0].startswith("c"):
+                continue
+            if kind == "raise":
+                raise InvalidRuleParams("a defect raises here")
+            if kind == "nan":
+                prizes[0] = math.nan
+            else:
+                shift = e / (2 * n) if kind != "swap" else -e / (2 * n)
+                prizes[0] += shift
+                prizes[-1] -= shift
         return prizes
 
     def spec(self):
@@ -681,10 +742,15 @@ class _Faulty(RuleSpec):
 def _faulty_rules(draw, grid, max_n):
     def defect():
         e, n = draw(st.sampled_from(grid)), draw(st.integers(1, max_n))
-        if n >= 3 and draw(st.booleans()):  # at the endowment of a reduced field of k
+        where = draw(st.sampled_from(["grid", "reduced", "scaled", "sum"]))
+        if where == "reduced" and n >= 3:  # at the endowment of a reduced field of k
             k = draw(st.integers(2, n - 1))
             n, e = k, sum([e / n] * k)
-        return n, e, draw(st.sampled_from(["skew", "relabel", "nan"]))
+        elif where == "scaled":  # at c*E, off the grid or on it
+            e = draw(st.sampled_from(axioms.SCALARS)) * e
+        elif where == "sum":  # at E + E'
+            e = e + draw(st.sampled_from(grid))
+        return n, e, draw(st.sampled_from(["skew", "swap", "raise", "relabel", "nan"]))
 
     return _Faulty(tuple(defect() for _ in range(draw(st.integers(1, 3)))))
 
@@ -709,6 +775,11 @@ def test_batched_screens_match_per_sample_scans(case):
     for mode in ("full", "bilateral", "local", "top"):
         assert (_outcome(run_cell, rule, "consistency", mode, budget, tol)
                 == _outcome(_per_sample_consistency, rule, budget, mode, tol)), mode
+    for mode in ("weak", "winner_loser_strict", "strict"):
+        assert (_outcome(run_cell, rule, "order_preservation", mode, budget, tol)
+                == _outcome(_per_sample_order_preservation, rule, budget, mode, tol)), mode
+    assert (_outcome(run_cell, rule, "scale_invariance", None, budget, tol)
+            == _outcome(_per_sample_scale_invariance, rule, budget, tol))
 
 
 def test_unconfirmed_flag_does_not_end_its_batch():
@@ -722,6 +793,41 @@ def test_unconfirmed_flag_does_not_end_its_batch():
     assert verdict.witness.competitions[0].endowment == 2.0
     anonymity = run_cell(_Faulty(((3, 2.0, "nan"),)), "anonymity", None, budget)
     assert anonymity.passed and anonymity.samples_checked == 6
+
+
+@pytest.mark.parametrize("axiom, mode, defects, outcome", [
+    # at n = 2 the batch E = 1 of the scale cell reads c*E = 0, 0.25, 0.5, 2 and 3
+    ("scale_invariance", None, ((2, 3.0, "raise"), (2, 0.5, "skew")), 16),
+    ("scale_invariance", None, ((2, 0.5, "raise"), (2, 3.0, "skew")), "n=2, E=0.5:"),
+    ("scale_invariance", None, ((2, 0.25, "nan"), (2, 2.0, "skew")), 17),
+    # the field of three is the second order batch, after two samples at n = 2
+    ("order_preservation", "weak", ((3, 2.0, "raise"), (3, 1.0, "swap")), 3),
+    ("order_preservation", "weak", ((3, 1.0, "raise"), (3, 2.0, "swap")), "n=3, E=1.0:"),
+])
+def test_an_error_arrives_at_its_own_sample(axiom, mode, defects, outcome):
+    # a batch whose prizes raise is walked sample by sample: an earlier
+    # witness still ends the scan, and the error names its own endowment
+    rule, budget = _Faulty(defects), SampleBudget(max_n=3, endowment_grid=(1.0, 2.0))
+    if isinstance(outcome, str):
+        with pytest.raises(InvalidRuleParams, match=outcome):
+            run_cell(rule, axiom, mode, budget)
+    else:
+        verdict = run_cell(rule, axiom, mode, budget)
+        assert not verdict.passed and verdict.samples_checked == outcome
+
+
+def test_screens_run_no_fault_on_a_passing_cell(monkeypatch):
+    # a screen that flags what the fault clears costs time, not verdicts
+    calls = Counter()
+    for name in ("_order_fault", "_scale_fault"):
+        real = getattr(axioms, name)
+        monkeypatch.setattr(axioms, name,
+                            lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    for rule in (ED(), Geometric(0.5), parse_rule_spec("wta")):
+        assert run_cell(rule, "scale_invariance", None, SMALL).passed, describe(rule)
+    assert run_cell(ED(), "order_preservation", "weak", SMALL).passed
+    assert run_cell(Geometric(0.5), "order_preservation", "strict", SMALL).passed
+    assert not calls
 
 
 @pytest.mark.parametrize("seed", [0, 1])

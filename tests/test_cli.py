@@ -445,6 +445,15 @@ class TestMalformedInputExits2:
                                "--samples", "3", "--tol", "0")
         assert code == 0, err
 
+    def test_check_of_no_samples(self):
+        # consistency compares a field of three or more with a reduced field
+        code, out, err = run_cli("check", "--rule", "ed", "--axiom", "consistency",
+                                 "--samples", "2")
+        assert code == 2
+        assert out == ""
+        assert "consistency:full checks no samples at max_n=2" in err
+        assert "max_n >= 3" in err
+
     def test_unknown_mode_for_axiom(self):
         code, out, err = run_cli("check", "--rule", "ed", "--axiom",
                                  "order_preservation", "--mode", "full")

@@ -1,6 +1,9 @@
 """Import hygiene of the package source, checked on its syntax tree."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "prizealloc"
@@ -89,3 +92,14 @@ def test_one_scan_driver_in_axioms():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "_verdict"]
     assert not found, f"_verdict(...) called outside _scan at {found}"
+
+
+def test_cli_start_up_loads_no_numeric_tower():
+    """Every ``prizealloc`` process imports the whole package; ``statistics``
+    alone would pull in ``fractions`` and ``decimal`` as well."""
+    heavy = ("statistics", "decimal", "fractions")
+    code = f"import prizealloc.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
