@@ -11,6 +11,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
 
@@ -155,14 +156,20 @@ def make_competition(
 
 
 def standard_competition(n: int, endowment: float, prefix: str = "c") -> Competition:
-    """A competition with generic ids c1..cn ranked in index order."""
+    """A competition with generic ids c1..cn ranked in index order.
+
+    The validated ranking of the last (n, prefix) is kept and shared, as
+    callers loop over endowments at one n; one field is at most about 6 MB
+    (n = 100,000).  An invalid n is not kept, so it raises on every call."""
+    return Competition(ranking=_standard_ranking(n, prefix), endowment=float(endowment))
+
+
+@lru_cache(maxsize=1, typed=True)  # typed: a float n raises, as range() does
+def _standard_ranking(n: int, prefix: str) -> Ranking:
     # tuple() of a list, not of a generator: a generator's tuple is grown by
     # resizing, and CPython then parks it on the free list of its final size,
     # where no later tuple(generator) reuses it (up to 2,000 per size).
-    return Competition(
-        ranking=Ranking(tuple([f"{prefix}{k}" for k in range(1, n + 1)])),
-        endowment=float(endowment),
-    )
+    return Ranking(tuple([f"{prefix}{k}" for k in range(1, n + 1)]))
 
 
 def subranking(ranking: Ranking, subset: Iterable[str]) -> Ranking:

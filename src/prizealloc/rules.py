@@ -83,7 +83,7 @@ def _num(x: float) -> str:
 
 def _number(text: str, token: str, at: int, expected: str) -> float:
     try:
-        return float(token)
+        return float(token) + 0.0  # reads -0 as 0
     except ValueError:
         raise ParseError(text, at, expected) from None
 

@@ -179,6 +179,27 @@ class TestAllocateCommand:
         assert (code, out, err) == (0, "0.5 0.5\n", "")
 
 
+class TestNegativeZeroInSpecs:
+    """The spec language reads -0 as 0, so no rule pays or prints -0."""
+
+    @pytest.mark.parametrize("spec", ["geometric:lambda=-0", "wts:a=-0", "proportional:1,-0,-0",
+                                      "sp:linear=-0", "sp:cap=-0"])
+    def test_allocate(self, spec):
+        code, out, err = run_cli("allocate", "--rule", spec, "--n", "3", "--endowment", "5")
+        assert (code, out, err) == (0, "5 0 0\n", "")
+
+    def test_interval_table(self):
+        code, out, err = run_cli("table", "--rule", "interval:[-0,1]", "--n", "2",
+                                 "--endowments", "0")
+        assert (code, out, err) == (0, "0 | 0 0\n", "")
+
+    def test_zero_and_negative_zero_are_one_matrix_row(self):
+        assert parse_rule_spec("sp:linear=-0") == parse_rule_spec("sp:linear=0")
+        code, out, err = run_cli("matrix", "--rules", "sp:linear=0 sp:linear=-0")
+        assert (code, out) == (2, "")
+        assert "two rules describe as 'sp:linear=0'" in err
+
+
 class TestTableCommand:
     def test_golden_output_is_stable(self):
         args = ("table", "--rule", "sp:arithmetic", "--n", "3",
@@ -537,7 +558,8 @@ def test_endowment_flag_is_ignored_for_json_data(argv, value):
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "prizealloc", "allocate", "--rule", "ed",
+        # -B: the env below drops PYTHONDONTWRITEBYTECODE, and src/ stays free of bytecode
+        [sys.executable, "-B", "-m", "prizealloc", "allocate", "--rule", "ed",
          "--n", "2", "--endowment", "3"],
         capture_output=True, text=True, timeout=60,
         env={"PYTHONPATH": str(src)},

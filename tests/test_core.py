@@ -1,5 +1,6 @@
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +87,31 @@ class TestCompetition:
         comp = standard_competition(3, 5.0)
         assert comp.ranking.by_position == ("c1", "c2", "c3")
         assert comp.endowment == 5.0
+
+    def test_standard_competition_equals_a_fresh_build(self):
+        rng = random.Random("standard-competition")
+        for n in [rng.randint(1, 20) for _ in range(200)]:
+            e = rng.choice([0.0, 1.0, rng.uniform(0.0, 100.0)])
+            fresh = Competition(Ranking(tuple(f"c{k}" for k in range(1, n + 1))), e)
+            assert standard_competition(n, e) == fresh
+
+    def test_standard_competition_shares_the_last_ranking(self):
+        first = standard_competition(5, 1.0).ranking
+        assert standard_competition(5, 2.0).ranking is first
+        assert standard_competition(5, 3.0, "c").ranking is first
+        assert standard_competition(5, 1.0, "p").ranking.by_position[0] == "p1"
+        again = standard_competition(5, 1.0).ranking
+        assert again == first and again is not first  # another prefix replaced it
+        assert standard_competition(6, 1.0).ranking.n == 6
+        assert standard_competition(5, 1.0).ranking is not again  # another n replaced it
+
+    def test_standard_competition_refuses_every_bad_field(self):
+        standard_competition(3, 1.0)
+        for _ in range(2):  # a raise is never kept, and a float n is not the int
+            with pytest.raises(NotAPermutation, match="ranking must cover at least one competitor"):
+                standard_competition(0, 1.0)
+            with pytest.raises(TypeError):
+                standard_competition(3.0, 1.0)
 
 
 class TestSubranking:

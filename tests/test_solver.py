@@ -3,7 +3,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prizealloc import rules, solver, trace_path
 from prizealloc.axioms import CHECK_SOLVER, MAX_FIELD_SIZE
@@ -15,6 +15,7 @@ from prizealloc.rules import (
     IntervalList,
     InvalidPath,
     MonotoneFn,
+    SingleParametric,
     allocate,
     hyperarithmetic_rule,
     prize_vector,
@@ -248,6 +249,121 @@ def test_probes_save_level_sums(monkeypatch):
     plain_vectors, plain = level_sum_calls(monkeypatch, plain_bisection, sample)
     assert vectors == plain_vectors
     assert probed <= 0.4 * plain, (probed, plain)
+
+
+# ---------------------------------------------------------------------------
+# The walk's fixed point against a walk that calls f at every step
+
+
+def walk_every_step(f, x, n):
+    """The first n iterates of f from x, with f called at every step: the
+    reference the fixed-point walk of `iterates` must match."""
+    if n < 1:
+        return
+    yield x
+    for _ in range(n - 1):
+        x = f(x)
+        yield x
+
+
+def bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+def flat_tail(a, rise, run):
+    """Slope `rise` up to x = a, then flat: with rise 1, f(a) = a."""
+    return MonotoneFn.piecewise([(0.0, 0.0), (a, a * rise), (a + run, a * rise)])
+
+
+FIXED_POINT_SIZES = [1, 2, 5, 8, 50, 106]
+# zeros of either sign, built through the API (the spec language reads -0
+# as 0), and a flat tail that starts at a fixed point
+EDGE_FNS = [MonotoneFn.linear(-0.0), MonotoneFn.cap(-0.0), MonotoneFn.shift(-0.0),
+            MonotoneFn.shift(0.0), MonotoneFn.cap(0.0), flat_tail(1.0, 1.0, 1.0)]
+FIXED_POINT_FNS = st.one_of(
+    st.sampled_from(EDGE_FNS),
+    MONOTONE_FNS,
+    st.builds(flat_tail, st.floats(min_value=1e-3, max_value=1e3),
+              st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+              st.floats(min_value=1e-3, max_value=1e3)),
+)
+
+
+@given(FIXED_POINT_FNS, st.sampled_from(FIXED_POINT_SIZES),
+       st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, 1.0, 5e-324]), st.floats()))
+# -0.0 * x maps -0.0 to 0.0 and back: equal values, but no fixed point
+@example(MonotoneFn.linear(-0.0), 5, 5.0)
+@example(MonotoneFn.linear(-0.0), 5, -0.0)
+@example(MonotoneFn.cap(-0.0), 5, 0.0)  # 0.0, then the fixed point -0.0
+@example(MonotoneFn.cap(1.0), 106, math.nan)
+@settings(max_examples=500)
+def test_iterates_match_every_step_walk_bit_for_bit(fn, n, x):
+    assert bits(iterates(fn._eval, x, n)) == bits(walk_every_step(fn._eval, x, n))
+
+
+def prizes_outcome(prizes, fn, n, e, cfg):
+    try:
+        return bits(prizes(fn, n, e, cfg))
+    except SolverFailure as exc:
+        return str(exc)
+
+
+def every_step_prizes(fn, n, e, cfg):
+    """SingleParametric.prizes over walk_every_step."""
+    x = solve_level_sum(lambda x: sum(walk_every_step(fn._eval, x, n)), n, e, cfg)
+    return list(walk_every_step(fn._eval, x, n))
+
+
+def single_parametric_prizes(fn, n, e, cfg):
+    return SingleParametric(fn).prizes(tuple(f"c{k}" for k in range(1, n + 1)), e, cfg)
+
+
+@given(st.data(), FIXED_POINT_FNS, st.sampled_from(FIXED_POINT_SIZES),
+       st.sampled_from(SOLVER_CONFIGS))
+@settings(max_examples=300)
+def test_single_parametric_prizes_match_every_step_walk_bit_for_bit(data, fn, n, cfg):
+    e = data.draw(st.one_of(  # the endowments of test_solve_matches_plain_bisection_bit_for_bit
+        st.sampled_from([0.0, 5e-324, 1e12]),
+        st.floats(min_value=0.0, max_value=2 * cfg.residual_tol),
+        st.floats(min_value=0.0, max_value=5.0 * n),
+    ))
+    assert (prizes_outcome(single_parametric_prizes, fn, n, e, cfg)
+            == prizes_outcome(every_step_prizes, fn, n, e, cfg))
+
+
+def f_calls(monkeypatch, walk, sample):
+    """The prize vectors (as bits) of a sample of (rule, n, E) with every
+    single-parametric walk routed through `walk`, and its calls to f."""
+    calls = 0
+
+    def counted(f, x, n):
+        def f_counted(y):
+            nonlocal calls
+            calls += 1
+            return f(y)
+        return walk(f_counted, x, n)
+
+    monkeypatch.setattr(rules, "iterates", counted)
+    ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
+    return [bits(prize_vector(rule, ids[:n], e)) for rule, n, e in sample], calls
+
+
+@pytest.mark.parametrize("head, share", [("sp:cap", 0.15), ("sp:arithmetic", 0.5)])
+def test_fixed_point_saves_f_calls(monkeypatch, head, share):
+    """On a sample shaped like the benchmark's `tables` workload (n on a log
+    grid over 2..106, 8 endowments in [0, 5n] each), the walk calls f at
+    most `share` times as often as a walk that never stops, for the same
+    vectors."""
+    rng = random.Random(f"fixed-point-{head}")
+    sizes = [round(2 * 53 ** ((k + 0.5) / 16)) for k in range(16)]
+    sample = []
+    for n in sizes:
+        rule = parse_rule_spec(f"sp:cap={rng.uniform(0.5, 5.0)}" if head == "sp:cap" else head)
+        sample += [(rule, n, rng.uniform(0.0, 5.0 * n)) for _ in range(8)]
+    vectors, calls = f_calls(monkeypatch, iterates, sample)
+    every_step_vectors, every_step_calls = f_calls(monkeypatch, walk_every_step, sample)
+    assert vectors == every_step_vectors
+    assert calls <= share * every_step_calls, (calls, every_step_calls)
 
 
 class TestIntervalLocate:
