@@ -14,15 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import (
-    TAU_EQ,
-    EventSet,
-    PrizeAllocError,
-    PrizeTable,
-    standard_competition,
-)
-from .rules import RuleSpec, allocate
-from .axioms import CHECK_SOLVER, Verdict, Witness, check_tolerance
+from .core import TAU_EQ, EventSet, PrizeAllocError, PrizeTable
+from .rules import RuleSpec
+from .axioms import (Verdict, _data_top_fault, _excess, _generic_ids, _Memo, _scan,
+                     check_tolerance)
 
 # Default fit tolerance: 1% relative, loose enough to absorb the rounding
 # noise in published prize lists.
@@ -58,15 +53,6 @@ class Classification:
     interval_pattern: FitReport
     scale_invariant_across_events: FitReport | None
     tier: str  # consistent-shape | locally-consistent | top-consistent | unordered
-
-
-def _excess(observed: float, predicted: float, abs_slack: float) -> float:
-    """Relative deviation net of an absolute rounding slack."""
-    gap = max(0.0, abs(observed - predicted) - abs_slack)
-    if gap == 0.0:
-        return 0.0
-    denom = max(abs(observed), abs(predicted))
-    return gap / denom if denom else math.inf
 
 
 def _check_fit_args(tau_fit: float, abs_slack: float) -> None:
@@ -277,27 +263,8 @@ def check_data_top_consistency(
     """
     _check_fit_args(tol, abs_slack)
     prizes = table.prizes
-    budget = f"{len(prizes)} prefixes of table {table.name!r}"
-    count = 0
-    for m in range(1, len(prizes) + 1):
-        prefix_sum = sum(prizes[:m])
-        comp = standard_competition(m, prefix_sum)
-        vec = allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
-        for pos in range(1, m + 1):
-            count += 1
-            observed = prizes[pos - 1]
-            predicted = vec[pos - 1]
-            if _excess(observed, predicted, abs_slack) > tol:
-                witness = Witness(
-                    axiom="data_top_consistency", mode=None,
-                    competitions=(comp,), subset=None,
-                    competitor=comp.ranking.id_at(pos), position=pos,
-                    lhs=observed, rhs=predicted,
-                    relation="rule on prefix sum reproduces observed prize",
-                    margin=abs(observed - predicted),
-                )
-                return Verdict(axiom="data_top_consistency", mode=None, passed=False,
-                               samples_checked=count, witness=witness, tolerance=tol,
-                               budget=budget)
-    return Verdict(axiom="data_top_consistency", mode=None, passed=True,
-                   samples_checked=count, witness=None, tolerance=tol, budget=budget)
+    prefixes = [(_generic_ids(m), float(sum(prizes[:m]))) for m in range(1, len(prizes) + 1)]
+    samples = ((ids, e, pos, prizes[pos - 1], abs_slack)
+               for ids, e in prefixes for pos in range(1, len(ids) + 1))
+    return _scan("data_top_consistency", None, f"{len(prizes)} prefixes of table {table.name!r}",
+                 tol, _Memo(rule).vector, _data_top_fault, enumerate(samples, start=1))

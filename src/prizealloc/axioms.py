@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import (accumulate, chain, combinations, compress, cycle, islice, permutations,
                        product, repeat)
-from operator import add, and_, itemgetter, le, lt, mul, sub
+from operator import add, and_, gt, itemgetter, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .core import TAU_EQ, Competition, PrizeAllocError, Ranking
@@ -183,8 +183,9 @@ def _witness(axiom, mode, fields, pos, competitor, lhs, rhs, relation, margin,
 
 
 def _verdict(axiom, mode, budget, tol, count, witness=None) -> Verdict:
+    text = budget if isinstance(budget, str) else budget.describe()
     return Verdict(axiom=axiom, mode=mode, passed=witness is None, samples_checked=count,
-                   witness=witness, tolerance=tol, budget=budget.describe())
+                   witness=witness, tolerance=tol, budget=text)
 
 
 # Sampling helpers
@@ -258,7 +259,8 @@ def _scan(axiom, mode, budget, tol, vector, fault, samples, slots=()) -> Verdict
     count is the number of samples enumerated so far; a None sample stands
     for samples a screen cleared, counted but not tested.  A witness moves to
     the first combination of round endowments, at the sample indices
-    ``slots``, where the fault persists."""
+    ``slots``, where the fault persists.  ``budget`` is a SampleBudget, or
+    the text that names what was sampled."""
     count, w = 0, None
     for count, sample in samples:
         w = None if sample is None else fault(vector, *sample, mode, tol)
@@ -402,16 +404,14 @@ def check_endowment_monotonicity(
                  samples, slots=(1, 2))
 
 
-def _monotonicity_test(lo, hi, gap, mode, tol, strict_hi=None):
+def _monotonicity_test(lo, hi, gap, mode, tol):
     """The pair test on prize vectors at endowments ``gap`` apart: (position,
-    relation, margin) or None.  Strict modes compare ``lo`` with ``strict_hi``
-    (default ``hi``) and skip gaps below MIN_STRICT_GAP."""
+    relation, margin) or None.  Strict modes skip gaps below MIN_STRICT_GAP."""
     for pos in range(1, len(lo) + 1):
         if lo[pos - 1] > hi[pos - 1] + tol:
             return pos, "prize non-decreasing in E", lo[pos - 1] - hi[pos - 1]
     if gap < MIN_STRICT_GAP:
         return None
-    hi = hi if strict_hi is None else strict_hi
     if mode == "winner_strict" and hi[0] <= lo[0] + tol:
         return 1, "winner prize strictly increasing in E", lo[0] - hi[0] + tol
     if mode == "strict":
@@ -421,29 +421,47 @@ def _monotonicity_test(lo, hi, gap, mode, tol, strict_hi=None):
     return None
 
 
+def _first_pair(grid, rows, slack, pair_test, screen=None) -> tuple[int, int] | None:
+    """First grid pair (a, b), a < b, in row-major order where ``pair_test(a, b)`` holds.
+
+    Row a is flagged when an entry of ``rows[a]`` exceeds the minimum at its
+    position over ``rows[a + 1:]`` by more than ``slack``, or when ``screen(a,
+    suffix)`` holds, ``suffix[k]`` being those minima over ``rows[k:]``.  Only
+    flagged rows are walked pair by pair, so the screens must flag every row
+    that holds a pair the test fails.
+    """
+    # lists, as are the Lipschitz rows: CPython keeps freed short tuples for
+    # reuse, so tuples of a length no other code makes (2n) would stay allocated
+    suffix = list(accumulate(rows[::-1], lambda m, x: list(map(min, x, m))))[::-1]
+    for a in range(len(grid) - 1):
+        if (any(map(gt, rows[a], map(add, suffix[a + 1], repeat(slack))))
+                or screen is not None and screen(a, suffix)):
+            for b in range(a + 1, len(grid)):
+                if pair_test(a, b):
+                    return a, b
+    return None
+
+
 def _first_monotonicity_pair(grid, vecs, mode, tol) -> tuple[int, int] | None:
     """First grid pair (a, b), a < b, in row-major order that fails the pair test.
 
-    Row a is tested once against per-position suffix minima: over b > a for
-    the weak part, over b from the first gap >= MIN_STRICT_GAP for the strict
-    part.  Rounding is monotone, so fl(min p_b + tol) = min fl(p_b + tol) and
-    the row test fails exactly when some pair in the row does; only that row
-    is walked pair by pair.
+    Rounding is monotone, so fl(min p_b + tol) = min fl(p_b + tol): the row
+    screen flags exactly the rows that hold a weak failure, and ``strict``,
+    against the minima over b from the first gap >= MIN_STRICT_GAP, exactly
+    those that hold a strict one.
     """
-    g = len(grid)
-    # suffix[k]: per-position minima of vecs[k:]; suffix[g] is never compared
-    suffix = list(accumulate(vecs[::-1], lambda m, x: tuple(map(min, x, m))))[::-1] + [None]
-    b0 = 0
-    for a in range(g - 1):
-        b0 = max(b0, a + 1)
-        while b0 < g and grid[b0] - grid[a] < MIN_STRICT_GAP:
-            b0 += 1
-        gap = grid[b0] - grid[a] if b0 < g else 0.0
-        if _monotonicity_test(vecs[a], suffix[a + 1], gap, mode, tol, suffix[b0]):
-            for b in range(a + 1, g):
-                if _monotonicity_test(vecs[a], vecs[b], grid[b] - grid[a], mode, tol):
-                    return a, b
-    return None
+    def test(a, b):
+        return _monotonicity_test(vecs[a], vecs[b], grid[b] - grid[a], mode, tol)
+
+    width = 1 if mode == "winner_strict" else None  # the positions the strict part tests
+
+    def strict(a, suffix):
+        b = a + 1
+        while b < len(grid) and grid[b] - grid[a] < MIN_STRICT_GAP:
+            b += 1
+        return b < len(grid) and any(map(le, suffix[b][:width], map(add, vecs[a], repeat(tol))))
+
+    return _first_pair(grid, vecs, tol, test, None if mode == "weak" else strict)
 
 
 def _monotonicity_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
@@ -468,13 +486,12 @@ def check_lipschitz(
     The inequality is a consequence of (weak) endowment monotonicity, so the
     caller must supply a passing weak-monotonicity verdict for the same rule.
     """
-    if monotonicity is None:
+    m = monotonicity
+    if m is None or (m.axiom, m.mode, m.passed) != ("endowment_monotonicity", "weak", True):
+        got = "None" if m is None else (
+            f"a {'passed' if m.passed else 'failed'} {m.axiom} verdict of mode {m.mode!r}")
         raise PreconditionNotChecked(
-            "check endowment monotonicity (weak) first and pass its verdict")
-    if monotonicity.axiom != "endowment_monotonicity" or monotonicity.mode != "weak":
-        raise PreconditionNotChecked("expected a weak endowment-monotonicity verdict")
-    if not monotonicity.passed:
-        raise PreconditionNotChecked("rule fails weak endowment monotonicity")
+            f"check_lipschitz needs a passed weak endowment_monotonicity verdict, got {got}")
     memo = memo or _Memo(rule)
     samples = _pair_samples(budget, memo, map(_generic_ids, range(1, budget.max_n + 1)),
                             partial(_first_lipschitz_pair, tol=tol))
@@ -500,32 +517,17 @@ def _lipschitz_test(lo, hi, gap, tol) -> int | None:
 
 
 def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
-    """First grid pair (a, b), a < b, in row-major order that fails the
-    Lipschitz pair test.
+    """First grid pair (a, b), a < b, in row-major order that fails the Lipschitz pair test.
 
-    For E_a < E_b, |p_b - p_a| > E_b - E_a + tol exactly when p_b - E_b >
-    p_a - E_a + tol or p_b + E_b < p_a + E_a - tol, so row a is tested once
-    against per-position suffix maxima of p - E and suffix minima of p + E.
-    Those sums round differently from the pair test, so the row test takes a
-    slack of 1e-12 times the largest magnitude, far above the few ulps either
-    test can be off by: it flags every row holding a failing pair, and only
-    flagged rows are walked pair by pair.
-    """
-    g = len(grid)
+    For E_a < E_b the test fails exactly when p_a + E_a > p_b + E_b + tol or
+    E_a - p_a > E_b - p_b + tol, so ``_first_pair`` screens the rows (p + E,
+    E - p).  Those sums round differently from the test, so the screen's
+    slack is 1e-12 times the largest magnitude below tol, far beyond the few
+    ulps either can be off by."""
     scale = max(1.0, tol, grid[-1], *(abs(p) for vec in vecs for p in vec))
-    loose = tol - 1e-12 * scale
-    below = [tuple(p - e for p in vec) for e, vec in zip(grid, vecs)]
-    above = [tuple(p + e for p in vec) for e, vec in zip(grid, vecs)]
-    # [k]: per-position maxima of below[k:] and minima of above[k:]
-    max_below = list(accumulate(below[::-1], lambda m, x: tuple(map(max, x, m))))[::-1]
-    min_above = list(accumulate(above[::-1], lambda m, x: tuple(map(min, x, m))))[::-1]
-    for a in range(g - 1):
-        if (any(m > x + loose for m, x in zip(max_below[a + 1], below[a]))
-                or any(m < x - loose for m, x in zip(min_above[a + 1], above[a]))):
-            for b in range(a + 1, g):
-                if _lipschitz_test(vecs[a], vecs[b], grid[b] - grid[a], tol):
-                    return a, b
-    return None
+    rows = [[*map(add, vec, repeat(e)), *map(sub, repeat(e), vec)] for e, vec in zip(grid, vecs)]
+    return _first_pair(grid, rows, tol - 1e-12 * scale,
+                       lambda a, b: _lipschitz_test(vecs[a], vecs[b], grid[b] - grid[a], tol))
 
 
 # Scale invariance (checked jointly with endowment additivity)
@@ -670,6 +672,29 @@ def _consistency_fault(vector, ids, e, positions, mode, tol) -> Witness | None:
     return None
 
 
+# Observed prize tables (checked by analysis.check_data_top_consistency)
+
+
+def _excess(observed: float, predicted: float, abs_slack: float) -> float:
+    """Relative deviation net of an absolute rounding slack."""
+    gap = max(0.0, abs(observed - predicted) - abs_slack)
+    if gap == 0.0:
+        return 0.0
+    denom = max(abs(observed), abs(predicted))
+    return gap / denom if denom else math.inf
+
+
+def _data_top_fault(vector, ids, e, pos, observed, slack, mode, tol) -> Witness | None:
+    """The field ``ids``, paid the sum ``e`` of the observed top prizes, gets
+    the observed prize at ``pos`` within the relative tol, net of ``slack``."""
+    predicted = vector(ids, e)[pos - 1]
+    if _excess(observed, predicted, slack) <= tol:
+        return None
+    return _witness("data_top_consistency", None, ((ids, e),), pos, ids[pos - 1], observed,
+                    predicted, "rule on prefix sum reproduces observed prize",
+                    abs(observed - predicted))
+
+
 # Witness re-verification
 
 
@@ -681,6 +706,7 @@ _FAULTS = {
     "lipschitz": _lipschitz_fault,
     "scale_invariance": _scale_fault,
     "consistency": _consistency_fault,
+    "data_top_consistency": _data_top_fault,
 }
 
 
@@ -691,7 +717,9 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
     Returns (still_violates, margin): the witness still violates when the
     fault reports the same position and relation, and the margin is the one
     it reports (0.0 when it does not).  A scale witness does not store its
-    scalar: each c in SCALARS with c * E1 == E2 is tried.
+    scalar: each c in SCALARS with c * E1 == E2 is tried.  A data
+    top-consistency witness is re-run on its stored observed prize at slack
+    0, which can only widen the gap.
     """
     check_tolerance(tol)
     fault = _FAULTS.get(witness.axiom)
@@ -708,6 +736,8 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
         samples = [(ids, rest[0].ranking.by_position, e)]
     elif witness.axiom == "consistency":
         samples = [(ids, e, tuple(sorted(map(first.ranking.position_of, witness.subset))))]
+    elif witness.axiom == "data_top_consistency":
+        samples = [(ids, e, witness.position, witness.lhs, 0.0)]
     elif witness.mode == "scale":
         samples = [(ids, e, c) for c in SCALARS if c * e == rest[0].endowment]
     else:  # the field at the endowment of each competition

@@ -64,6 +64,7 @@ from .axioms import (
 )
 from .analysis import (
     TAU_FIT,
+    _worst,
     classify,
     detect_interval_pattern,
     fit_geometric,
@@ -444,11 +445,11 @@ def _cmd_matrix(args, out) -> int:
 def _cmd_fit(args, out) -> int:
     events = load_prize_data(args.data, args.format, args.endowment)
     if args.family == "geometric":
-        fit = fit_geometric(events.events[0], args.tol, args.slack)
+        fit = _worst([fit_geometric(ev, args.tol, args.slack) for ev in events.events])
     elif args.family == "proportional":
         fit = fit_proportional(events, args.tol, args.slack)
     elif args.family == "interval":
-        fit = detect_interval_pattern(events.events[0], args.tol, args.slack)
+        fit = _worst([detect_interval_pattern(ev, args.tol, args.slack) for ev in events.events])
     else:
         raise SchemaError(f"unknown fit family {args.family!r}")
     report = {"command": "fit", "data": args.data, "fit": _fit_to_dict(fit)}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from prizealloc.analysis import (
     fit_geometric,
     fit_proportional,
 )
-from prizealloc.axioms import InvalidCheck
+from prizealloc.axioms import InvalidCheck, verify_witness
+from prizealloc.cli import load_prize_data, parse_rule_spec
 from prizealloc.rules import (
     Geometric,
     Interval,
@@ -213,6 +215,18 @@ class TestDataTopConsistency:
         verdict = check_data_top_consistency(GENESIS, Geometric(lam), tol=0.01)
         assert not verdict.passed
         assert verdict.witness is not None
+
+    @pytest.mark.parametrize("event", load_prize_data("pga2019.json").events,
+                             ids=lambda ev: ev.name)
+    def test_witness_round_trip(self, event):
+        rule = parse_rule_spec("geometric:lambda=0.7")
+        verdict = check_data_top_consistency(event, rule)
+        assert not verdict.passed
+        ok, margin = verify_witness(rule, verdict.witness)
+        assert ok and margin == verdict.witness.margin
+        # the predicted prize in place of the observed one reproduces itself
+        fixed = replace(verdict.witness, lhs=verdict.witness.rhs)
+        assert verify_witness(rule, fixed) == (False, 0.0)
 
 
 FITS = {

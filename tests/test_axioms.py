@@ -172,6 +172,15 @@ class TestSingleCheckers:
         with pytest.raises(PreconditionNotChecked):
             check_lipschitz(ED(), SMALL, other)
 
+    def test_lipschitz_precondition_names_what_was_passed(self):
+        rule = Counterexample("threshold-switch")
+        for verdict, got in ((None, "got None$"),
+                             (check_anonymity(ED(), SMALL), "got a passed anonymity verdict"),
+                             (check_endowment_monotonicity(rule, SMALL, "weak"),
+                              "got a failed endowment_monotonicity verdict of mode 'weak'")):
+            with pytest.raises(PreconditionNotChecked, match=got):
+                check_lipschitz(rule, SMALL, verdict)
+
     def test_lipschitz_passes_for_equal_division(self):
         mono = check_endowment_monotonicity(ED(), SMALL, "weak")
         assert check_lipschitz(ED(), SMALL, mono).passed

@@ -591,6 +591,16 @@ class TestFitAndClassifyCommands:
         assert code == 0
         assert "tier: locally-consistent" in out
 
+    @pytest.mark.parametrize("data", ["pga2019.json", "wcoop2019.json"])
+    @pytest.mark.parametrize("family, key", [("geometric", "geometric"),
+                                             ("interval", "interval_pattern")])
+    def test_fit_combines_every_event_as_classify_does(self, data, family, key):
+        code, fit, _ = run_cli("fit", "--family", family, "--data", data, "--json")
+        assert code == 0
+        code, classified, _ = run_cli("classify", "--data", data, "--json")
+        assert code == 0
+        assert json.loads(fit)["fit"] == json.loads(classified)[key]
+
 
 class TestBundledRules:
     def test_count_and_uniqueness(self):

@@ -74,6 +74,26 @@ def test_one_witness_builder_in_axioms():
     assert len(found) == 1, f"Witness(...) called at {found}"
 
 
+def test_one_witness_and_one_verdict_constructor_call_in_the_package():
+    """Every verdict, including the data checks in ``analysis``, is built
+    by the axiom layer's helpers, so ``verify_witness`` knows every witness."""
+    for name in ("Witness", "Verdict"):
+        found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(_tree(path.name))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == name]
+        assert len(found) == 1 and found[0].startswith("axioms.py:"), f"{name}(...) at {found}"
+
+
+def test_one_suffix_extrema_scan_in_axioms():
+    """The pair cells share one row scan: ``accumulate`` is called once."""
+    found = [f"{stmt.name}:{node.lineno}" for stmt in _tree("axioms.py").body
+             if isinstance(stmt, ast.FunctionDef) for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "accumulate"]
+    assert len(found) == 1, f"accumulate(...) called at {found}"
+
+
 def test_cli_imports_no_private_axioms_name():
     """The CLI reaches the checkers through the public cell entry points."""
     found = [f"cli.py:{node.lineno}: {alias.name}"
