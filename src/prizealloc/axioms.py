@@ -421,22 +421,28 @@ def _monotonicity_test(lo, hi, gap, mode, tol):
     return None
 
 
-def _first_pair(grid, rows, slack, pair_test, screen=None) -> tuple[int, int] | None:
+def _first_pair(grid, rows, slack, pair_test, width=0) -> tuple[int, int] | None:
     """First grid pair (a, b), a < b, in row-major order where ``pair_test(a, b)`` holds.
 
     Row a is flagged when an entry of ``rows[a]`` exceeds the minimum at its
-    position over ``rows[a + 1:]`` by more than ``slack``, or when ``screen(a,
-    suffix)`` holds, ``suffix[k]`` being those minima over ``rows[k:]``.  Only
-    flagged rows are walked pair by pair, so the screens must flag every row
-    that holds a pair the test fails.
+    position over ``rows[a + 1:]`` by more than ``slack``, or, for the strict
+    monotonicity part (``width`` 1: the first entry; more: every entry), when
+    the entry plus ``slack`` reaches that minimum over the rows from the first
+    one at least MIN_STRICT_GAP above E_a.  Only flagged rows are walked pair
+    by pair, so the screens must flag every row that holds a pair the test fails.
     """
     # lists, as are the Lipschitz rows: CPython keeps freed short tuples for
     # reuse, so tuples of a length no other code makes (2n) would stay allocated
     suffix = list(accumulate(rows[::-1], lambda m, x: list(map(min, x, m))))[::-1]
-    for a in range(len(grid) - 1):
-        if (any(map(gt, rows[a], map(add, suffix[a + 1], repeat(slack))))
-                or screen is not None and screen(a, suffix)):
-            for b in range(a + 1, len(grid)):
+    g = len(grid)
+    for a in range(g - 1):
+        row, b = rows[a], a + 1
+        while width and b < g and grid[b] - grid[a] < MIN_STRICT_GAP:  # rarely walks
+            b += 1
+        if (any(map(gt, row, map(add, suffix[a + 1], repeat(slack)))) or width and b < g and (
+                suffix[b][0] <= row[0] + slack if width == 1
+                else any(map(le, suffix[b], map(add, row, repeat(slack)))))):
+            for b in range(a + 1, g):
                 if pair_test(a, b):
                     return a, b
     return None
@@ -446,22 +452,12 @@ def _first_monotonicity_pair(grid, vecs, mode, tol) -> tuple[int, int] | None:
     """First grid pair (a, b), a < b, in row-major order that fails the pair test.
 
     Rounding is monotone, so fl(min p_b + tol) = min fl(p_b + tol): the row
-    screen flags exactly the rows that hold a weak failure, and ``strict``,
-    against the minima over b from the first gap >= MIN_STRICT_GAP, exactly
-    those that hold a strict one.
+    screen flags exactly the rows that hold a weak failure, and its strict
+    part exactly those that hold a strict one.
     """
-    def test(a, b):
-        return _monotonicity_test(vecs[a], vecs[b], grid[b] - grid[a], mode, tol)
-
-    width = 1 if mode == "winner_strict" else None  # the positions the strict part tests
-
-    def strict(a, suffix):
-        b = a + 1
-        while b < len(grid) and grid[b] - grid[a] < MIN_STRICT_GAP:
-            b += 1
-        return b < len(grid) and any(map(le, suffix[b][:width], map(add, vecs[a], repeat(tol))))
-
-    return _first_pair(grid, vecs, tol, test, None if mode == "weak" else strict)
+    width = {"weak": 0, "winner_strict": 1}.get(mode, 2)  # the positions the strict part tests
+    return _first_pair(grid, vecs, tol, lambda a, b: _monotonicity_test(
+        vecs[a], vecs[b], grid[b] - grid[a], mode, tol), width)
 
 
 def _monotonicity_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:

@@ -313,8 +313,9 @@ MAX_ALLOCATION_N = 100_000
 
 
 def _field_size(n: int) -> int:
-    if n > MAX_ALLOCATION_N:
-        raise SchemaError(f"--n must be at most {MAX_ALLOCATION_N}, got {n}")
+    if not 1 <= n <= MAX_ALLOCATION_N:
+        bound = "least 1" if n < 1 else f"most {MAX_ALLOCATION_N}"
+        raise SchemaError(f"--n must be at {bound}, got {n}")
     return n
 
 

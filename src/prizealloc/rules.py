@@ -17,11 +17,11 @@ Implemented families, one frozen dataclass each:
   of the checked axioms.
 
 Each rule owns its allocation (``prizes``, in position order) and its spec
-string (``spec``).  ``prize_vector`` applies a rule to a field of ids and
-an endowment, in position order; ``allocate`` applies it to a
-``Competition``, keyed by competitor id.  Both call ``prizes`` through one
-helper.  ``parse_rule_spec`` inverts ``spec`` through one table keyed by
-the spec head.
+string (``spec``).  The closed-form families' ``prizes`` return a finished
+tuple of floats.  ``prize_vector`` applies a rule to a field of ids and an
+endowment, in position order, and converts any result that is not a tuple;
+``allocate`` keys it by competitor id.  ``parse_rule_spec`` inverts
+``spec`` through one table keyed by the spec head.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -310,20 +311,22 @@ Prizes = Sequence[float]
 class RuleSpec:
     """Base of the rule families.  Each family defines
     ``prizes(ids, E, cfg)``, the prizes it pays the field ``ids`` (ids in
-    position order) out of the endowment E, in position order, and
-    ``spec()``, the rule's text in the spec language.  ``designated`` lists
-    the competitor ids whose identity, not only their position, the rule
-    reads."""
+    position order) out of the endowment E, in position order: a tuple of
+    floats, or any other sequence of numbers, and ``spec()``, the rule's text
+    in the spec language.  ``designated`` lists the competitor ids whose
+    identity, not only their position, the rule reads."""
 
     designated: tuple[str, ...] = ()
 
 
 def _equal(n: int, e: float) -> Prizes:
-    return [e / n] * n
+    return tuple([e / n] * n)
 
 
 def _winner(n: int, e: float) -> Prizes:
-    return [e] + [0.0] * (n - 1)
+    prizes = [0.0] * n
+    prizes[0] = float(e)  # a tuple from prizes holds floats, also for an int E
+    return tuple(prizes)
 
 
 @dataclass(frozen=True)
@@ -356,9 +359,9 @@ class WTS(RuleSpec):
             raise InvalidRuleParams(f"WTS cap must be >= 0 or inf, got {self.a}")
 
     def prizes(self, ids, e, cfg):
-        n, a = len(ids), self.a
+        n, a = len(ids), float(self.a)  # an int cap still pays floats
         if e >= n * a:  # never for a = inf
-            return [e - (n - 1) * a] + [a] * (n - 1)
+            return tuple([e - (n - 1) * a] + [a] * (n - 1))
         return _equal(n, e)
 
     def spec(self):
@@ -391,8 +394,8 @@ class Interval(RuleSpec):
         idx = interval_locate(self.intervals, e / n)
         if idx is None:
             return _equal(n, e)
-        a, b = self.intervals.pairs[idx]
-        return [_interval_prize(n, e, r, a, b) for r in range(1, n + 1)]
+        a, b = map(float, self.intervals.pairs[idx])  # int endpoints still pay floats
+        return tuple([_interval_prize(n, e, r, a, b) for r in range(1, n + 1)])
 
     def spec(self):
         return "interval:" + ";".join(f"[{_num(a)},{_num(b)}]" for a, b in self.intervals.pairs)
@@ -489,13 +492,17 @@ class Geometric(RuleSpec):
                 f"geometric ratio must be in [0, 1], got {self.lam} "
                 "(pass allow_above_one=True to override)"
             )
+        # not a field: {n: the weights divided by their sum}
+        object.__setattr__(self, "_shares", {})
 
     def prizes(self, ids, e, cfg):
-        weights = [1.0]
-        for _ in range(len(ids) - 1):
-            weights.append(weights[-1] * self.lam)
-        total = sum(weights)
-        return [w / total * e for w in weights]
+        n = len(ids)
+        shares = self._shares.get(n)
+        if shares is None:
+            weights = list(accumulate(repeat(self.lam, n - 1), operator.mul, initial=1.0))
+            total = sum(weights)
+            shares = self._shares[n] = [w / total for w in weights]
+        return tuple([w * e for w in shares])
 
     def spec(self):
         return f"geometric:lambda={_num(self.lam)}"
@@ -528,7 +535,7 @@ class Proportional(RuleSpec):
         if total == math.inf:  # finite weights, too large to add: divide by the largest
             weights = [w / weights[0] for w in weights]
             total = sum(weights)
-        return [w / total * e for w in weights]
+        return tuple([w / total * e for w in weights])
 
     def spec(self):
         return "proportional:" + ",".join(_num(v) for v in self.lams)
@@ -564,16 +571,16 @@ def _late_dollar_vector(n: int, e: float) -> list[float]:
 def _pair_favoritism(rule: "Counterexample", ids: tuple[str, ...], e: float) -> Prizes:
     """Split evenly when the designated i and j finish first and second."""
     if ids[:2] == (rule.i, rule.j):
-        return [e / 2.0, e / 2.0] + [0.0] * (len(ids) - 2)
+        return tuple([e / 2.0, e / 2.0] + [0.0] * (len(ids) - 2))
     return _winner(len(ids), e)
 
 
 # name -> prizes(rule, ids, E)
 _COUNTEREXAMPLES: dict[str, Callable[["Counterexample", tuple[str, ...], float], Prizes]] = {
-    "lowest-takes-all": lambda rule, ids, e: [0.0] * (len(ids) - 1) + [e],
+    "lowest-takes-all": lambda rule, ids, e: tuple([0.0] * (len(ids) - 1) + [float(e)]),
     "threshold-switch": lambda rule, ids, e: (_equal if e <= 1.0 else _winner)(len(ids), e),
     "pair-favoritism": _pair_favoritism,
-    "late-dollar": lambda rule, ids, e: _late_dollar_vector(len(ids), e),
+    "late-dollar": lambda rule, ids, e: tuple(_late_dollar_vector(len(ids), e)),
     "ed2wta3": lambda rule, ids, e: (_equal if len(ids) <= 2 else _winner)(len(ids), e),
 }
 COUNTEREXAMPLE_NAMES = tuple(_COUNTEREXAMPLES)
@@ -756,29 +763,12 @@ def prize_vector(
     distinct) out of the endowment ``e``, in position order.
 
     Raises what ``Competition`` raises for a negative or non-finite endowment,
-    and a ``SolverFailure`` naming the rule, n and E.
+    and a ``SolverFailure`` or an ``InvalidRuleParams`` naming the rule, n and
+    E.  A tuple from ``prizes`` is returned as it is, any other result as a
+    tuple of floats.
     """
     if not 0 <= e < math.inf:
         raise endowment_error(e)
-    # a list first, as in core.standard_competition
-    return tuple(list(_float_prizes(rule, ids, e, cfg)))
-
-
-def allocate(
-    rule: RuleSpec, competition: Competition, cfg: SolverConfig = DEFAULT_SOLVER
-) -> Allocation:
-    """Apply any rule to a competition. Deterministic; sums to E within tolerance.
-
-    ``prize_vector`` keyed by competitor id.  The competition has checked its
-    endowment, and the prizes go into the dict without an interim tuple.
-    """
-    ids = competition.ranking.by_position
-    return Allocation(prizes=dict(zip(ids, _float_prizes(rule, ids, competition.endowment, cfg))))
-
-
-def _float_prizes(rule: RuleSpec, ids: tuple[str, ...], e: float, cfg: SolverConfig):
-    """``rule.prizes`` as an iterator of floats; a SolverFailure or an
-    InvalidRuleParams names the rule, n and E."""
     try:
         prizes = rule.prizes(ids, e, cfg)
     except (SolverFailure, InvalidRuleParams) as exc:
@@ -787,7 +777,15 @@ def _float_prizes(rule: RuleSpec, ids: tuple[str, ...], e: float, cfg: SolverCon
         except InvalidRuleParams:
             name = f"unnamed {type(rule).__name__} rule"
         raise type(exc)(f"{name} at n={len(ids)}, E={e!r}: {exc}") from exc
-    return map(float, prizes)
+    return prizes if type(prizes) is tuple else tuple([float(p) for p in prizes])
+
+
+def allocate(
+    rule: RuleSpec, competition: Competition, cfg: SolverConfig = DEFAULT_SOLVER
+) -> Allocation:
+    """``prize_vector`` keyed by competitor id: deterministic, sums to E within tolerance."""
+    ids = competition.ranking.by_position
+    return Allocation(prizes=dict(zip(ids, prize_vector(rule, ids, competition.endowment, cfg))))
 
 
 def describe(rule: RuleSpec) -> str:

@@ -455,6 +455,18 @@ class TestMalformedInputExits2:
         assert out == ""
         assert f"--n must be at most {MAX_ALLOCATION_N}, got {n}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("allocate", "--rule", "sp:arithmetic", "--endowment", "1"),
+        ("table", "--rule", "ed", "--endowments", "1,2"),
+        ("path", "--rule", "ed", "--endowment", "1"),
+    ])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_field_size_below_one_names_the_flag(self, argv, n):
+        code, out, err = run_cli(*argv, "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert f"--n must be at least 1, got {n}" in err
+
     def test_field_size_at_the_cap_is_legal(self):
         code, out, err = run_cli("allocate", "--rule", "wta", "--n", str(MAX_ALLOCATION_N),
                                  "--endowment", "1", "--json")

@@ -94,6 +94,25 @@ def test_one_suffix_extrema_scan_in_axioms():
     assert len(found) == 1, f"accumulate(...) called at {found}"
 
 
+def _callers(callee: str) -> list[str]:
+    """``module.py:function`` (``module.py:line`` outside a function) for
+    every call of the name or method ``callee`` in the package."""
+    return [f"{path.name}:{getattr(stmt, 'name', node.lineno)}"
+            for path in sorted(SRC.glob("*.py")) for stmt in _tree(path.name).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and callee == (
+                node.func.attr if isinstance(node.func, ast.Attribute)
+                else getattr(node.func, "id", None))]
+
+
+def test_one_kernel_exit():
+    """Every prize vector leaves ``rule.prizes`` through ``prize_vector``,
+    which names the rule, n and E in an error and converts a non-tuple
+    result, and ``allocate`` keys that vector by competitor id."""
+    assert _callers("prizes") == ["rules.py:prize_vector"]
+    assert "rules.py:allocate" in _callers("prize_vector")
+
+
 def test_cli_imports_no_private_axioms_name():
     """The CLI reaches the checkers through the public cell entry points."""
     found = [f"cli.py:{node.lineno}: {alias.name}"

@@ -3,7 +3,7 @@ import pickle
 import struct
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from prizealloc.cli import bundled_rules
 from prizealloc.core import (
@@ -726,3 +726,36 @@ def test_allocate_is_prize_vector_keyed_by_id(spec):
         vec = prize_vector(rule, ids, 7.5)
         assert all(type(p) is float for p in vec)
         assert allocate(rule, comp).prizes == dict(zip(ids, vec))
+
+
+# int parameters, which each family must still pay out as floats
+INT_PARAMETER_RULES = (WTS(1), Interval(IntervalList(((0, 1),))),
+                       SingleParametric(MonotoneFn("cap", param=3)), Proportional((2, 1)))
+FLOAT_TYPE_RULES = (*bundled_rules(), *INT_PARAMETER_RULES, *map(parse_rule_spec, (
+    "sp:linear=0.5", "sp:cap=2", "sp:pwl=0:0,2:1,4:1")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=st.sampled_from(FLOAT_TYPE_RULES), n=st.integers(1, 12),
+       designated_first=st.booleans(),
+       e=st.one_of(st.floats(0.0, 1e6), st.integers(0, 10 ** 6), st.just(0.0)))
+@example(rule=INT_PARAMETER_RULES[0], n=2, designated_first=False, e=10)
+@example(rule=INT_PARAMETER_RULES[1], n=12, designated_first=False, e=10)  # E/n in (0, 1)
+@example(rule=INT_PARAMETER_RULES[2], n=2, designated_first=False, e=10)
+@example(rule=INT_PARAMETER_RULES[3], n=2, designated_first=False, e=10)
+def test_prize_vector_and_allocate_pay_the_same_floats(rule, n, designated_first, e):
+    ids = tuple(f"c{k}" for k in range(1, n + 1))
+    if designated_first and rule.designated and n >= 2:
+        ids = (*rule.designated, *ids[2:])
+    comp = Competition(ranking=Ranking(ids), endowment=e)
+    try:
+        vec = prize_vector(rule, ids, e)
+    except InvalidRuleParams as exc:  # proportional weights for fewer than n positions
+        with pytest.raises(InvalidRuleParams) as via_allocate:
+            allocate(rule, comp)
+        assert str(via_allocate.value) == str(exc)
+        return
+    by_position = allocate(rule, comp).by_position(comp.ranking)
+    assert all(type(p) is float for p in vec)
+    assert all(type(p) is float for p in by_position)
+    assert [struct.pack("<d", p) for p in by_position] == [struct.pack("<d", p) for p in vec]
