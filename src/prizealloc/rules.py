@@ -47,7 +47,6 @@ from .solver import (
     SolverFailure,
     interval_locate,
     iterates,
-    solve_level,
     solve_level_sum,
 )
 
@@ -401,13 +400,50 @@ class Interval(RuleSpec):
         return "interval:" + ";".join(f"[{_num(a)},{_num(b)}]" for a, b in self.intervals.pairs)
 
 
+def _sp_estimate(f: MonotoneFn, n: int, e: float) -> tuple[float, float] | None:
+    """The root of g(x) = x + f(x) + f(f(x)) + ... = E on the linear piece
+    of g that holds it, and g's slope there, for f linear, shift or cap."""
+    c = f.param
+    if f.kind == "linear":  # g(x) = x (1 - c^n) / (1 - c)
+        slope = n if c == 1 else (1.0 - c ** n) / (1.0 - c)
+        return e / slope, slope
+    if f.kind == "cap":  # g(x) = x + (n - 1) min(c, x)
+        return (e / n, n) if e <= n * c else (e - (n - 1) * c, 1.0)
+    if f.kind == "shift":  # m positive terms: c m(m - 1)/2 < E <= c m(m + 1)/2
+        m = n if c == 0 else max(1, math.ceil(min(n, (math.sqrt(1.0 + 8.0 * e / c) - 1.0) / 2.0)))
+        return (e + _mul(m * (m - 1) // 2, c)) / m, m
+    return None
+
+
+def _pieces(fns: Sequence[MonotoneFn]) -> tuple[list[float], ...] | None:
+    """g(x) = x + the sum of fns, each linear, shift or cap, in linear
+    pieces: where each starts, g there and g's slope on it; None for a pwl."""
+    slope, kinks = 1.0, []
+    for f in fns:
+        if f.kind == "pwl":
+            return None
+        slope += f.param if f.kind == "linear" else f.kind == "cap"
+        if f.kind != "linear" and f.param < math.inf:  # shift turns on at c, cap off
+            kinks.append((f.param, 1.0 if f.kind == "shift" else -1.0))
+    xs, gs, slopes = [0.0], [0.0], [slope]
+    for c, step in sorted(kinks):
+        gs.append(gs[-1] + slopes[-1] * (c - xs[-1]))
+        xs.append(c)
+        slopes.append(slopes[-1] + step)
+    return xs, gs, slopes
+
+
 @dataclass(frozen=True)
 class SingleParametric(RuleSpec):
     f: MonotoneFn
 
     def prizes(self, ids, e, cfg):
         n, f = len(ids), self.f._eval
-        x = solve_level_sum(lambda x: sum(iterates(f, x, n)), n, e, cfg)
+
+        def level_sum(x):
+            return sum(iterates(f, x, n))
+        level_sum.estimate = _sp_estimate(self.f, n, e)
+        x = solve_level_sum(level_sum, n, e, cfg)
         return list(iterates(f, x, n))
 
     def spec(self):
@@ -434,8 +470,10 @@ class Parametric(RuleSpec):
         for f_hi, f_lo in zip(self.fs, self.fs[1:]):
             if not pointwise_leq(f_lo, f_hi, xs):
                 raise InvalidRuleParams("level functions must be pointwise non-increasing in k")
-        # not a field: the evaluators of f_1, f_2, ..., grown to the largest n seen
+        # not fields: f_1, f_2, ..., grown to the largest n seen, and
+        # {n: the evaluators of f_1..f_n and the pieces of their sum}
         object.__setattr__(self, "_levels", ())
+        object.__setattr__(self, "_by_n", {})
 
     def fn(self, k: int) -> MonotoneFn:
         if k <= len(self.fs):
@@ -447,12 +485,21 @@ class Parametric(RuleSpec):
         )
 
     def prizes(self, ids, e, cfg):
-        n, levels = len(ids), self._levels
-        if len(levels) < n:
-            levels += tuple(self.fn(k)._eval for k in range(len(levels) + 1, n + 1))
+        n = len(ids)
+        if n not in self._by_n:
+            levels = self._levels
+            levels += tuple(self.fn(k) for k in range(len(levels) + 1, n + 1))
             object.__setattr__(self, "_levels", levels)
-        levels = levels[:n]
-        x = solve_level(levels, n, e, cfg)
+            self._by_n[n] = tuple(f._eval for f in levels[:n]), _pieces(levels[1:n])
+        levels, pieces = self._by_n[n]
+
+        def level_sum(x):
+            return sum(f(x) for f in levels)
+        if pieces:
+            xs, gs, slopes = pieces
+            i = bisect_left(gs, e) - 1  # gs[0] = g(0) = 0 < E
+            level_sum.estimate = xs[i] + (e - gs[i]) / slopes[i], slopes[i]
+        x = solve_level_sum(level_sum, n, e, cfg)
         return [f(x) for f in levels]
 
     def spec(self):
@@ -543,17 +590,26 @@ class Proportional(RuleSpec):
 
 def _late_dollar_vector(n: int, e: float) -> list[float]:
     """One continuous dollar to position 1; then positions 2,1; then 3,2,1;
-    up to n..1; afterwards repeated rounds lowest-to-highest."""
-    v = [0.0] * n
-    rem = e
-    # triangular phase: round r hands one dollar each to positions r..1
-    for r in range(1, n + 1):
-        for pos in range(r, 0, -1):
-            amt = min(1.0, rem)
-            v[pos - 1] += amt
-            rem -= amt
-            if rem <= 0:
-                return v
+    up to n..1; afterwards repeated rounds lowest-to-highest.  The staircase
+    hands out its whole dollars in one batch, by the arithmetic of a step at
+    a time: rem - 1.0 is exact below 2**53, and once it rounds back to rem,
+    every later step hands out a whole dollar."""
+    steps, whole, rem = n * (n + 1) // 2, 0, float(e)
+    while rem >= 1.0 and whole < steps:
+        if rem - 1.0 == rem:
+            whole = steps
+        elif rem < 2.0 ** 53:
+            dollars = min(steps - whole, int(rem))
+            whole, rem = whole + dollars, rem - dollars
+        else:
+            whole, rem = whole + 1, rem - 1.0
+    r = (math.isqrt(8 * whole + 1) - 1) // 2  # whole rounds, then d dollars of round r + 1
+    d = whole - r * (r + 1) // 2
+    v = [float(max(0, r - i) + (r - d < i <= r)) for i in range(n)]
+    if whole < steps:
+        if rem > 0:  # the fraction goes to the next position of the staircase
+            v[r - d] += rem
+        return v
     # whole repeated rounds can be batched: each adds one dollar per position
     rounds = int(rem // n)
     if rounds:

@@ -580,6 +580,21 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == "1.5 1.5\n"
 
 
+def test_late_dollar_allocates_the_largest_field_promptly():
+    """The staircase of cx:late-dollar is batched: at the CLI's largest n
+    its 5 * 10**9 steps take one pass over the field, not one per dollar."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "prizealloc", "allocate", "--rule", "cx:late-dollar",
+         "--n", str(MAX_ALLOCATION_N), "--endowment", "1e9"],
+        capture_output=True, text=True, timeout=10,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    prizes = [float(p) for p in proc.stdout.split()]
+    assert len(prizes) == MAX_ALLOCATION_N and sum(prizes) == 1e9
+
+
 class TestFitAndClassifyCommands:
     def test_fit_geometric_bundled(self):
         code, out, _ = run_cli("fit", "--family", "geometric",

@@ -113,6 +113,15 @@ def test_one_kernel_exit():
     assert "rules.py:allocate" in _callers("prize_vector")
 
 
+def test_one_level_solver_path():
+    """A rule's root estimate is the first probe of the one bisection,
+    not a second solver: only ``solve_level_sum`` brackets the root, and
+    only ``solve_level`` and the level rules call it."""
+    assert _callers("_bracket") == ["solver.py:solve_level_sum"]
+    assert set(_callers("solve_level_sum")) == {
+        "solver.py:solve_level", "rules.py:SingleParametric", "rules.py:Parametric"}
+
+
 def test_cli_imports_no_private_axioms_name():
     """The CLI reaches the checkers through the public cell entry points."""
     found = [f"cli.py:{node.lineno}: {alias.name}"

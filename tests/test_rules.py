@@ -56,6 +56,35 @@ def vector(rule, n, endowment):
     return allocate(rule, comp).by_position(comp.ranking)
 
 
+def bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+def late_dollar_step_loop(n, e):
+    """cx:late-dollar one staircase dollar per step, then whole rounds at
+    once: the reference the batched staircase must match bit for bit."""
+    v = [0.0] * n
+    rem = e
+    for r in range(1, n + 1):
+        for pos in range(r, 0, -1):
+            amt = min(1.0, rem)
+            v[pos - 1] += amt
+            rem -= amt
+            if rem <= 0:
+                return v
+    rounds = int(rem // n)
+    if rounds:
+        v = [p + rounds for p in v]
+        rem -= rounds * n
+    for pos in range(n, 0, -1):
+        amt = min(1.0, rem)
+        v[pos - 1] += amt
+        rem -= amt
+        if rem <= 0:
+            break
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Golden tables
 
@@ -483,6 +512,25 @@ class TestCounterexamples:
 
     def test_late_dollar_fractional(self):
         assert vector(Counterexample("late-dollar"), 2, 1.5) == (1.0, 0.5)
+
+    @given(st.data(), st.integers(min_value=1, max_value=60))
+    @settings(max_examples=500)
+    def test_late_dollar_matches_step_loop_bit_for_bit(self, data, n):
+        steps = n * (n + 1) // 2  # the staircase's dollars
+        e = data.draw(st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e300]),
+            st.integers(min_value=0, max_value=3 * steps),
+            st.fractions(min_value=0, max_value=3 * steps),
+            st.floats(min_value=0.0, max_value=3.0 * steps),
+            st.floats(min_value=-2.0, max_value=2.0).map(lambda d: max(0.0, steps + d)),
+            # rem - 1.0 rounds from 2**53 up: ints, and floats an ulp apart
+            st.sampled_from([2 ** 53, 2 ** 54]).flatmap(lambda big: st.one_of(
+                st.integers(min_value=big - 4 * steps, max_value=big + 4 * steps),
+                st.integers(min_value=-2 * steps, max_value=2 * steps)
+                .map(lambda k: float(big) + 2.0 * k))),
+        ))
+        got = prize_vector(Counterexample("late-dollar"), tuple(f"c{k}" for k in range(n)), e)
+        assert bits(got) == bits(late_dollar_step_loop(n, e))
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,89 @@ def test_probes_save_level_sums(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The rules' root estimates against plain bisection
+
+
+ESTIMATE_RULES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]).map(MonotoneFn.linear),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    .map(MonotoneFn.linear),
+    st.sampled_from([0.0, -0.0, math.inf, 1e-9, 1e6]).map(MonotoneFn.shift),
+    st.sampled_from([0.0, -0.0, math.inf]).map(MonotoneFn.cap),
+).map(SingleParametric) | st.just(HYPERARITHMETIC)
+
+
+def vector_outcome(rule, n, e, cfg):
+    try:
+        return bits(prize_vector(rule, tuple(f"c{k}" for k in range(n)), e, cfg))
+    except SolverFailure as exc:
+        return str(exc)
+
+
+@given(st.data(), ESTIMATE_RULES, st.sampled_from([1, 2, 5, 8, 50, 106]),
+       st.sampled_from(SOLVER_CONFIGS))
+@settings(max_examples=300)
+def test_estimate_pays_plain_bisection_bits(data, rule, n, cfg):
+    """A rule's root estimate only moves the first probe: the prizes are
+    plain bisection's, bit for bit, and so is a failure's message."""
+    e = data.draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e12, 1e300]),
+        st.floats(min_value=0.0, max_value=2 * cfg.residual_tol),
+        st.floats(min_value=0.0, max_value=5.0 * n),
+    ))
+    estimates = []
+
+    def solve(g, n, e, cfg):
+        estimates.append(getattr(g, "estimate", None))
+        return solve_level_sum(g, n, e, cfg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rules, "solve_level_sum", solve)
+        probed = vector_outcome(rule, n, e, cfg)
+        patch.setattr(rules, "solve_level_sum", plain_bisection)
+        plain = vector_outcome(rule, n, e, cfg)
+    assert estimates and None not in estimates
+    assert probed == plain
+
+
+def level_sums_per_solve(monkeypatch, sample):
+    """Level sums per solve of a sample of (rule, n, E), each level sum
+    counted with the root estimate its rule attached."""
+    solves = calls = 0
+
+    def counted(g, n, e, cfg=DEFAULT_SOLVER):
+        nonlocal solves
+        solves += 1
+
+        def g_counted(x):
+            nonlocal calls
+            calls += 1
+            return g(x)
+        g_counted.estimate = getattr(g, "estimate", None)
+        return solve_level_sum(g_counted, n, e, cfg)
+
+    monkeypatch.setattr(rules, "solve_level_sum", counted)
+    ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
+    for rule, n, e in sample:
+        prize_vector(rule, ids[:n], e)
+    return calls / solves
+
+
+@pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "sp:linear=0.5",
+                                  "param:hyperarithmetic"])
+def test_estimates_save_level_sums(monkeypatch, spec):
+    """On the sample of test_probes_save_level_sums, a solve that starts at
+    its rule's estimate evaluates at most 6 level sums on average; from E/2
+    it takes 5 to 12.6."""
+    rng = random.Random("solver-tables-sample")
+    sample = [(head, n, rng.uniform(0.0, 5.0 * n))
+              for head in PARITY_SPECS for n in (8, 50, 106) for _ in range(8)]
+    rule = parse_rule_spec(spec)
+    assert level_sums_per_solve(
+        monkeypatch, [(rule, n, e) for head, n, e in sample if head == spec]) <= 6.0
+
+
+# ---------------------------------------------------------------------------
 # The walk's fixed point against a walk that calls f at every step
 
 
