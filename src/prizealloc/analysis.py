@@ -12,9 +12,8 @@ reports describe how well the data matches the shape, nothing more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-from .core import TAU_EQ, EventSet, PrizeAllocError, PrizeTable
+from .core import TAU_EQ, EventSet, PrizeAllocError, PrizeTable, Record
 from .rules import RuleSpec
 from .axioms import (Verdict, _data_top_fault, _excess, _generic_ids, _Memo, _scan,
                      check_tolerance)
@@ -28,8 +27,7 @@ class TooFewPositions(PrizeAllocError):
     pass
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     """Outcome of fitting one shape family to observed prizes.
 
     ``max_rel_dev`` is the worst relative deviation between observed and
@@ -45,8 +43,7 @@ class FitReport:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     order_preserved: bool
     geometric: FitReport
     proportional: FitReport
@@ -201,8 +198,8 @@ def detect_interval_pattern(
 def _cross_event_scale(proportional: FitReport) -> FitReport:
     """Do per-position shares of the endowment agree across events?  The
     proportional fit's shares and deviation, without its ordering condition."""
-    return replace(proportional, family="cross_event_scale", warnings=(),
-                   verdict=proportional.max_rel_dev <= proportional.tolerance)
+    return proportional.replace(family="cross_event_scale", warnings=(),
+                                verdict=proportional.max_rel_dev <= proportional.tolerance)
 
 
 def classify(
@@ -249,7 +246,7 @@ def classify(
 def _worst(reports: list[FitReport]) -> FitReport:
     """Combine per-event reports: the verdict holds only if all do."""
     worst = max(reports, key=lambda r: r.max_rel_dev)
-    return replace(worst, verdict=all(r.verdict for r in reports))
+    return worst.replace(verdict=all(r.verdict for r in reports))
 
 
 def check_data_top_consistency(

@@ -30,14 +30,13 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import (accumulate, chain, combinations, compress, cycle, islice, permutations,
                        product, repeat)
 from operator import add, and_, gt, itemgetter, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
-from .core import TAU_EQ, Competition, PrizeAllocError, Ranking
+from .core import TAU_EQ, Competition, PrizeAllocError, Ranking, Record
 from .rules import RuleSpec, allocate, describe, prize_vector
 from .solver import SolverConfig
 
@@ -80,8 +79,7 @@ def check_tolerance(value: float, name: str = "tolerance") -> None:
         raise InvalidCheck(f"{name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SampleBudget:
+class SampleBudget(Record):
     """Sampling budget: competitor counts 1..max_n and an endowment grid."""
 
     max_n: int = 5
@@ -136,8 +134,7 @@ def _pair_values(grid: Sequence[float], limit: int = 48) -> list[float]:
     return [values[round(i * stride)] for i in range(limit)]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A concrete, reproducible axiom violation.
 
     ``competitions`` holds the one or two competitions involved; ``subset``
@@ -159,8 +156,7 @@ class Witness:
     margin: float
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     axiom: str
     mode: str | None
     passed: bool

@@ -147,7 +147,7 @@ def _parse_json_events(path: str, text: str) -> EventSet:
         try:
             endowment = float(ev["endowment"])
             prizes = tuple(float(p) for p in ev["prizes"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # a JSON int may exceed a float
             raise NonNumeric(f"{path}: events[{idx}]: {exc}") from exc
         events.append(PrizeTable(name=str(ev["name"]), endowment=endowment, prizes=prizes))
     return EventSet(events=tuple(events))

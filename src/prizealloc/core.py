@@ -10,10 +10,14 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
-from math import inf
+from types import SimpleNamespace
 from typing import Iterable, Sequence
+
+# The largest finite float: an int or Fraction endowment above it has no
+# float value, and a float is at most it exactly when it is finite.
+MAX_FLOAT = sys.float_info.max
 
 # Default tolerances. These are configuration, not constants: every operation
 # that compares sums or prizes accepts an explicit tolerance argument.
@@ -62,14 +66,69 @@ class InconsistentPositionCounts(PrizeAllocError):
 
 
 def endowment_error(endowment: float) -> PrizeAllocError:
-    """The error for an endowment outside 0 <= E < inf (callers test that
-    inline, as it is on every allocation's path)."""
+    """The error for an endowment outside 0 <= E <= MAX_FLOAT (callers test
+    that inline, as it is on every allocation's path)."""
     kind = NegativeEndowment if endowment < 0 else NonFiniteEndowment
     return kind(f"endowment must be finite and >= 0, got {endowment}")
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Record:
+    """Base of the package's immutable value records, in place of a frozen
+    dataclass, which costs start-up time to build.  The fields are the base
+    records' fields, then the class's own annotated names, each defaulting
+    to the class attribute of its name.  ``__init__`` takes them by position
+    or name, then calls ``__post_init__``; equality (within one class), the
+    hash and ``repr`` read the tuple of field values; assignment raises.
+    ``__dataclass_fields__`` holds what ``dataclasses.replace`` reads."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        own = cls.__annotations__
+        cls._fields += tuple(name for name in own if name not in cls._fields)
+        cls._defaults = {**cls._defaults, **{k: cls.__dict__[k] for k in own if k in cls.__dict__}}
+        cls.__dataclass_fields__ = {
+            k: SimpleNamespace(name=k, init=True, _field_type=None) for k in cls._fields}
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = self.__dict__  # a field given by position and by name raises in update
+        values.update(self._defaults, **dict(zip(self._fields, args)), **kwargs)
+        if len(args) > len(self._fields) or values.keys() != self.__dataclass_fields__.keys():
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {self._fields}, "
+                            f"got {len(args)} by position and {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to some fields, built and checked anew."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class Ranking(Record):
     """A bijection from competitor ids onto positions 1..n.
 
     Stored as the tuple of ids in position order: ``by_position[r - 1]`` is
@@ -104,16 +163,17 @@ class Ranking:
         return self.by_position[position - 1]
 
 
-@dataclass(frozen=True)
-class Competition:
+class Competition(Record):
     """A ranked field of competitors with a prize endowment."""
 
     ranking: Ranking
     endowment: float
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.endowment < inf:
-            raise endowment_error(self.endowment)
+    def __init__(self, ranking: Ranking, endowment: float) -> None:  # one per allocation
+        if not 0 <= endowment <= MAX_FLOAT:
+            raise endowment_error(endowment)
+        values = self.__dict__
+        values["ranking"], values["endowment"] = ranking, endowment
 
     @property
     def n(self) -> int:
@@ -124,11 +184,13 @@ class Competition:
         return self.ranking.competitors
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """Per-competitor prize amounts, keyed by competitor id."""
 
     prizes: dict[str, float]
+
+    def __init__(self, prizes: dict[str, float]) -> None:  # one per allocation
+        self.__dict__["prizes"] = prizes
 
     def by_position(self, ranking: Ranking) -> tuple[float, ...]:
         """The prize vector in position order (winner first)."""
@@ -152,7 +214,7 @@ def make_competition(
     by_position = [""] * len(ids)
     for cid, pos in zip(ids, positions):
         by_position[pos - 1] = cid
-    return Competition(ranking=Ranking(tuple(by_position)), endowment=float(endowment))
+    return Competition(ranking=Ranking(tuple(by_position)), endowment=_as_float(endowment))
 
 
 def standard_competition(n: int, endowment: float, prefix: str = "c") -> Competition:
@@ -161,7 +223,14 @@ def standard_competition(n: int, endowment: float, prefix: str = "c") -> Competi
     The validated ranking of the last (n, prefix) is kept and shared, as
     callers loop over endowments at one n; one field is at most about 6 MB
     (n = 100,000).  An invalid n is not kept, so it raises on every call."""
-    return Competition(ranking=_standard_ranking(n, prefix), endowment=float(endowment))
+    return Competition(ranking=_standard_ranking(n, prefix), endowment=_as_float(endowment))
+
+
+def _as_float(endowment: float) -> float:
+    try:
+        return float(endowment)
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise endowment_error(endowment) from None
 
 
 @lru_cache(maxsize=1, typed=True)  # typed: a float n raises, as range() does
@@ -203,8 +272,7 @@ def validate_allocation(
     return abs(allocation.total() - competition.endowment) <= tol
 
 
-@dataclass(frozen=True)
-class PrizeTable:
+class PrizeTable(Record):
     """Observed position -> prize data for a single event.
 
     The prize list starts at position 1 and may cover only the top
@@ -216,10 +284,10 @@ class PrizeTable:
     prizes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 0 < self.endowment < inf:
+        if not 0 < self.endowment <= MAX_FLOAT:
             kind = NegativeEndowment if self.endowment <= 0 else NonFiniteEndowment
             raise kind(f"endowment must be finite and > 0, got {self.endowment}")
-        if not all(0 <= p < inf for p in self.prizes):  # also rejects NaN
+        if not all(0 <= p <= MAX_FLOAT for p in self.prizes):  # also rejects NaN
             raise PrizeAllocError(f"prizes must be finite and non-negative: {self.prizes}")
         if sum(self.prizes) > self.endowment + tau_sum(self.endowment):
             raise PrizeAllocError(
@@ -227,8 +295,7 @@ class PrizeTable:
             )
 
 
-@dataclass(frozen=True)
-class EventSet:
+class EventSet(Record):
     """Several prize tables expected to share one underlying rule."""
 
     events: tuple[PrizeTable, ...]

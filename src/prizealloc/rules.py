@@ -1,6 +1,6 @@
 """Allocation rule families for rank-order competitions.
 
-Implemented families, one frozen dataclass each:
+Implemented families, one immutable record (``core.Record``) each:
 
 * equal division and winner-takes-all,
 * winner-takes-surplus with cap ``a``,
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Sequence
@@ -37,7 +36,9 @@ from typing import Callable, NamedTuple, Sequence
 from .core import (
     Allocation,
     Competition,
+    NonFiniteEndowment,
     PrizeAllocError,
+    Record,
     endowment_error,
     standard_competition,
 )
@@ -92,8 +93,7 @@ def _number(text: str, token: str, at: int, expected: str) -> float:
 # Monotone generator functions
 
 
-@dataclass(frozen=True)
-class MonotoneFn:
+class MonotoneFn(Record):
     """A continuous, non-decreasing function with 0 <= f(x) <= x on x >= 0.
 
     Either a named builtin (linear, shift, cap; the identity and zero are
@@ -267,8 +267,7 @@ def pointwise_leq(f_lo: MonotoneFn, f_hi: MonotoneFn, xs: Sequence[float]) -> bo
 # Interval lists
 
 
-@dataclass(frozen=True)
-class IntervalList:
+class IntervalList(Record):
     """Disjoint open intervals (a_k, b_k), sorted ascending.
 
     Endpoints may coincide (b_k = a_{k+1}); only the last upper endpoint may
@@ -319,7 +318,8 @@ class RuleSpec:
 
 
 def _equal(n: int, e: float) -> Prizes:
-    return tuple([e / n] * n)
+    share = e / n  # a Fraction for a Fraction E, else already a float
+    return tuple([share if type(share) is float else float(share)] * n)
 
 
 def _winner(n: int, e: float) -> Prizes:
@@ -328,8 +328,10 @@ def _winner(n: int, e: float) -> Prizes:
     return tuple(prizes)
 
 
-@dataclass(frozen=True)
-class ED(RuleSpec):
+class ED(RuleSpec, Record):
+    def __init__(self) -> None:  # no fields: ED() costs no more than a dataclass's
+        pass
+
     def prizes(self, ids, e, cfg):
         return _equal(len(ids), e)
 
@@ -337,8 +339,10 @@ class ED(RuleSpec):
         return "ed"
 
 
-@dataclass(frozen=True)
-class WTA(RuleSpec):
+class WTA(RuleSpec, Record):
+    def __init__(self) -> None:  # no fields: WTA() costs no more than a dataclass's
+        pass
+
     def prizes(self, ids, e, cfg):
         return _winner(len(ids), e)
 
@@ -346,8 +350,7 @@ class WTA(RuleSpec):
         return "wta"
 
 
-@dataclass(frozen=True)
-class WTS(RuleSpec):
+class WTS(RuleSpec, Record):
     """Everyone receives cap ``a`` once E >= n*a, the winner also takes the
     surplus; below n*a the endowment is divided equally."""
 
@@ -381,11 +384,10 @@ def _interval_prize(n: int, e: float, rank: int, a: float, b: float) -> float:
         return e - (n - rank) * a - _mul(rank - 1, b)
     if hi2 <= e <= _mul(n, b):
         return b
-    return e / n
+    return float(e / n)  # where n * a or n * b rounds past E; a Fraction E pays floats too
 
 
-@dataclass(frozen=True)
-class Interval(RuleSpec):
+class Interval(RuleSpec, Record):
     intervals: IntervalList
 
     def prizes(self, ids, e, cfg):
@@ -433,8 +435,7 @@ def _pieces(fns: Sequence[MonotoneFn]) -> tuple[list[float], ...] | None:
     return xs, gs, slopes
 
 
-@dataclass(frozen=True)
-class SingleParametric(RuleSpec):
+class SingleParametric(RuleSpec, Record):
     f: MonotoneFn
 
     def prizes(self, ids, e, cfg):
@@ -450,8 +451,7 @@ class SingleParametric(RuleSpec):
         return "sp:arithmetic" if self == arithmetic_rule() else "sp:" + self.f.spec()
 
 
-@dataclass(frozen=True)
-class Parametric(RuleSpec):
+class Parametric(RuleSpec, Record):
     """Explicit prefix of level functions, lazily extensible by a generator.
 
     ``extend(k)`` supplies the function for position k beyond the prefix.
@@ -520,8 +520,7 @@ def _order_check_points(fs: Sequence[MonotoneFn]) -> list[float]:
     return sorted(xs)
 
 
-@dataclass(frozen=True)
-class Geometric(RuleSpec):
+class Geometric(RuleSpec, Record):
     """Prize at position r is lambda^(r-1) / sum_k lambda^(k-1) times E.
 
     lambda > 1 breaks order preservation and is admitted only behind the
@@ -555,8 +554,7 @@ class Geometric(RuleSpec):
         return f"geometric:lambda={_num(self.lam)}"
 
 
-@dataclass(frozen=True)
-class Proportional(RuleSpec):
+class Proportional(RuleSpec, Record):
     """Prize at position r proportional to the fixed weight lams[r-1]."""
 
     lams: tuple[float, ...]
@@ -642,8 +640,7 @@ _COUNTEREXAMPLES: dict[str, Callable[["Counterexample", tuple[str, ...], float],
 COUNTEREXAMPLE_NAMES = tuple(_COUNTEREXAMPLES)
 
 
-@dataclass(frozen=True)
-class Counterexample(RuleSpec):
+class Counterexample(RuleSpec, Record):
     """Named rules that each violate exactly one checked axiom.
 
     pair-favoritism requires the two designated competitor ids i and j.
@@ -819,20 +816,23 @@ def prize_vector(
     distinct) out of the endowment ``e``, in position order.
 
     Raises what ``Competition`` raises for a negative or non-finite endowment,
-    and a ``SolverFailure`` or an ``InvalidRuleParams`` naming the rule, n and
-    E.  A tuple from ``prizes`` is returned as it is, any other result as a
-    tuple of floats.
+    and a ``SolverFailure``, an ``InvalidRuleParams`` or, for an int or
+    ``Fraction`` endowment beyond the float range, a ``NonFiniteEndowment``
+    naming the rule, n and E.  A tuple from ``prizes`` is returned as it is,
+    any other result as a tuple of floats.
     """
     if not 0 <= e < math.inf:
         raise endowment_error(e)
     try:
         prizes = rule.prizes(ids, e, cfg)
-    except (SolverFailure, InvalidRuleParams) as exc:
+    except (SolverFailure, InvalidRuleParams, OverflowError) as exc:
         try:
             name = rule.spec()
         except InvalidRuleParams:
             name = f"unnamed {type(rule).__name__} rule"
-        raise type(exc)(f"{name} at n={len(ids)}, E={e!r}: {exc}") from exc
+        # a rule overflows only on converting an E above MAX_FLOAT to a float
+        kind = NonFiniteEndowment if isinstance(exc, OverflowError) else type(exc)
+        raise kind(f"{name} at n={len(ids)}, E={e!r}: {exc}") from exc
     return prizes if type(prizes) is tuple else tuple([float(p) for p in prizes])
 
 
@@ -852,8 +852,7 @@ def describe(rule: RuleSpec) -> str:
 MAX_RANGE_ROWS = 100_000
 
 
-@dataclass(frozen=True)
-class PathTrace:
+class PathTrace(Record):
     """Allocations sampled along an increasing endowment grid."""
 
     samples: tuple[tuple[float, Allocation], ...]

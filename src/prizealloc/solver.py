@@ -66,11 +66,10 @@ field cap of 12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .core import PrizeAllocError
+from .core import PrizeAllocError, Record
 
 if TYPE_CHECKING:
     from .rules import IntervalList
@@ -80,8 +79,7 @@ class SolverFailure(PrizeAllocError):
     pass
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Residual tolerance is relative: the solve stops once
     |sum f_k(x) - E| <= residual_tol * max(1, E)."""
 

@@ -113,6 +113,14 @@ class TestLoadPrizeData:
         with pytest.raises(NonNumeric):
             load_prize_data(str(p))
 
+    @pytest.mark.parametrize("fields", ['"endowment": 1%s, "prizes": [1]',
+                                        '"endowment": 5, "prizes": [1%s]'])
+    def test_json_number_beyond_the_float_range(self, tmp_path, fields):
+        p = tmp_path / "huge.json"
+        p.write_text('{"events": [{"name": "x", %s}]}' % (fields % ("0" * 400)))
+        with pytest.raises(NonNumeric, match="too large"):
+            load_prize_data(str(p))
+
     def test_csv_event(self, tmp_path):
         p = tmp_path / "event.csv"
         p.write_text("position,prize\n1,5\n2,3\n")

@@ -1,10 +1,13 @@
 
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from prizealloc.analysis import FitReport, check_data_top_consistency, fit_geometric
 from prizealloc.core import (
     Allocation,
     Competition,
@@ -26,6 +29,8 @@ from prizealloc.core import (
     tau_sum,
     validate_allocation,
 )
+from prizealloc.rules import ED, WTA, Geometric, MonotoneFn
+from prizealloc.solver import SolverConfig
 
 
 class TestRanking:
@@ -68,6 +73,19 @@ class TestCompetition:
 
     def test_zero_endowment_allowed(self):
         assert Competition(ranking=Ranking(("a",)), endowment=0.0).endowment == 0.0
+
+    @pytest.mark.parametrize("endowment", [10 ** 400, Fraction(10 ** 400, 3)],
+                             ids=["int", "fraction"])
+    def test_endowment_beyond_the_float_range_rejected(self, endowment):
+        """0 <= E < inf holds for an int or Fraction with no float value."""
+        with pytest.raises(NonFiniteEndowment, match="endowment must be finite"):
+            Competition(Ranking(("a",)), endowment)
+        with pytest.raises(NonFiniteEndowment, match="endowment must be finite"):
+            standard_competition(3, endowment)
+        with pytest.raises(NonFiniteEndowment, match="endowment must be finite"):
+            make_competition(["a"], [1], endowment)
+        with pytest.raises(NonFiniteEndowment, match="endowment must be finite"):
+            PrizeTable(name="x", endowment=endowment, prizes=(1.0,))
 
     def test_make_competition_maps_positions(self):
         comp = make_competition(["x", "y", "z"], [2, 1, 3], 6.0)
@@ -204,3 +222,69 @@ class TestEventSet:
     def test_positions(self):
         a = PrizeTable(name="a", endowment=10.0, prizes=(5.0, 3.0))
         assert EventSet(events=(a,)).positions == 2
+
+
+class TestRecord:
+    """The value records behave as the frozen dataclasses they replace."""
+
+    def test_repr(self):
+        assert repr(ED()) == "ED()"
+        assert repr(Geometric(0.5)) == "Geometric(lam=0.5, allow_above_one=False)"
+        assert repr(SolverConfig()) == "SolverConfig(residual_tol=1e-10, max_iter=200)"
+        assert repr(standard_competition(2, 3.0)) == (
+            "Competition(ranking=Ranking(by_position=('c1', 'c2')), endowment=3.0)")
+
+    def test_equal_records_hash_equal(self):
+        pairs = [(Geometric(0.5), Geometric(lam=0.5, allow_above_one=False)),
+                 (MonotoneFn.shift(1.0), MonotoneFn("shift", 1.0)),
+                 (standard_competition(3, 2.0), Competition(Ranking(("c1", "c2", "c3")), 2.0)),
+                 (Allocation({"a": 1.0}), Allocation(prizes={"a": 1.0}))]
+        for a, b in pairs:
+            assert a == b and not a != b
+            if not isinstance(a, Allocation):  # a dict field is unhashable
+                assert hash(a) == hash(b)
+        assert Geometric(0.5) != Geometric(0.25)
+
+    def test_records_of_two_classes_are_unequal(self):
+        assert ED() != WTA() and not ED() == WTA()
+        assert Ranking(("a",)) != ("a",)
+
+    def test_assignment_and_deletion_raise(self):
+        rule = Geometric(0.5)
+        with pytest.raises(AttributeError):
+            rule.lam = 0.25
+        with pytest.raises(AttributeError):
+            del rule.lam
+        comp = standard_competition(2, 1.0)
+        with pytest.raises(AttributeError):
+            comp.endowment = 2.0
+        assert rule.lam == 0.5 and comp.endowment == 1.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: Geometric(), lambda: Geometric(lamb=0.5), lambda: Geometric(0.5, lam=0.5),
+        lambda: Geometric(0.5, False, 1), lambda: Ranking(), lambda: ED(1),
+        lambda: Competition(Ranking(("a",))), lambda: Competition(Ranking(("a",)), 1.0, x=1),
+        lambda: Allocation(), lambda: Allocation({}, {})])
+    def test_missing_or_unknown_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_fit_report_is_unhashable(self):
+        report = fit_geometric(PrizeTable(name="x", endowment=10.0, prizes=(4.0, 2.0, 1.0)))
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_dataclasses_replace(self):
+        table = PrizeTable(name="x", endowment=10.0, prizes=(4.0, 4.0, 1.0))
+        verdict = check_data_top_consistency(table, Geometric(0.5), tol=0.01)
+        witness = verdict.witness
+        report = fit_geometric(table)
+        for record, change in ((witness, {"lhs": witness.rhs}), (verdict, {"passed": True}),
+                               (report, {"family": "other"})):
+            new = dataclasses.replace(record, **change)
+            assert type(new) is type(record) and new != record
+            assert new == record.replace(**change)
+            assert all(getattr(new, k) == v for k, v in change.items())
+            assert dataclasses.replace(new, **{k: getattr(record, k) for k in change}) == record
+        with pytest.raises(TypeError):
+            report.replace(shape="geometric")

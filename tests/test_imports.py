@@ -151,3 +151,22 @@ def test_cli_start_up_loads_no_numeric_tower():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_start_up_loads_no_dataclasses():
+    """``dataclasses`` pulls in ``inspect`` (and with it ``dis``, ``ast`` and
+    ``tokenize``), and building a dataclass costs more at import than the
+    package's records do."""
+    slow = ("dataclasses", "inspect")
+    code = f"import prizealloc.cli, sys; print([m for m in {slow!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_tree(path.name))
+             if isinstance(node, IMPORTS) and "dataclasses" in _imported_modules(node)]
+    assert not found, f"dataclasses imported at {found}"

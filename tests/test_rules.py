@@ -1,12 +1,14 @@
 import math
 import pickle
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from prizealloc.cli import bundled_rules
 from prizealloc.core import (
+    NonFiniteEndowment,
     PrizeAllocError,
     Ranking,
     Competition,
@@ -754,6 +756,31 @@ def test_prize_vector_rejects_what_competition_rejects(endowment):
         prize_vector(ED(), ("a", "b"), endowment)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("endowment", [10 ** 400, Fraction(10 ** 400, 3)],
+                         ids=["int", "fraction"])
+@pytest.mark.parametrize("rule", bundled_rules(), ids=describe)
+def test_prize_vector_refuses_an_endowment_beyond_the_float_range(rule, endowment):
+    with pytest.raises(NonFiniteEndowment) as exc:
+        prize_vector(rule, ("p", "q", "c3"), endowment)
+    assert str(exc.value).startswith(f"{describe(rule)} at n=3, E={endowment!r}: ")
+
+
+# every bundled rule, and an interval rule that pays E/n where n * a rounds above
+# E = 3 * Fraction(0.1)
+@pytest.mark.parametrize("rule", [*bundled_rules(), Interval(IntervalList.of((0.1, 0.2)))],
+                         ids=describe)
+def test_rules_pay_floats_for_a_fraction_or_int_endowment(rule):
+    """A tuple from ``prizes`` is returned as it is, so it must hold floats."""
+    for ids in (("p", "q", "c3", "c4"), ("c1", "c2", "c3", "c4", "c5")):  # p, q: pair-favoritism
+        for n in range(1, len(ids) + 1):
+            for e in (Fraction(7, 3), Fraction(1, 3), 3 * Fraction(0.1), Fraction(0), 7, 1, 0):
+                vec = prize_vector(rule, ids[:n], e)
+                assert all(type(p) is float for p in vec), (n, e, vec)
+                assert math.isclose(sum(vec), e, rel_tol=1e-9, abs_tol=1e-9), (n, e, vec)
+                comp = Competition(Ranking(ids[:n]), e)
+                assert all(type(p) is float for p in allocate(rule, comp).prizes.values())
 
 
 def test_prize_vector_solver_failure_matches_allocate():
