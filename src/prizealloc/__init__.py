@@ -47,6 +47,7 @@ from .analysis import (
     classify,
     check_data_top_consistency,
     detect_interval_pattern,
+    fit_family,
     fit_geometric,
     fit_proportional,
 )
@@ -64,6 +65,6 @@ __all__ = [
     "SolverConfig", "SolverFailure", "solve_level", "trace_path",
     "SampleBudget", "Verdict", "Witness", "run_axiom_matrix", "verify_witness",
     "Classification", "FitReport", "classify", "check_data_top_consistency",
-    "detect_interval_pattern", "fit_geometric", "fit_proportional",
+    "detect_interval_pattern", "fit_family", "fit_geometric", "fit_proportional",
     "__version__",
 ]

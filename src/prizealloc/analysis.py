@@ -22,6 +22,9 @@ from .axioms import (Verdict, _data_top_fault, _excess, _generic_ids, _Memo, _sc
 # noise in published prize lists.
 TAU_FIT = 0.01
 
+# The shape families ``fit_family`` fits, in the order ``classify`` reports them.
+FIT_FAMILIES = ("geometric", "proportional", "interval")
+
 
 class TooFewPositions(PrizeAllocError):
     pass
@@ -217,11 +220,8 @@ def classify(
         all(ev.prizes[k] >= ev.prizes[k + 1] for k in range(len(ev.prizes) - 1))
         for ev in events.events
     )
-    geo_reports = [fit_geometric(ev, tau_fit, abs_slack) for ev in events.events]
-    geometric = _worst(geo_reports)
-    proportional = fit_proportional(events, tau_fit, abs_slack)
-    interval_reports = [detect_interval_pattern(ev, tau_fit, abs_slack) for ev in events.events]
-    interval = _worst(interval_reports)
+    geometric, proportional, interval = (
+        fit_family(events, family, tau_fit, abs_slack) for family in FIT_FAMILIES)
     scale = _cross_event_scale(proportional) if len(events.events) > 1 else None
     if not order_preserved:
         tier = "unordered"
@@ -243,8 +243,17 @@ def classify(
     )
 
 
-def _worst(reports: list[FitReport]) -> FitReport:
-    """Combine per-event reports: the verdict holds only if all do."""
+def fit_family(
+    events: EventSet, family: str, tau_fit: float = TAU_FIT, abs_slack: float = 0.0
+) -> FitReport:
+    """Fit one of FIT_FAMILIES to the event set.  A per-event fit reports its
+    worst event, and its verdict holds only if it holds for every event."""
+    if family == "proportional":
+        return fit_proportional(events, tau_fit, abs_slack)
+    if family not in FIT_FAMILIES:
+        raise PrizeAllocError(f"unknown fit family {family!r}; expected one of {FIT_FAMILIES}")
+    fit = fit_geometric if family == "geometric" else detect_interval_pattern
+    reports = [fit(ev, tau_fit, abs_slack) for ev in events.events]
     worst = max(reports, key=lambda r: r.max_rel_dev)
     return worst.replace(verdict=all(r.verdict for r in reports))
 

@@ -169,6 +169,12 @@ class Verdict(Record):
     def outcome(self) -> str:
         return "pass" if self.passed else "fail"
 
+    def to_dict(self) -> dict:
+        """The record's dict with ``outcome`` in place of ``passed``."""
+        report = super().to_dict()
+        del report["passed"]
+        return {**report, "outcome": self.outcome}
+
 
 def _witness(axiom, mode, fields, pos, competitor, lhs, rhs, relation, margin,
              subset=None) -> Witness:

@@ -56,20 +56,12 @@ from .rules import (
 from .axioms import (
     MATRIX_CELLS,
     SampleBudget,
-    Verdict,
     Witness,
     cell_key,
     run_axiom_matrix,
     run_cell,
 )
-from .analysis import (
-    TAU_FIT,
-    _worst,
-    classify,
-    detect_interval_pattern,
-    fit_geometric,
-    fit_proportional,
-)
+from .analysis import FIT_FAMILIES, TAU_FIT, classify, fit_family
 
 
 class SchemaError(PrizeAllocError):
@@ -135,7 +127,7 @@ def _parse_json_events(path: str, text: str) -> EventSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "events" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("events"), list):
         raise SchemaError(f"{path}: top-level object must contain an 'events' array")
     events = []
     for idx, ev in enumerate(doc["events"]):
@@ -209,52 +201,7 @@ def bundled_rules() -> tuple[RuleSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def witness_to_dict(w: Witness) -> dict:
-    return {
-        "axiom": w.axiom,
-        "mode": w.mode,
-        "competitions": [
-            {"ranking": list(c.ranking.by_position), "endowment": c.endowment}
-            for c in w.competitions
-        ],
-        "subset": list(w.subset) if w.subset is not None else None,
-        "competitor": w.competitor,
-        "position": w.position,
-        "lhs": w.lhs,
-        "rhs": w.rhs,
-        "relation": w.relation,
-        "margin": w.margin,
-    }
-
-
-def verdict_to_dict(v: Verdict) -> dict:
-    return {
-        "axiom": v.axiom,
-        "mode": v.mode,
-        "outcome": v.outcome,
-        "samples_checked": v.samples_checked,
-        "tolerance": v.tolerance,
-        "budget": v.budget,
-        "witness": witness_to_dict(v.witness) if v.witness else None,
-    }
-
-
-def _fit_to_dict(report) -> dict:
-    params = {
-        k: (list(val) if isinstance(val, tuple) else val)
-        for k, val in report.parameters.items()
-    }
-    return {
-        "family": report.family,
-        "parameters": params,
-        "max_rel_dev": report.max_rel_dev,
-        "verdict": report.verdict,
-        "tolerance": report.tolerance,
-        "warnings": list(report.warnings),
-    }
+# Human-readable reports
 
 
 def _print_witness(w: Witness, out) -> None:
@@ -389,7 +336,7 @@ def _cmd_check(args, out) -> int:
         "command": "check",
         "rule": describe(rule),
         "seed": args.seed,
-        "verdict": verdict_to_dict(verdict),
+        "verdict": verdict.to_dict(),
     }
     label = verdict.axiom + (f" ({verdict.mode})" if verdict.mode else "")
     lines = [
@@ -403,10 +350,10 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_matrix(args, out) -> int:
-    if args.rules:
-        rules = tuple(parse_rule_spec(spec) for spec in args.rules.split())
-    else:
-        rules = bundled_rules()
+    rules = (bundled_rules() if args.rules is None
+             else tuple(parse_rule_spec(spec) for spec in args.rules.split()))
+    if not rules:
+        raise SchemaError("--rules names no rule spec")
     budget = _budget_from_args(args)
     matrix = run_axiom_matrix(rules, budget, args.tol)
     report = {
@@ -415,7 +362,7 @@ def _cmd_matrix(args, out) -> int:
         "budget": budget.describe(),
         "cells": {
             rule_name: {
-                key: (verdict_to_dict(v) if v is not None else None)
+                key: (v.to_dict() if v is not None else None)
                 for key, v in row.items()
             }
             for rule_name, row in matrix.items()
@@ -445,15 +392,8 @@ def _cmd_matrix(args, out) -> int:
 
 def _cmd_fit(args, out) -> int:
     events = load_prize_data(args.data, args.format, args.endowment)
-    if args.family == "geometric":
-        fit = _worst([fit_geometric(ev, args.tol, args.slack) for ev in events.events])
-    elif args.family == "proportional":
-        fit = fit_proportional(events, args.tol, args.slack)
-    elif args.family == "interval":
-        fit = _worst([detect_interval_pattern(ev, args.tol, args.slack) for ev in events.events])
-    else:
-        raise SchemaError(f"unknown fit family {args.family!r}")
-    report = {"command": "fit", "data": args.data, "fit": _fit_to_dict(fit)}
+    fit = fit_family(events, args.family, args.tol, args.slack)
+    report = {"command": "fit", "data": args.data, "fit": fit.to_dict()}
     params = ", ".join(
         f"{k}={_fmt(val) if isinstance(val, float) else val}"
         for k, val in fit.parameters.items()
@@ -471,19 +411,8 @@ def _cmd_fit(args, out) -> int:
 def _cmd_classify(args, out) -> int:
     events = load_prize_data(args.data, args.format, args.endowment)
     result = classify(events, args.tol, args.slack)
-    report = {
-        "command": "classify",
-        "data": args.data,
-        "order_preserved": result.order_preserved,
-        "tier": result.tier,
-        "geometric": _fit_to_dict(result.geometric),
-        "proportional": _fit_to_dict(result.proportional),
-        "interval_pattern": _fit_to_dict(result.interval_pattern),
-        "cross_event_scale": (
-            _fit_to_dict(result.scale_invariant_across_events)
-            if result.scale_invariant_across_events is not None else None
-        ),
-    }
+    report = {"command": "classify", "data": args.data, **result.to_dict()}
+    report["cross_event_scale"] = report.pop("scale_invariant_across_events")
     lines = [
         f"tier: {result.tier}",
         f"order preserved: {'yes' if result.order_preserved else 'no'}",
@@ -557,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fit", help="fit one family to observed prizes")
-    p.add_argument("--family", required=True, choices=("geometric", "proportional", "interval"))
+    p.add_argument("--family", required=True, choices=FIT_FAMILIES)
     common_data(p)
 
     p = sub.add_parser("classify", help="fit all families and assign a tier")

@@ -92,8 +92,13 @@ class Record:
             k: SimpleNamespace(name=k, init=True, _field_type=None) for k in cls._fields}
 
     def __init__(self, *args, **kwargs) -> None:
-        values = self.__dict__  # a field given by position and by name raises in update
-        values.update(self._defaults, **dict(zip(self._fields, args)), **kwargs)
+        values = self.__dict__
+        try:
+            values.update(self._defaults, **dict(zip(self._fields, args)), **kwargs)
+        except TypeError:  # a field given by position and by name
+            doubled = next(k for k in self._fields[:len(args)] if k in kwargs)
+            raise TypeError(f"{type(self).__qualname__}() got the field {doubled!r} "
+                            "by position and by name") from None
         if len(args) > len(self._fields) or values.keys() != self.__dataclass_fields__.keys():
             raise TypeError(f"{type(self).__qualname__}() takes the fields {self._fields}, "
                             f"got {len(args)} by position and {sorted(kwargs)}")
@@ -126,6 +131,24 @@ class Record:
     def replace(self, **changes):
         """A copy with ``changes`` to some fields, built and checked anew."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def to_dict(self) -> dict:
+        """``{field: value}`` for every field, as JSON holds it: a nested record
+        becomes its dict, a ``Ranking`` its ids in position order and a tuple
+        a list."""
+        return {k: _plain(v) for k, v in zip(self._fields, self._values())}
+
+
+def _plain(value: object) -> object:
+    if isinstance(value, Ranking):
+        return list(value.by_position)
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 class Ranking(Record):

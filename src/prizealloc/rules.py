@@ -34,6 +34,7 @@ from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
+    MAX_FLOAT,
     Allocation,
     Competition,
     NonFiniteEndowment,
@@ -866,7 +867,7 @@ def trace_path(
 ) -> PathTrace:
     """Allocations at E = 0, step, 2*step, ..., E_max for a fixed field size,
     at most MAX_RANGE_ROWS of them."""
-    if not 0 <= e_max < math.inf:  # also rejects NaN
+    if not 0 <= e_max <= MAX_FLOAT:  # also rejects NaN and an int beyond the float range
         raise InvalidPath(f"E_max must be finite and >= 0, got {e_max}")
     if step is None:
         step = 0.01 * max(1.0, e_max)

@@ -4,12 +4,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prizealloc.core import EventSet, PrizeTable, standard_competition
+from prizealloc.core import EventSet, PrizeAllocError, PrizeTable, standard_competition
 from prizealloc.analysis import (
+    FIT_FAMILIES,
     TooFewPositions,
     check_data_top_consistency,
     classify,
     detect_interval_pattern,
+    fit_family,
     fit_geometric,
     fit_proportional,
 )
@@ -196,6 +198,32 @@ class TestClassify:
         result = classify(ev)
         assert result.tier == "unordered"
         assert not result.order_preserved
+
+
+class TestFitFamily:
+    @pytest.mark.parametrize("data", ["pga2019.json", "wcoop2019.json"])
+    def test_classify_reports_each_family_as_fit_family_fits_it(self, data):
+        events = load_prize_data(data)
+        result = classify(events, abs_slack=1.0)
+        reports = (result.geometric, result.proportional, result.interval_pattern)
+        assert tuple(r.family for r in reports) == FIT_FAMILIES
+        for family, report in zip(FIT_FAMILIES, reports):
+            assert fit_family(events, family, abs_slack=1.0) == report
+
+    def test_a_per_event_fit_holds_only_if_every_event_fits(self):
+        geometric = PrizeTable(name="g", endowment=20.0, prizes=(8.0, 4.0, 2.0, 1.0))
+        flat = PrizeTable(name="f", endowment=20.0, prizes=(3.0, 3.0, 3.0, 3.0))
+        events = EventSet(events=(geometric, flat))
+        assert fit_geometric(geometric).verdict and fit_geometric(flat).verdict
+        assert detect_interval_pattern(flat).verdict
+        assert not detect_interval_pattern(geometric).verdict
+        report = fit_family(events, "interval")
+        assert report == detect_interval_pattern(geometric)
+        assert fit_family(events, "geometric").verdict
+
+    def test_unknown_family(self):
+        with pytest.raises(PrizeAllocError, match="unknown fit family 'linear'"):
+            fit_family(EventSet(events=(POKER,)), "linear")
 
 
 class TestDataTopConsistency:

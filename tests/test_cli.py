@@ -409,6 +409,24 @@ class TestMalformedInputExits2:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("rules", [" ", ""])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_matrix_of_no_rules(self, rules, json_flag):
+        code, out, err = run_cli("matrix", "--rules", rules, *json_flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --rules names no rule spec\n"
+
+    @pytest.mark.parametrize("command", [("fit", "--family", "geometric"), ("classify",)])
+    @pytest.mark.parametrize("events", ["5", '{"name": "x"}', "null", '"abc"'])
+    def test_events_that_are_not_an_array(self, tmp_path, command, events):
+        data = tmp_path / "events.json"
+        data.write_text('{"events": %s}' % events)
+        code, out, err = run_cli(*command, "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert err.endswith("top-level object must contain an 'events' array\n")
+
     def test_duplicate_matrix_rows(self):
         # two spellings of one rule both describe as geometric:lambda=0.5,
         # so they would share a row

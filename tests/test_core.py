@@ -269,6 +269,20 @@ class TestRecord:
         with pytest.raises(TypeError):
             build()
 
+    def test_a_field_given_twice_is_named_with_its_class(self):
+        with pytest.raises(TypeError, match=r"^Geometric\(\) got the field 'lam' by position"):
+            Geometric(0.5, lam=0.5)
+        with pytest.raises(TypeError, match=r"^PrizeTable\(\) got the field 'name' "):
+            PrizeTable("x", 10.0, name="x", prizes=(1.0,))
+
+    def test_to_dict_holds_lists_where_the_record_holds_tuples(self):
+        report = FitReport("f", {"shares": (2.0, 1.0)}, 0.0, True, 0.01, ("w",))
+        assert report.to_dict() == {"family": "f", "parameters": {"shares": [2.0, 1.0]},
+                                    "max_rel_dev": 0.0, "verdict": True, "tolerance": 0.01,
+                                    "warnings": ["w"]}
+        assert standard_competition(2, 3.0).to_dict() == {"ranking": ["c1", "c2"],
+                                                          "endowment": 3.0}
+
     def test_fit_report_is_unhashable(self):
         report = fit_geometric(PrizeTable(name="x", endowment=10.0, prizes=(4.0, 2.0, 1.0)))
         with pytest.raises(TypeError):

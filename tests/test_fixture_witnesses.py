@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from prizealloc.axioms import CHECK_SOLVER, SampleBudget, run_cell
-from prizealloc.cli import bundled_rules, witness_to_dict
+from prizealloc.cli import bundled_rules
 from prizealloc.core import Competition, Ranking
 from prizealloc.rules import RuleSpec, allocate, describe
 
@@ -150,6 +150,6 @@ class DyadicSwitch(RuleSpec):
 def test_built_witness_violates_its_relation(rule, axiom, relation, seed):
     verdict = run_cell(rule, axiom, None, SampleBudget(max_n=3, rng_seed=seed))
     assert (verdict.axiom, verdict.passed) == (axiom, False)
-    witness = witness_to_dict(verdict.witness)
+    witness = verdict.witness.to_dict()
     assert witness["relation"] == relation
     _assert_violates_its_relation(rule, witness, verdict.tolerance)

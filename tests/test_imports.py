@@ -122,13 +122,14 @@ def test_one_level_solver_path():
         "solver.py:solve_level", "rules.py:SingleParametric", "rules.py:Parametric"}
 
 
-def test_cli_imports_no_private_axioms_name():
-    """The CLI reaches the checkers through the public cell entry points."""
+def test_cli_imports_no_private_package_name():
+    """The CLI reaches the checkers through the public cell entry points and
+    the fits through ``fit_family``: it uses only what each module offers."""
     found = [f"cli.py:{node.lineno}: {alias.name}"
              for node in ast.walk(_tree("cli.py"))
-             if isinstance(node, ast.ImportFrom) and node.module == "axioms" and node.level == 1
+             if isinstance(node, ast.ImportFrom) and node.level == 1
              for alias in node.names if alias.name.startswith("_")]
-    assert not found, f"cli.py imports private axioms names: {found}"
+    assert not found, f"cli.py imports private package names: {found}"
 
 
 def test_one_scan_driver_in_axioms():

@@ -25,6 +25,7 @@ from prizealloc.rules import (
     Geometric,
     Interval,
     IntervalList,
+    InvalidPath,
     InvalidRuleParams,
     MonotoneFn,
     Parametric,
@@ -39,6 +40,7 @@ from prizealloc.rules import (
     parse_rule_spec,
     prize_vector,
     step_rule,
+    trace_path,
 )
 from prizealloc.solver import SolverConfig, SolverFailure, iterate_f, solve_level
 
@@ -834,3 +836,9 @@ def test_prize_vector_and_allocate_pay_the_same_floats(rule, n, designated_first
     assert all(type(p) is float for p in vec)
     assert all(type(p) is float for p in by_position)
     assert [struct.pack("<d", p) for p in by_position] == [struct.pack("<d", p) for p in vec]
+
+
+@pytest.mark.parametrize("e_max", [10**400, Fraction(10**400, 3), math.nan])
+def test_trace_path_refuses_an_end_beyond_the_float_range(e_max):
+    with pytest.raises(InvalidPath, match=r"^E_max must be finite and >= 0, got "):
+        trace_path(ED(), 3, e_max)
