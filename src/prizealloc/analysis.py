@@ -79,31 +79,22 @@ def fit_geometric(
         warnings.append("prizes are not non-increasing")
 
     first_zero = next((k for k, p in enumerate(prizes) if p == 0), len(prizes))
-    if any(p != 0 for p in prizes[first_zero:]):
-        # zero followed by a positive prize: no decay ratio reproduces it
+    if any(p != 0 for p in prizes[first_zero:]):  # no decay ratio reproduces it
+        no_fit = "zero prize above a positive prize"
+    elif 1 < first_zero < len(prizes):  # a positive prefix, zeros from position 3 on
+        no_fit = "trailing zeros after position 2"
+    else:
+        no_fit = None
+    if no_fit:
         return FitReport(
             family="geometric", parameters={"lam": math.nan},
             max_rel_dev=math.inf, verdict=False, tolerance=tau_fit,
-            warnings=(*warnings, "zero prize above a positive prize"),
+            warnings=(*warnings, no_fit),
         )
-    if first_zero == 0:
-        # all-zero table cannot arise (endowment > 0), but guard anyway
-        lam = 0.0
-    elif first_zero == 1:
-        lam = 0.0
-    else:
-        ratios = [prizes[k + 1] / prizes[k] for k in range(first_zero - 1)]
-        if first_zero < len(prizes):
-            # positive prefix then zeros from position >= 3: not geometric
-            return FitReport(
-                family="geometric", parameters={"lam": math.nan},
-                max_rel_dev=math.inf, verdict=False, tolerance=tau_fit,
-                warnings=(*warnings, "trailing zeros after position 2"),
-            )
-        if any(r == 0 for r in ratios):
-            lam = 0.0
-        else:
-            lam = math.exp(math.fsum(map(math.log, ratios)) / len(ratios))
+    ratios = [prizes[k + 1] / prizes[k] for k in range(first_zero - 1)]
+    lam = 0.0  # the winner takes all (or, never with E > 0, nobody is paid)
+    if ratios and all(ratios):
+        lam = math.exp(math.fsum(map(math.log, ratios)) / len(ratios))
 
     # deviation of each consecutive prize from lam times its predecessor,
     # measured relative to the predecessor (the larger of the two)

@@ -136,6 +136,8 @@ def _parse_json_events(path: str, text: str) -> EventSet:
         missing = {"name", "endowment", "prizes"} - set(ev)
         if missing:
             raise SchemaError(f"{path}: events[{idx}] missing fields {sorted(missing)}")
+        if not isinstance(ev["prizes"], list):  # a string or an object would read as its items
+            raise SchemaError(f"{path}: events[{idx}]: 'prizes' must be an array")
         try:
             endowment = float(ev["endowment"])
             prizes = tuple(float(p) for p in ev["prizes"])

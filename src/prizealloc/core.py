@@ -65,11 +65,22 @@ class InconsistentPositionCounts(PrizeAllocError):
     pass
 
 
+def number_text(x: float) -> str:
+    """str(x), but 6 digits and a power of ten for an int or Fraction of over
+    about 30 digits, whose str() holds each digit (and raises above 4,300)."""
+    num, den = (0, 1) if isinstance(x, float) else abs(x).as_integer_ratio()
+    if num.bit_length() + den.bit_length() <= 100:
+        return str(x)
+    shift = 8 - (num.bit_length() - den.bit_length()) * 30103 // 100000  # 8 to 10 digits
+    digits = str(num * 10 ** shift // den if shift > 0 else num // (den * 10 ** -shift))
+    return f"{'-' * (x < 0)}{digits[0]}.{digits[1:6]}e{len(digits) - 1 - shift:+d}"
+
+
 def endowment_error(endowment: float) -> PrizeAllocError:
     """The error for an endowment outside 0 <= E <= MAX_FLOAT (callers test
     that inline, as it is on every allocation's path)."""
     kind = NegativeEndowment if endowment < 0 else NonFiniteEndowment
-    return kind(f"endowment must be finite and >= 0, got {endowment}")
+    return kind(f"endowment must be finite and >= 0, got {number_text(endowment)}")
 
 
 class Record:
@@ -309,7 +320,7 @@ class PrizeTable(Record):
     def __post_init__(self) -> None:
         if not 0 < self.endowment <= MAX_FLOAT:
             kind = NegativeEndowment if self.endowment <= 0 else NonFiniteEndowment
-            raise kind(f"endowment must be finite and > 0, got {self.endowment}")
+            raise kind(f"endowment must be finite and > 0, got {number_text(self.endowment)}")
         if not all(0 <= p <= MAX_FLOAT for p in self.prizes):  # also rejects NaN
             raise PrizeAllocError(f"prizes must be finite and non-negative: {self.prizes}")
         if sum(self.prizes) > self.endowment + tau_sum(self.endowment):

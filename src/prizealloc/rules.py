@@ -22,6 +22,11 @@ tuple of floats.  ``prize_vector`` applies a rule to a field of ids and an
 endowment, in position order, and converts any result that is not a tuple;
 ``allocate`` keys it by competitor id.  ``parse_rule_spec`` inverts
 ``spec`` through one table keyed by the spec head.
+
+The level rules keep one piecewise-linear model of their level sum g per
+field size n, built from the linear pieces of every kind of f, pwl too
+(``_pieces``, ``_iterated_pieces``); the root of its piece that holds E is
+the level solve's root estimate (``_estimating``).
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .core import (
     PrizeAllocError,
     Record,
     endowment_error,
+    number_text,
     standard_competition,
 )
 from .solver import (
@@ -156,12 +162,15 @@ class _Kind(NamedTuple):
     """One MonotoneFn kind: ``bind``, which does a function's per-curve work
     once, at construction, and returns its evaluator (a ``partial`` over a
     module-level function, so rules pickle), its parameter check (a message,
-    or None when the parameters are valid), its spec text and, for kinds the
-    spec grammar names, the parser of that text's argument."""
+    or None when the parameters are valid), its spec text, its linear pieces
+    from x = 0 as (x, f(x), slope) where each starts (one may be empty or
+    start at inf: shift=0, cap=inf) and, for kinds the spec grammar names,
+    the parser of that text's argument."""
 
     bind: Callable[[MonotoneFn], Callable[[float], float]]
     check: Callable[[MonotoneFn], str | None]
     spec: Callable[[MonotoneFn], str]
+    segments: Callable[[MonotoneFn], list[tuple[float, float, float]]]
     parse: Callable[[str, str, int], MonotoneFn] | None = None
 
 
@@ -247,14 +256,21 @@ _KINDS: dict[str, _Kind] = {
     "linear": _Kind(lambda f: partial(operator.mul, f.param),
                     lambda f: None if 0.0 <= f.param <= 1.0
                     else f"linear slope must be in [0, 1], got {f.param}",
-                    lambda f: f"linear={_num(f.param)}",
+                    lambda f: f"linear={_num(f.param)}", lambda f: [(0.0, 0.0, f.param)],
                     _one_param("linear", "a slope in [0, 1]")),
     "shift": _Kind(lambda f: partial(_shift, f.param), _offset_problem,
-                   lambda f: f"shift={_num(f.param)}", _one_param("shift", "a shift >= 0")),
+                   lambda f: f"shift={_num(f.param)}",
+                   lambda f: [(0.0, 0.0, 0.0), (f.param, 0.0, 1.0)],
+                   _one_param("shift", "a shift >= 0")),
     "cap": _Kind(lambda f: partial(_cap, f.param), _offset_problem,
-                 lambda f: f"cap={_num(f.param)}", _one_param("cap", "a cap >= 0")),
+                 lambda f: f"cap={_num(f.param)}",
+                 lambda f: [(0.0, 0.0, 1.0), (f.param, f.param, 0.0)],
+                 _one_param("cap", "a cap >= 0")),
     "pwl": _Kind(_bind_pwl, _pwl_problem,
                  lambda f: "pwl=" + ",".join(f"{_num(x)}:{_num(y)}" for x, y in f.points),
+                 lambda f: [(x0, y0, (y1 - y0) / (x1 - x0))  # a single point is flat
+                            for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])]
+                 or [(0.0, 0.0, 0.0)],
                  _parse_pwl),
 }
 
@@ -403,31 +419,14 @@ class Interval(RuleSpec, Record):
         return "interval:" + ";".join(f"[{_num(a)},{_num(b)}]" for a, b in self.intervals.pairs)
 
 
-def _sp_estimate(f: MonotoneFn, n: int, e: float) -> tuple[float, float] | None:
-    """The root of g(x) = x + f(x) + f(f(x)) + ... = E on the linear piece
-    of g that holds it, and g's slope there, for f linear, shift or cap."""
-    c = f.param
-    if f.kind == "linear":  # g(x) = x (1 - c^n) / (1 - c)
-        slope = n if c == 1 else (1.0 - c ** n) / (1.0 - c)
-        return e / slope, slope
-    if f.kind == "cap":  # g(x) = x + (n - 1) min(c, x)
-        return (e / n, n) if e <= n * c else (e - (n - 1) * c, 1.0)
-    if f.kind == "shift":  # m positive terms: c m(m - 1)/2 < E <= c m(m + 1)/2
-        m = n if c == 0 else max(1, math.ceil(min(n, (math.sqrt(1.0 + 8.0 * e / c) - 1.0) / 2.0)))
-        return (e + _mul(m * (m - 1) // 2, c)) / m, m
-    return None
-
-
-def _pieces(fns: Sequence[MonotoneFn]) -> tuple[list[float], ...] | None:
-    """g(x) = x + the sum of fns, each linear, shift or cap, in linear
-    pieces: where each starts, g there and g's slope on it; None for a pwl."""
+def _pieces(fns: Sequence[MonotoneFn]) -> tuple[list[float], ...]:
+    """g(x) = x + the sum of fns in linear pieces: where each starts, g there
+    and g's slope on it."""
     slope, kinks = 1.0, []
     for f in fns:
-        if f.kind == "pwl":
-            return None
-        slope += f.param if f.kind == "linear" else f.kind == "cap"
-        if f.kind != "linear" and f.param < math.inf:  # shift turns on at c, cap off
-            kinks.append((f.param, 1.0 if f.kind == "shift" else -1.0))
+        segs = _KINDS[f.kind].segments(f)
+        slope += segs[0][2]
+        kinks += [(x, s1 - s0) for (_, _, s0), (x, _, s1) in zip(segs, segs[1:])]
     xs, gs, slopes = [0.0], [0.0], [slope]
     for c, step in sorted(kinks):
         gs.append(gs[-1] + slopes[-1] * (c - xs[-1]))
@@ -436,16 +435,63 @@ def _pieces(fns: Sequence[MonotoneFn]) -> tuple[list[float], ...] | None:
     return xs, gs, slopes
 
 
+def _iterated_pieces(f: MonotoneFn, n: int) -> tuple[list[float], ...] | None:
+    """g(x) = x + f(x) + f(f(x)) + ..., n terms, in pieces as ``_pieces``.
+    g bends where an iterate f^k(x), k <= n - 2, meets the start b of a
+    piece of f: up b's chain b, f^-1(b), f^-1(f^-1(b)), ..., where g is the
+    chain's sum above b plus b's first iterates.  A chain ends where the
+    next preimage starts a piece (its own chain goes on) or does not exist.
+    Each b costs up to 2 n steps, so an f of more than 4 bends gets None."""
+    segs = _KINDS[f.kind].segments(f)
+    if len(segs) > 5:
+        return None
+    values = [y for _, y, _ in segs]
+    points = {0.0: 0.0}
+    for b, _, _ in segs[1:]:
+        ahead = list(accumulate(iterates(f._eval, b, n)))  # the first 1, 2, ... iterates' sums
+        x, above = b, 0.0
+        for terms in range(n, 1, -1):
+            points[x] = above + ahead[terms - 1]
+            j = bisect_left(values, x)  # x lies on piece j - 1, or starts piece j
+            x0, y0, slope = segs[j - 1]
+            if j < len(values) and values[j] == x or not slope > 0.0:
+                break
+            x = x0 + (x - y0) / slope
+            above += x
+    points = {x: g for x, g in points.items() if g < math.inf}  # not where g overflows
+    far = 2.0 * max(points) + 1.0  # beyond the last bend, one more point gives g's slope
+    points[far] = sum(iterates(f._eval, far, n))
+    xs = sorted(points)
+    gs = [points[x] for x in xs]
+    slopes = [(g1 - g0) / (x1 - x0) for x0, x1, g0, g1 in zip(xs, xs[1:], gs, gs[1:])]
+    return xs, gs, slopes + slopes[-1:]
+
+
+def _estimating(level_sum: Callable[[float], float], pieces, e: float):
+    """level_sum with its ``estimate`` for ``solve_level_sum``, given pieces:
+    the root of g(x) = E on the piece that holds it, and g's slope there."""
+    if pieces:
+        xs, gs, slopes = pieces
+        i = bisect_left(gs, e) - 1  # gs[0] = g(0) = 0 < E
+        level_sum.estimate = xs[i] + (e - gs[i]) / slopes[i], slopes[i]
+    return level_sum
+
+
 class SingleParametric(RuleSpec, Record):
     f: MonotoneFn
 
+    def __post_init__(self) -> None:
+        # not a field: {n: the pieces of the level sum at n, or None}
+        object.__setattr__(self, "_by_n", {})
+
     def prizes(self, ids, e, cfg):
         n, f = len(ids), self.f._eval
+        if n not in self._by_n:
+            self._by_n[n] = _iterated_pieces(self.f, n)
 
         def level_sum(x):
             return sum(iterates(f, x, n))
-        level_sum.estimate = _sp_estimate(self.f, n, e)
-        x = solve_level_sum(level_sum, n, e, cfg)
+        x = solve_level_sum(_estimating(level_sum, self._by_n[n], e), n, e, cfg)
         return list(iterates(f, x, n))
 
     def spec(self):
@@ -496,11 +542,7 @@ class Parametric(RuleSpec, Record):
 
         def level_sum(x):
             return sum(f(x) for f in levels)
-        if pieces:
-            xs, gs, slopes = pieces
-            i = bisect_left(gs, e) - 1  # gs[0] = g(0) = 0 < E
-            level_sum.estimate = xs[i] + (e - gs[i]) / slopes[i], slopes[i]
-        x = solve_level_sum(level_sum, n, e, cfg)
+        x = solve_level_sum(_estimating(level_sum, pieces, e), n, e, cfg)
         return [f(x) for f in levels]
 
     def spec(self):
@@ -868,11 +910,11 @@ def trace_path(
     """Allocations at E = 0, step, 2*step, ..., E_max for a fixed field size,
     at most MAX_RANGE_ROWS of them."""
     if not 0 <= e_max <= MAX_FLOAT:  # also rejects NaN and an int beyond the float range
-        raise InvalidPath(f"E_max must be finite and >= 0, got {e_max}")
+        raise InvalidPath(f"E_max must be finite and >= 0, got {number_text(e_max)}")
     if step is None:
         step = 0.01 * max(1.0, e_max)
     if not 0 < step < math.inf:
-        raise InvalidPath(f"step must be finite and > 0, got {step}")
+        raise InvalidPath(f"step must be finite and > 0, got {number_text(step)}")
     endowments = []
     while len(endowments) * step < e_max:
         if len(endowments) == MAX_RANGE_ROWS - 1:  # E_max is still to come

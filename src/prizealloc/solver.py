@@ -23,26 +23,28 @@ is that x, and the walk is ``chain(walked, repeat(x, rest))``.  That holds
 the same terms in the same order, so its ``sum`` is the same float.
 
 A solve runs in two phases.  On the benchmark's ``tables`` traffic it
-costs about 5.6 level sums, where plain bisection on [0, E] costs 33.
+costs about 4 level sums, where plain bisection on [0, E] costs 33.
 
-1. Probe.  A rule whose level sum is piecewise linear in closed form
-   sets ``g.estimate = (x, slope)``: the root of the linear piece of g
-   that holds it, and g's slope there.  ``sp:linear``, ``sp:shift`` and
-   ``sp:cap`` do, and so do parametric rules whose levels after the
-   first are linear, shift or cap, such as hyperarithmetic.  The first
-   probe is that estimate.  Without one (``sp:pwl``, any other g), or
-   when E/2 lies as close to the root, it is the bisection's own first
+1. Probe.  Each level rule sets ``g.estimate = (x, slope)``, read off its
+   piecewise-linear model of g: the root of the piece of g that holds E,
+   and g's slope there.  A probe becomes a bracket end only if its
+   residual clears the tolerance tol by a further tol: g(xl) - E < -2 tol,
+   g(xu) - E > 2 tol.  The estimate is not evaluated at first: two probes
+   step out to either side of it, 3 tol / slope away, and when each that
+   lies inside (0, E) clears that band on its side, they are the bracket.
+   That costs two level sums, and one at n = 1, where the root is E and
+   the upper step-out lies beyond E, where no midpoint lies.
+   Only if a step-out inside (0, E) misses is the estimate evaluated, and
+   the search goes on from there.  Without an estimate, or when E/2 lies
+   as close to the root, the first probe is the bisection's own first
    midpoint E/2, so a solve that bisection ends there costs one level
-   sum.  Otherwise a few Illinois (false-position) steps from the
-   anchors (0, -E) and the probe, or E when the root lies above it, look
-   for a tight bracket xl < root < xu.  A probe becomes a bracket end
-   only if its residual clears the tolerance tol by a further tol:
-   g(xl) - E < -2 tol, g(xu) - E > 2 tol.  The first probe inside that
-   band ends the search, and two more probes step out to either side of
-   the root it points at, 3 tol / slope away.  The slope is the rule's
-   own when it gives one: the secant from (0, -E) is steeper than a
-   concave g (``sp:cap``) near its root, so its steps fall short of the
-   band, and the bracket stays wide.
+   sum.  From an evaluated probe, a few Illinois (false-position) steps
+   from the anchors (0, -E) and the probe, or E when the root lies above
+   it, look for a tight bracket xl < root < xu.  The first probe inside
+   the band ends the search, and two more probes step out around the root
+   it points at.  The slope is the rule's own when it gives one: the
+   secant from (0, -E) is steeper than a concave g (``sp:cap``) near its
+   root, so its steps fall short of the band, and the bracket stays wide.
 2. Replay.  The bisection runs exactly as it would alone: the same
    midpoints, the same accept test |g(x) - E| <= tol, the same iteration
    count and the same failure.  Only a midpoint at or below xl takes
@@ -149,7 +151,8 @@ def solve_level_sum(
     """Solve g(x) = E for x by bisection on [0, E], where g is the sum of n
     level functions, the first of them the identity.  Probes bracket the
     root first, so the bisection calls g only inside the bracket; the first
-    probe is ``g.estimate``, a near root and g's slope there, if g has one."""
+    probes step out around ``g.estimate``, a near root and g's slope there,
+    if g has one."""
     if n < 1:
         raise ValueError("need at least one competitor")
     if endowment < 0:
@@ -161,10 +164,11 @@ def solve_level_sum(
     guess, slope = getattr(g, "estimate", None) or (x, 0.0)
     # the guess, unless it lies outside (0, E] or is NaN, or E/2 is as close
     if 0.0 < guess <= endowment and abs(guess - x) * slope > tol:
-        x = guess
-    r = g(x) - endowment
-    if abs(r) <= tol and x == 0.5 * endowment:
-        return x
+        x, r = guess, None  # not evaluated: _bracket steps out around it
+    else:
+        r = g(x) - endowment
+        if abs(r) <= tol:
+            return x
     xl, xu = _bracket(g, endowment, tol, x, r, slope)
     lo, hi = 0.0, endowment
     for _ in range(cfg.max_iter):
@@ -192,7 +196,7 @@ def solve_level_sum(
 
 
 def _bracket(g: Callable[[float], float], e: float, tol: float,
-             x: float, r: float, slope: float = 0.0) -> tuple[float, float]:
+             x: float, r: float | None, slope: float = 0.0) -> tuple[float, float]:
     """From the probe (x, r) = (x, g(x) - E) and the anchors (0, -E) and,
     when the root lies above x, (E, g(E) - E), probe g by Illinois false
     position for xl < xu with g(xl) - E < -2 tol and g(xu) - E > 2 tol,
@@ -201,11 +205,14 @@ def _bracket(g: Callable[[float], float], e: float, tol: float,
     out to 3 tol / slope either side of the root the probe points at:
     1.5 times the width of the window |g - E| <= tol.  The slope is the
     rule's own, when it gives one (not 0), else the secant from the last
-    probe."""
+    probe.  With r None, x is the rule's root estimate, not evaluated: the
+    bracket steps out around x, and g(x) is evaluated, for the search to go
+    on from there, only if a step-out inside (0, E) misses the band."""
     band = 2.0 * tol
     xl, xu = -math.inf, math.inf
     a, fa, b, fb = 0.0, -e, e, math.nan  # g(0) = 0: no call; g(E): not called yet
     x0, r0 = a, fa
+    guessed, r = r is None, r or 0.0
     for probe in range(_PROBES + 1):
         if r < -band:
             if x0 == a:
@@ -217,7 +224,7 @@ def _bracket(g: Callable[[float], float], e: float, tol: float,
                 fa *= 0.5
             xu = b = x
             fb = r
-        else:  # inside the band, or NaN
+        else:  # inside the band, NaN, or the rule's estimate
             slope = max(1.0, slope or (r - r0) / (x - x0))  # g' >= 1: f_1 is the identity
             root, w = x - r / slope, 3.0 * tol / slope
             for y in (root - w, root + w):
@@ -227,7 +234,11 @@ def _bracket(g: Callable[[float], float], e: float, tol: float,
                         xl = y
                     elif ry > band:
                         xu = y
-            break
+            if not guessed or ((xl == root - w or root - w <= 0.0)
+                               and (xu == root + w or root + w >= e)):
+                break
+            guessed, r = False, g(x) - e  # a step-out missed: go on from the estimate
+            continue
         if probe == _PROBES:
             break
         x0, r0 = x, r

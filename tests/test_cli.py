@@ -427,6 +427,16 @@ class TestMalformedInputExits2:
         assert out == ""
         assert err.endswith("top-level object must contain an 'events' array\n")
 
+    @pytest.mark.parametrize("command", [("fit", "--family", "geometric"), ("classify",)])
+    @pytest.mark.parametrize("prizes", ['"5321"', '{"1": 5, "2": 3}'])
+    def test_prizes_that_are_not_an_array(self, tmp_path, command, prizes):
+        # a string read as its digits, an object as its keys
+        data = tmp_path / "events.json"
+        data.write_text('{"events": [{"name": "x", "endowment": 20, "prizes": %s}]}' % prizes)
+        code, out, err = run_cli(*command, "--data", str(data))
+        assert (code, out) == (2, "")
+        assert err.endswith("events[0]: 'prizes' must be an array\n")
+
     def test_duplicate_matrix_rows(self):
         # two spellings of one rule both describe as geometric:lambda=0.5,
         # so they would share a row

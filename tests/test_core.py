@@ -87,6 +87,22 @@ class TestCompetition:
         with pytest.raises(NonFiniteEndowment, match="endowment must be finite"):
             PrizeTable(name="x", endowment=endowment, prizes=(1.0,))
 
+    @pytest.mark.parametrize("endowment, text", [
+        (10 ** 400, "1.00000e+400"), (Fraction(10 ** 400, 3), "3.33333e+399"),
+        (-10 ** 400, "-1.00000e+400"), (10 ** 5000, "1.00000e+5000")],
+        ids=["int", "fraction", "negative", "5001-digits"])
+    def test_huge_endowment_is_named_in_short(self, endowment, text):
+        """str() holds every digit of such an E (and raises above 4,300 of
+        them): the message holds six and the power of ten."""
+        for build in (lambda: Competition(Ranking(("a",)), endowment),
+                      lambda: standard_competition(3, endowment),
+                      lambda: PrizeTable(name="x", endowment=endowment, prizes=(1.0,))):
+            with pytest.raises(PrizeAllocError) as exc:
+                build()
+            assert str(exc.value).startswith("endowment must be finite and >")
+            assert str(exc.value).endswith(f", got {text}")
+            assert len(str(exc.value)) <= 60
+
     def test_make_competition_maps_positions(self):
         comp = make_competition(["x", "y", "z"], [2, 1, 3], 6.0)
         assert comp.ranking.by_position == ("y", "x", "z")

@@ -122,6 +122,20 @@ def test_one_level_solver_path():
         "solver.py:solve_level", "rules.py:SingleParametric", "rules.py:Parametric"}
 
 
+def test_one_root_estimate_source():
+    """Both level rules read ``g.estimate`` off their piecewise-linear model
+    of the level sum through one lookup; no closed form is kept beside it."""
+    assigned = [f"{path.name}:{getattr(stmt, 'name', node.lineno)}"
+                for path in sorted(SRC.glob("*.py")) for stmt in _tree(path.name).body
+                for node in ast.walk(stmt) if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Attribute) and target.attr == "estimate"]
+    assert assigned == ["rules.py:_estimating"]
+    names = {node.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path.name))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_sp_estimate" not in names
+
+
 def test_cli_imports_no_private_package_name():
     """The CLI reaches the checkers through the public cell entry points and
     the fits through ``fit_family``: it uses only what each module offers."""

@@ -341,6 +341,25 @@ def test_rules_pickle_round_trip(rule):
             assert prize_vector(back, PICKLE_IDS[:n], e) == prize_vector(rule, PICKLE_IDS[:n], e)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SingleParametric(MonotoneFn.piecewise([(0.0, 0.0), (2.0, 1.0), (4.0, 1.0)])),
+    hyperarithmetic_rule,
+], ids=["sp:pwl", "param:hyperarithmetic"])
+def test_level_sum_model_cache_is_no_field(make):
+    """The models a level rule caches per n leave it equal to a fresh rule:
+    the same hash and repr, and a pickle round trip that pays the same."""
+    rule, fresh = make(), make()
+    for n in (1, 5, 106):
+        prize_vector(rule, tuple(f"c{k}" for k in range(n)), 2.5 * n)
+    assert set(rule._by_n) >= {1, 5, 106} and "_by_n" not in type(rule)._fields
+    assert rule == fresh and hash(rule) == hash(fresh) and repr(rule) == repr(fresh)
+    back = pickle.loads(pickle.dumps(rule))
+    assert back == fresh
+    for n in (1, 5, 106):
+        ids = tuple(f"c{k}" for k in range(n))
+        assert prize_vector(back, ids, 3.0 * n) == prize_vector(fresh, ids, 3.0 * n)
+
+
 class TestLevelRules:
     def test_single_parametric_iterates_f(self):
         got = vector(SingleParametric(MonotoneFn.linear(0.5)), 3, 7.0)
@@ -842,3 +861,16 @@ def test_prize_vector_and_allocate_pay_the_same_floats(rule, n, designated_first
 def test_trace_path_refuses_an_end_beyond_the_float_range(e_max):
     with pytest.raises(InvalidPath, match=r"^E_max must be finite and >= 0, got "):
         trace_path(ED(), 3, e_max)
+
+
+@pytest.mark.parametrize("e_max, text", [(10**400, "1.00000e+400"),
+                                         (Fraction(10**400, 3), "3.33333e+399")],
+                         ids=["int", "fraction"])
+def test_trace_path_names_a_huge_end_in_short(e_max, text):
+    """str() of 10**400 holds its 401 digits; the message holds six."""
+    with pytest.raises(InvalidPath) as exc:
+        trace_path(ED(), 3, e_max)
+    assert str(exc.value) == f"E_max must be finite and >= 0, got {text}"
+    with pytest.raises(InvalidPath) as exc:
+        trace_path(ED(), 3, 1.0, step=-e_max)
+    assert str(exc.value) == f"step must be finite and > 0, got -{text}"

@@ -1,9 +1,10 @@
 import math
 import random
 import struct
+from bisect import bisect_right
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from prizealloc import rules, solver, trace_path
 from prizealloc.axioms import CHECK_SOLVER, MAX_FIELD_SIZE
@@ -15,6 +16,7 @@ from prizealloc.rules import (
     IntervalList,
     InvalidPath,
     MonotoneFn,
+    Parametric,
     SingleParametric,
     allocate,
     hyperarithmetic_rule,
@@ -255,13 +257,25 @@ def test_probes_save_level_sums(monkeypatch):
 # The rules' root estimates against plain bisection
 
 
+def pwl_level(k):
+    """f_1 the identity, then f_k rising at slope 1/k to 1 at x = k: each
+    level lies below the one before it."""
+    if k == 1:
+        return MonotoneFn.identity()
+    return MonotoneFn.piecewise([(0.0, 0.0), (float(k), 1.0), (k + 1.0, 1.0)])
+
+
+PWL_LEVELS = Parametric(fs=(MonotoneFn.identity(),), extend=pwl_level, name="pwl-levels")
 ESTIMATE_RULES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0]).map(MonotoneFn.linear),
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
     .map(MonotoneFn.linear),
     st.sampled_from([0.0, -0.0, math.inf, 1e-9, 1e6]).map(MonotoneFn.shift),
     st.sampled_from([0.0, -0.0, math.inf]).map(MonotoneFn.cap),
-).map(SingleParametric) | st.just(HYPERARITHMETIC)
+    st.sampled_from([[(0.0, 0.0)], [(0.0, 0.0), (2.0, 1.0), (4.0, 1.0)]])
+    .map(MonotoneFn.piecewise),
+    pwl_points().map(MonotoneFn.piecewise),
+).map(SingleParametric) | st.sampled_from([HYPERARITHMETIC, PWL_LEVELS])
 
 
 def vector_outcome(rule, n, e, cfg):
@@ -321,17 +335,17 @@ def level_sums_per_solve(monkeypatch, sample):
 
 
 @pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "sp:linear=0.5",
-                                  "param:hyperarithmetic"])
+                                  "sp:pwl=0:0,2:1,4:1", "param:hyperarithmetic"])
 def test_estimates_save_level_sums(monkeypatch, spec):
-    """On the sample of test_probes_save_level_sums, a solve that starts at
-    its rule's estimate evaluates at most 6 level sums on average; from E/2
-    it takes 5 to 12.6."""
+    """On the sample of test_probes_save_level_sums, a solve that steps out
+    around its rule's estimate evaluates at most 4.5 level sums on average
+    (2.3 to 4.2 here); from E/2 it takes 5 to 12.6."""
     rng = random.Random("solver-tables-sample")
     sample = [(head, n, rng.uniform(0.0, 5.0 * n))
               for head in PARITY_SPECS for n in (8, 50, 106) for _ in range(8)]
     rule = parse_rule_spec(spec)
     assert level_sums_per_solve(
-        monkeypatch, [(rule, n, e) for head, n, e in sample if head == spec]) <= 6.0
+        monkeypatch, [(rule, n, e) for head, n, e in sample if head == spec]) <= 4.5
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +515,66 @@ class TestTracePath:
             trace_path(ED(), 1, MAX_RANGE_ROWS, step=1.0)
         with pytest.raises(InvalidPath):  # 10^12 rows: refused before any is built
             trace_path(ED(), 2, 1e6, step=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The level rules' piecewise-linear models of their level sums
+
+
+def model_level_sum(pieces, x):
+    """g(x) read off a rule's piecewise-linear model of its level sum."""
+    xs, gs, slopes = pieces
+    i = bisect_right(xs, x) - 1
+    return gs[i] + slopes[i] * (x - xs[i])
+
+
+def assert_model_matches(pieces, g, extra):
+    """The model against g at its own piece starts and at the points
+    `extra`, within a relative 1e-9 (and 1e-300 for subnormal values)."""
+    for x in [x for x in pieces[0] if x < math.inf] + extra:
+        assert math.isclose(model_level_sum(pieces, x), g(x), rel_tol=1e-9, abs_tol=1e-300), x
+
+
+@given(st.data(), FIXED_POINT_FNS, st.sampled_from(FIXED_POINT_SIZES))
+@example(None, MonotoneFn.piecewise([(0.0, 0.0), (2.0, 1.0), (4.0, 1.0)]), 106)
+@settings(max_examples=300)
+def test_single_parametric_model_matches_the_walk(data, fn, n):
+    """For every kind of f, the zeros of either sign and flat tails, the
+    model of g(x) = x + f(x) + f(f(x)) + ... is the walk's sum, up to the
+    model's last point, where g is still finite, and beyond it."""
+    pieces = rules._iterated_pieces(fn, n)
+
+    def g(x):
+        return sum(iterates(fn._eval, x, n))
+    top = pieces[0][-1]
+    assume(g(top) < math.inf)
+    extra = [0.5 * top, 1.5 * top] + (data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=top), max_size=5)) if data else [])
+    assert_model_matches(pieces, g, [x for x in extra if g(x) < math.inf])
+
+
+@given(st.data(), st.lists(MONOTONE_FNS, max_size=6))
+@settings(max_examples=300)
+def test_parametric_model_matches_the_level_sum(data, fns):
+    """The same for a parametric rule's levels, pwl ones too: the model of
+    x + f_2(x) + ... + f_n(x)."""
+    pieces = rules._pieces(fns)
+    top = 2.0 * max(x for x in pieces[0] if x < math.inf) + 1.0
+    extra = data.draw(st.lists(st.floats(min_value=0.0, max_value=top), max_size=5))
+    assert_model_matches(pieces, lambda x: x + sum(f(x) for f in fns), extra)
+
+
+def test_an_f_of_many_bends_gets_no_model():
+    """Each bend of f costs the model up to 2 n steps, so past 4 bends the
+    rule builds none and its solves start from E/2, for plain bisection's
+    bits all the same."""
+    fn = MonotoneFn.piecewise([(0.0, 0.0), (1.0, 0.5), (2.0, 0.7), (3.0, 1.5), (4.0, 2.0),
+                               (5.0, 2.2), (6.0, 3.0), (7.0, 3.5)])
+    assert rules._iterated_pieces(fn, 50) is None
+    rule = SingleParametric(fn)
+    for n, e in ((1, 0.7), (5, 9.0), (50, 120.0)):
+        with pytest.MonkeyPatch.context() as patch:
+            probed = vector_outcome(rule, n, e, DEFAULT_SOLVER)
+            patch.setattr(rules, "solve_level_sum", plain_bisection)
+            assert probed == vector_outcome(rule, n, e, DEFAULT_SOLVER)
+    assert rule._by_n == {1: None, 5: None, 50: None}
