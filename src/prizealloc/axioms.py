@@ -125,9 +125,9 @@ def _default_grid(seed: int) -> tuple[float, ...]:
     return tuple([k * 0.25 for k in range(41)] + [rng.uniform(0.0, 10.0) for _ in range(50)])
 
 
-def _pair_values(grid: Sequence[float], limit: int = 48) -> list[float]:
+def _pair_values(grid: Sequence[float]) -> list[float]:
     """Subsample for quadratic pair scans, keeping the scan affordable."""
-    values = sorted(set(grid))
+    values, limit = sorted(set(grid)), 48
     if len(values) <= limit:
         return values
     stride = (len(values) - 1) / (limit - 1)

@@ -50,8 +50,8 @@ from .rules import (
     describe,
     hyperarithmetic_rule,
     parse_rule_spec,
+    path_endowments,
     step_rule,
-    trace_path,
 )
 from .axioms import (
     MATRIX_CELLS,
@@ -90,14 +90,13 @@ DATA_PACKAGE = "prizealloc.data"
 BUNDLED_DATASETS = ("wcoop2019.json", "pga2019.json")
 
 
-def load_prize_data(
-    path: str, fmt: str | None = None, endowment: float | None = None, name: str | None = None
-) -> EventSet:
+def load_prize_data(path: str, fmt: str | None = None, endowment: float | None = None) -> EventSet:
     """Load an event set from a JSON or CSV file.
 
     JSON schema: {"events": [{"name": ..., "endowment": ..., "prizes": [...]}]}.
-    CSV schema: header ``position,prize``, one event per file; the endowment
-    comes from the ``endowment`` argument (CLI flag --endowment).
+    CSV schema: header ``position,prize``, one event per file, named by its
+    path; the endowment comes from the ``endowment`` argument (CLI flag
+    --endowment).
 
     Bundled dataset names (wcoop2019.json, pga2019.json) resolve to the
     packaged copies when no such file exists on disk.
@@ -111,7 +110,7 @@ def load_prize_data(
     if fmt == "json":
         return _parse_json_events(path, text)
     if fmt == "csv":
-        return _parse_csv_event(path, text, endowment, name)
+        return _parse_csv_event(path, text, endowment)
     raise SchemaError(f"unknown data format {fmt!r}; expected 'csv' or 'json'")
 
 
@@ -147,9 +146,7 @@ def _parse_json_events(path: str, text: str) -> EventSet:
     return EventSet(events=tuple(events))
 
 
-def _parse_csv_event(
-    path: str, text: str, endowment: float | None, name: str | None
-) -> EventSet:
+def _parse_csv_event(path: str, text: str, endowment: float | None) -> EventSet:
     if endowment is None:
         raise SchemaError(f"{path}: CSV input needs --endowment")
     reader = csv.reader(io.StringIO(text))
@@ -171,7 +168,7 @@ def _parse_csv_event(
     if sorted(prizes) != list(range(1, len(prizes) + 1)):
         raise SchemaError(f"{path}: positions must be 1..{len(prizes)} without gaps")
     table = PrizeTable(
-        name=name or path,
+        name=path,
         endowment=endowment,
         prizes=tuple(prizes[k] for k in sorted(prizes)),
     )
@@ -268,6 +265,12 @@ def _field_size(n: int) -> int:
     return n
 
 
+def _rows(rule: RuleSpec, n: int, endowments) -> list[tuple[float, tuple[float, ...]]]:
+    """(E, what ``rule`` pays the field c1..cn out of E, in position order) per E."""
+    return [(e, allocate(rule, comp := standard_competition(n, e)).by_position(comp.ranking))
+            for e in endowments]
+
+
 def _budget_from_args(args) -> SampleBudget:
     return SampleBudget(max_n=args.samples, rng_seed=args.seed)
 
@@ -282,8 +285,7 @@ def _emit(report: dict, as_json: bool, out, human_lines: list[str]) -> None:
 
 def _cmd_allocate(args, out) -> int:
     rule = parse_rule_spec(args.rule)
-    comp = standard_competition(_field_size(args.n), args.endowment)
-    vec = allocate(rule, comp).by_position(comp.ranking)
+    [(_, vec)] = _rows(rule, _field_size(args.n), [args.endowment])
     report = {
         "command": "allocate",
         "rule": describe(rule),
@@ -297,12 +299,7 @@ def _cmd_allocate(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     rule = parse_rule_spec(args.rule)
-    n = _field_size(args.n)
-    endowments = _parse_endowments(args.endowments)
-    rows = []
-    for e in endowments:
-        comp = standard_competition(n, e)
-        rows.append((e, allocate(rule, comp).by_position(comp.ranking)))
+    rows = _rows(rule, _field_size(args.n), _parse_endowments(args.endowments))
     report = {
         "command": "table",
         "rule": describe(rule),
@@ -318,12 +315,10 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_path(args, out) -> int:
     rule = parse_rule_spec(args.rule)
-    trace = trace_path(rule, _field_size(args.n), args.endowment, args.step)
+    rows = _rows(rule, _field_size(args.n), path_endowments(args.endowment, args.step))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["endowment"] + [f"prize_{k}" for k in range(1, args.n + 1)])
-    for e, alloc in trace.samples:
-        ranking = standard_competition(args.n, e).ranking
-        writer.writerow([_fmt(e)] + [_fmt(p) for p in alloc.by_position(ranking)])
+    writer.writerows([_fmt(e)] + [_fmt(p) for p in vec] for e, vec in rows)
     return 0
 
 
@@ -362,18 +357,12 @@ def _cmd_matrix(args, out) -> int:
         "command": "matrix",
         "seed": args.seed,
         "budget": budget.describe(),
-        "cells": {
-            rule_name: {
-                key: (v.to_dict() if v is not None else None)
-                for key, v in row.items()
-            }
-            for rule_name, row in matrix.items()
-        },
+        "cells": {rule_name: {key: v and v.to_dict() for key, v in row.items()}
+                  for rule_name, row in matrix.items()},
     }
-    lines = []
     keys = [cell_key(a, m) for a, m in MATRIX_CELLS]
     width = max(len(describe(r)) for r in rules)
-    lines.append(" " * width + "  " + " ".join(f"{i:>2d}" for i in range(len(keys))))
+    lines = [" " * width + "  " + " ".join(f"{i:>2d}" for i in range(len(keys)))]
     for idx, key in enumerate(keys):
         lines.append(f"{'':{width}}  # {idx}: {key}")
     any_fail = False
@@ -443,6 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", required=True, help="rule spec, e.g. geometric:lambda=0.5")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
+    def common_budget(p):
+        p.add_argument("--samples", type=int, default=5, help="maximum field size")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=TAU_EQ)
+
     p = sub.add_parser("allocate", help="allocate one endowment")
     common_rule(p)
     p.add_argument("--n", type=int, required=True)
@@ -465,16 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axiom", required=True, choices=AXIOM_NAMES)
     p.add_argument("--mode", default=None,
                    choices=sorted({m for _, m in MATRIX_CELLS if m is not None}))
-    p.add_argument("--samples", type=int, default=5, help="maximum field size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=TAU_EQ)
+    common_budget(p)
 
     p = sub.add_parser("matrix", help="axiom matrix over a rule set")
     p.add_argument("--rules", default=None,
                    help="space-separated rule specs (default: bundled set)")
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=TAU_EQ)
+    common_budget(p)
     p.add_argument("--json", action="store_true")
 
     def common_data(p):

@@ -23,10 +23,11 @@ endowment, in position order, and converts any result that is not a tuple;
 ``allocate`` keys it by competitor id.  ``parse_rule_spec`` inverts
 ``spec`` through one table keyed by the spec head.
 
-The level rules keep one piecewise-linear model of their level sum g per
-field size n, built from the linear pieces of every kind of f, pwl too
-(``_pieces``, ``_iterated_pieces``); the root of its piece that holds E is
-the level solve's root estimate (``_estimating``).
+A level's linear pieces (``_KINDS[kind].segments``) are the one source of
+where it bends.  The level rules build one piecewise-linear model of their
+level sum g per field size n from them (``_pieces``, ``_iterated_pieces``),
+whose piece that holds E gives each solve its root estimate; ``Parametric``
+checks f_{k+1} <= f_k on them, exactly, for the levels it lists.
 """
 
 from __future__ import annotations
@@ -275,11 +276,6 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
-def pointwise_leq(f_lo: MonotoneFn, f_hi: MonotoneFn, xs: Sequence[float]) -> bool:
-    """Check f_lo(x) <= f_hi(x) on a sample of points (breakpoint-level check)."""
-    return all(f_lo(x) <= f_hi(x) + 1e-12 for x in xs)
-
-
 # ---------------------------------------------------------------------------
 # Interval lists
 
@@ -477,50 +473,65 @@ def _estimating(level_sum: Callable[[float], float], pieces, e: float):
     return level_sum
 
 
-class SingleParametric(RuleSpec, Record):
-    f: MonotoneFn
+class _LevelRule(RuleSpec):
+    """A rule that pays its n levels at the x where they sum to E.  Each
+    family gives ``_at(n)``, a new function ``at(x, total=sum)`` that hands
+    its levels at x, in position order, to ``total`` (the solver calls it
+    with x alone), and ``_model(n)``, the pieces of their sum, or None; the
+    model is kept per n in ``_by_n``, not a field."""
 
     def __post_init__(self) -> None:
-        # not a field: {n: the pieces of the level sum at n, or None}
         object.__setattr__(self, "_by_n", {})
 
     def prizes(self, ids, e, cfg):
-        n, f = len(ids), self.f._eval
+        n = len(ids)
         if n not in self._by_n:
-            self._by_n[n] = _iterated_pieces(self.f, n)
+            self._by_n[n] = self._model(n)
+        at = self._at(n)
+        x = solve_level_sum(_estimating(at, self._by_n[n], e), n, e, cfg)
+        return at(x, list)
 
-        def level_sum(x):
-            return sum(iterates(f, x, n))
-        x = solve_level_sum(_estimating(level_sum, self._by_n[n], e), n, e, cfg)
-        return list(iterates(f, x, n))
+
+class SingleParametric(_LevelRule, Record):
+    f: MonotoneFn
+
+    def _at(self, n):
+        f = self.f._eval
+        return lambda x, total=sum: total(iterates(f, x, n))
+
+    def _model(self, n):
+        return _iterated_pieces(self.f, n)
 
     def spec(self):
         return "sp:arithmetic" if self == arithmetic_rule() else "sp:" + self.f.spec()
 
 
-class Parametric(RuleSpec, Record):
+class Parametric(_LevelRule, Record):
     """Explicit prefix of level functions, lazily extensible by a generator.
 
     ``extend(k)`` supplies the function for position k beyond the prefix.
-    f_1 must be the identity and f_{k+1} <= f_k pointwise.  The rule's spec
-    is ``param:<name>``; a rule without a name has none.
+    f_1 must be the identity and f_{k+1} <= f_k pointwise, which is checked,
+    exactly, for the levels in ``fs``, not for those ``extend`` supplies.
+    The rule's spec is ``param:<name>``; a rule without a name has none.
     """
 
     fs: tuple[MonotoneFn, ...] = ()
     extend: Callable[[int], MonotoneFn] | None = None
     name: str = ""
+    _levels = ()  # not a field: f_1, f_2, ... to the largest n seen (_evals: their evaluators)
 
     def __post_init__(self) -> None:
         if self.fn(1) != MonotoneFn.identity():
             raise InvalidRuleParams("first level function must be the identity")
-        xs = _order_check_points(self.fs)
+        # f_hi - f_lo is linear between the bends of both levels and beyond the last:
+        # >= 0 (within 1e-12) at each bend, and final slopes that compare exactly,
+        # as a slope one ulp higher crosses at a large enough x, keep it >= 0
         for f_hi, f_lo in zip(self.fs, self.fs[1:]):
-            if not pointwise_leq(f_lo, f_hi, xs):
+            hi, lo = ([seg for seg in _KINDS[f.kind].segments(f) if seg[0] < math.inf]
+                      for f in (f_hi, f_lo))
+            if lo[-1][2] > hi[-1][2] or any(f_lo(x) > f_hi(x) + 1e-12 for x, _, _ in hi + lo):
                 raise InvalidRuleParams("level functions must be pointwise non-increasing in k")
-        # not fields: f_1, f_2, ..., grown to the largest n seen, and
-        # {n: the evaluators of f_1..f_n and the pieces of their sum}
-        object.__setattr__(self, "_levels", ())
-        object.__setattr__(self, "_by_n", {})
+        super().__post_init__()
 
     def fn(self, k: int) -> MonotoneFn:
         if k <= len(self.fs):
@@ -531,36 +542,22 @@ class Parametric(RuleSpec, Record):
             f"rule defines {len(self.fs)} level functions, position {k} requested"
         )
 
-    def prizes(self, ids, e, cfg):
-        n = len(ids)
-        if n not in self._by_n:
-            levels = self._levels
-            levels += tuple(self.fn(k) for k in range(len(levels) + 1, n + 1))
-            object.__setattr__(self, "_levels", levels)
-            self._by_n[n] = tuple(f._eval for f in levels[:n]), _pieces(levels[1:n])
-        levels, pieces = self._by_n[n]
+    def _at(self, n):
+        levels = self._evals[:n]
+        return lambda x, total=sum: total(f(x) for f in levels)
 
-        def level_sum(x):
-            return sum(f(x) for f in levels)
-        x = solve_level_sum(_estimating(level_sum, pieces, e), n, e, cfg)
-        return [f(x) for f in levels]
+    def _model(self, n):
+        levels = self._levels
+        levels += tuple(self.fn(k) for k in range(len(levels) + 1, n + 1))
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_evals", tuple(f._eval for f in levels))
+        return _pieces(levels[1:n])
 
     def spec(self):
         if not self.name:
             raise InvalidRuleParams(
                 "a Parametric rule without a name has no spec; name it: Parametric(..., name=...)")
         return f"param:{self.name}"
-
-
-def _order_check_points(fs: Sequence[MonotoneFn]) -> list[float]:
-    """Sample points for the level-order check: fixed ones plus every
-    function's breakpoints and finite parameter (a kink of shift and cap)."""
-    xs = {0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0}
-    for f in fs:
-        xs.update(x for x, _ in f.points)
-        if math.isfinite(f.param):
-            xs.add(f.param)
-    return sorted(xs)
 
 
 class Geometric(RuleSpec, Record):
@@ -731,9 +728,9 @@ def hyperarithmetic_rule() -> Parametric:
                       name="hyperarithmetic")
 
 
-def step_rule(max_dollars: int = 64) -> Interval:
-    """Interval rule with intervals (k-1, k): prizes grow one dollar at a time."""
-    return Interval(unit_steps(max_dollars))
+def step_rule() -> Interval:
+    """Interval rule with intervals (k-1, k), k <= 64: prizes grow one dollar at a time."""
+    return Interval(unit_steps(64))
 
 
 # ---------------------------------------------------------------------------
@@ -904,11 +901,8 @@ class PathTrace(Record):
         return tuple(e for e, _ in self.samples)
 
 
-def trace_path(
-    rule: RuleSpec, n: int, e_max: float, step: float | None = None
-) -> PathTrace:
-    """Allocations at E = 0, step, 2*step, ..., E_max for a fixed field size,
-    at most MAX_RANGE_ROWS of them."""
+def path_endowments(e_max: float, step: float | None = None) -> list[float]:
+    """E = 0, step, 2*step, ..., E_max, at most MAX_RANGE_ROWS of them."""
     if not 0 <= e_max <= MAX_FLOAT:  # also rejects NaN and an int beyond the float range
         raise InvalidPath(f"E_max must be finite and >= 0, got {number_text(e_max)}")
     if step is None:
@@ -922,7 +916,12 @@ def trace_path(
                 f"path to {e_max} in steps of {step} has more than {MAX_RANGE_ROWS} rows")
         endowments.append(len(endowments) * step)
     endowments.append(e_max)
-    samples = tuple(
-        (e, allocate(rule, standard_competition(n, e))) for e in endowments
-    )
-    return PathTrace(samples=samples)
+    return endowments
+
+
+def trace_path(
+    rule: RuleSpec, n: int, e_max: float, step: float | None = None
+) -> PathTrace:
+    """Allocations at the ``path_endowments`` for a fixed field size."""
+    return PathTrace(samples=tuple(
+        (e, allocate(rule, standard_competition(n, e))) for e in path_endowments(e_max, step)))

@@ -119,6 +119,10 @@ class TestFitProportional:
         fit = fit_proportional(EventSet(events=(a, b)))
         assert not fit.verdict
 
+    def test_no_prizes(self):
+        with pytest.raises(TooFewPositions):
+            fit_proportional(EventSet(events=(PrizeTable(name="t", endowment=1.0, prizes=()),)))
+
     def test_round_trip_two_endowments(self):
         rule = Proportional((5.0, 3.0, 1.5, 0.5))
         events = []
@@ -153,6 +157,12 @@ class TestDetectIntervalPattern:
     def test_too_few_positions(self):
         with pytest.raises(TooFewPositions):
             detect_interval_pattern(PrizeTable(name="t", endowment=1.0, prizes=(1.0,)))
+
+    def test_increasing_prizes_admit_no_split(self):
+        events = EventSet(events=(PrizeTable(name="t", endowment=6.0, prizes=(1.0, 2.0, 3.0)),))
+        fit = fit_family(events, "interval")
+        assert (fit.verdict, fit.max_rel_dev, fit.parameters) == (False, math.inf, {})
+        assert fit.warnings == ("no split position admits the flat-top/flat-tail shape",)
 
     @given(
         st.integers(min_value=2, max_value=6),
@@ -191,6 +201,15 @@ class TestClassify:
         ev = EventSet(events=(PrizeTable(name="t", endowment=6.0,
                                          prizes=(2.0, 2.0, 1.0, 1.0)),))
         assert classify(ev).tier == "consistent-shape"
+
+    def test_ordered_but_no_family_fits(self):
+        ev = EventSet(events=(PrizeTable(name="a", endowment=20.0, prizes=(10.0, 6.0, 3.0, 1.0)),
+                              PrizeTable(name="b", endowment=21.0, prizes=(10.0, 8.0, 2.0, 1.0))))
+        result = classify(ev)
+        assert result.tier == "unordered"
+        assert result.order_preserved
+        assert not (result.interval_pattern.verdict or result.geometric.verdict
+                    or result.proportional.verdict)
 
     def test_unordered(self):
         ev = EventSet(events=(PrizeTable(name="t", endowment=6.0,

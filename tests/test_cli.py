@@ -145,6 +145,29 @@ class TestLoadPrizeData:
         with pytest.raises(NonNumeric, match="line 2"):
             load_prize_data(str(p), endowment=10.0)
 
+    @pytest.mark.parametrize("rows,message", [
+        ("1,5\n2,3,1\n", "line 3: expected 2 columns, got 3"),
+        ("1,5\n2,3\n1,2\n", "line 4: duplicate position 1"),
+    ])
+    def test_csv_bad_row_exits_2(self, tmp_path, rows, message):
+        p = tmp_path / "event.csv"
+        p.write_text("position,prize\n" + rows)
+        code, out, err = run_cli("fit", "--family", "geometric", "--data", str(p),
+                                 "--endowment", "10")
+        assert (code, out) == (2, "")
+        assert err == f"error: {p}: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"events": [', "invalid JSON at line 1"),
+        ('{"events": [1]}', "events[0] must be an object"),
+    ])
+    def test_json_bad_events_exit_2(self, tmp_path, text, message):
+        p = tmp_path / "events.json"
+        p.write_text(text)
+        code, out, err = run_cli("classify", "--data", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {p}: {message}")
+
     def test_csv_gapped_positions(self, tmp_path):
         p = tmp_path / "event.csv"
         p.write_text("position,prize\n1,5\n3,1\n")
@@ -230,6 +253,14 @@ class TestTableCommand:
         code, _, err = run_cli("table", "--rule", "ed", "--n", "2",
                                "--endowments", "1:2")
         assert code == 2
+
+    @pytest.mark.parametrize("spec,kind", [("a,b", "list"), ("0:x:1", "range")])
+    def test_non_numeric_endowments_exit_2(self, spec, kind):
+        code, out, err = run_cli("table", "--rule", "ed", "--n", "2", "--endowments", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: endowment {kind} {spec!r}: could not convert")
+        with pytest.raises(NonNumeric):
+            _parse_endowments(spec)
 
     def test_reversed_range_exits_2(self):
         code, out, err = run_cli("table", "--rule", "ed", "--n", "3",
@@ -601,6 +632,13 @@ def test_unusable_float_flag_exits_2(tmp_path, command, flag, value):
 def test_endowment_flag_is_ignored_for_json_data(argv, value):
     # JSON events state their own endowments; --endowment is for CSV input
     assert run_cli(*argv, f"--endowment={value}") == run_cli(*argv)
+
+
+@pytest.mark.parametrize("argv,code", [(("allocate", "--n", "3"), 2), (("--help",), 0)])
+def test_argparse_exit_becomes_the_return_code(capsys, argv, code):
+    assert run(list(argv)) == code
+    if code:
+        assert "the following arguments are required: --rule" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

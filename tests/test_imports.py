@@ -116,10 +116,10 @@ def test_one_kernel_exit():
 def test_one_level_solver_path():
     """A rule's root estimate is the first probe of the one bisection,
     not a second solver: only ``solve_level_sum`` brackets the root, and
-    only ``solve_level`` and the level rules call it."""
+    only ``solve_level`` and the one ``prizes`` of the level rules call it,
+    once each."""
     assert _callers("_bracket") == ["solver.py:solve_level_sum"]
-    assert set(_callers("solve_level_sum")) == {
-        "solver.py:solve_level", "rules.py:SingleParametric", "rules.py:Parametric"}
+    assert _callers("solve_level_sum") == ["rules.py:_LevelRule", "solver.py:solve_level"]
 
 
 def test_one_root_estimate_source():
@@ -134,6 +134,15 @@ def test_one_root_estimate_source():
     names = {node.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path.name))
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_sp_estimate" not in names
+
+
+def test_one_source_of_level_bends():
+    """The level-order check of ``Parametric`` reads each level's bends off
+    ``_KINDS[kind].segments``, as the level-sum models do; no second list of
+    sample points is kept beside it."""
+    names = {node.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path.name))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not names & {"_order_check_points", "pointwise_leq"}
 
 
 def test_cli_imports_no_private_package_name():

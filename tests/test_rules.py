@@ -360,6 +360,54 @@ def test_level_sum_model_cache_is_no_field(make):
         assert prize_vector(back, ids, 3.0 * n) == prize_vector(fresh, ids, 3.0 * n)
 
 
+def _halves_pwl(steps):
+    """A pwl curve from (0, 0) by steps of (dx, dy) halves, 0 <= dy <= dx."""
+    points = [(0.0, 0.0)]
+    for dx, dy in steps:
+        points.append((points[-1][0] + dx / 2, points[-1][1] + dy / 2))
+    return MonotoneFn.piecewise(points)
+
+
+# Levels on a grid of halves, slopes k/8 and pwl rises of halves: equal slopes
+# are equal floats and unequal ones differ by at least 0.01, and no level bends
+# beyond x = 20, so two levels that part beyond their last bend have parted
+# by far more than rounding at FAR.
+OFFSETS = st.one_of(st.integers(0, 40).map(lambda k: k / 2), st.just(math.inf))
+ORDER_LEVELS = st.one_of(
+    st.integers(0, 8).map(lambda k: MonotoneFn.linear(k / 8)),
+    OFFSETS.map(MonotoneFn.shift),
+    OFFSETS.map(MonotoneFn.cap),
+    st.lists(st.integers(1, 10).flatmap(lambda dx: st.tuples(st.just(dx), st.integers(0, dx))),
+             max_size=4).map(_halves_pwl),  # no step: the single point (0, 0)
+)
+FAR = 2.0 ** 20
+
+
+@given(st.tuples(ORDER_LEVELS, ORDER_LEVELS))
+@example((MonotoneFn.cap(5.0), MonotoneFn.linear(0.01)))
+@example((MonotoneFn.cap(math.inf), MonotoneFn.linear(1.0)))
+@example((MonotoneFn.piecewise([(0.0, 0.0)]), MonotoneFn.shift(math.inf)))
+@settings(max_examples=400)
+def test_parametric_order_check_is_exact(levels):
+    """A rule of levels identity, f_hi, f_lo constructs exactly when f_lo <=
+    f_hi at every bend of either level (within 1e-12) and at a point far
+    beyond the last, and every rule that constructs pays prizes in order."""
+    f_hi, f_lo = levels
+    bends = {0.0, *(x for f in levels for x, _ in f.points),
+             *(f.param for f in levels if f.kind in ("shift", "cap") and f.param < math.inf)}
+    ordered = (all(f_lo(x) <= f_hi(x) + 1e-12 for x in bends)
+               and f_lo(FAR) <= f_hi(FAR) + 1e-9 * FAR)
+    try:
+        rule = Parametric(fs=(MonotoneFn.identity(), f_hi, f_lo), name="drawn")
+    except InvalidRuleParams:
+        assert not ordered
+        return
+    assert ordered
+    for e in (25.0, 1e6):
+        prizes = prize_vector(rule, ("a", "b", "c"), e)
+        assert prizes[2] <= prizes[1] + 1e-9 * e and prizes[1] <= prizes[0] + 1e-9 * e, prizes
+
+
 class TestLevelRules:
     def test_single_parametric_iterates_f(self):
         got = vector(SingleParametric(MonotoneFn.linear(0.5)), 3, 7.0)
@@ -370,9 +418,11 @@ class TestLevelRules:
             Parametric(fs=(MonotoneFn.zero(),))
 
     def test_parametric_order_enforced(self):
-        with pytest.raises(InvalidRuleParams):
-            Parametric(fs=(MonotoneFn.identity(), MonotoneFn.linear(0.2),
-                           MonotoneFn.linear(0.8)))
+        # the second pair crosses only beyond x = 500, past every bend of either level
+        for f_hi, f_lo in ((MonotoneFn.linear(0.2), MonotoneFn.linear(0.8)),
+                           (MonotoneFn.cap(5.0), MonotoneFn.linear(0.01))):
+            with pytest.raises(InvalidRuleParams):
+                Parametric(fs=(MonotoneFn.identity(), f_hi, f_lo), name="bad")
 
     def test_parametric_needs_functions(self):
         with pytest.raises(InvalidRuleParams):
