@@ -515,4 +515,10 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except BrokenPipeError:  # the reader closed stdout early: no traceback
+        # the final flush would raise again: let it write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -27,7 +27,10 @@ A level's linear pieces (``_KINDS[kind].segments``) are the one source of
 where it bends.  The level rules build one piecewise-linear model of their
 level sum g per field size n from them (``_pieces``, ``_iterated_pieces``),
 whose piece that holds E gives each solve its root estimate; ``Parametric``
-checks f_{k+1} <= f_k on them, exactly, for the levels it lists.
+checks f_{k+1} <= f_k on them, exactly, for the levels it lists.  Each
+kind's ``walk`` lists x, f(x), f(f(x)), ... in one loop, with no call per
+term; the level rules sum those lists and pay the last one their solve
+evaluated, at the root.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .solver import (
     SolverConfig,
     SolverFailure,
     interval_locate,
-    iterates,
     solve_level_sum,
 )
 
@@ -120,8 +122,10 @@ class MonotoneFn(Record):
         problem = f"unknown function kind: {self.kind!r}" if entry is None else entry.check(self)
         if problem:
             raise InvalidRuleParams(problem)
-        # not a field: eq, hash and repr see only kind, param and points
-        object.__setattr__(self, "_eval", entry.bind(self))
+        # not fields: eq, hash and repr see only kind, param and points
+        evaluate = entry.bind(self)
+        object.__setattr__(self, "_eval", evaluate)
+        object.__setattr__(self, "walk", partial(entry.walk, *evaluate.args))
 
     # -- constructors
 
@@ -162,13 +166,17 @@ class MonotoneFn(Record):
 class _Kind(NamedTuple):
     """One MonotoneFn kind: ``bind``, which does a function's per-curve work
     once, at construction, and returns its evaluator (a ``partial`` over a
-    module-level function, so rules pickle), its parameter check (a message,
-    or None when the parameters are valid), its spec text, its linear pieces
-    from x = 0 as (x, f(x), slope) where each starts (one may be empty or
-    start at inf: shift=0, cap=inf) and, for kinds the spec grammar names,
-    the parser of that text's argument."""
+    module-level function, so rules pickle), its ``walk``, a module-level
+    function that takes the evaluator's bound arguments, then x and n >= 1,
+    and lists x, f(x), f(f(x)), ... to n terms in one loop, bit for bit
+    ``list(iterates(f, x, n))``, its parameter check (a message, or None
+    when the parameters are valid), its spec text, its linear pieces from
+    x = 0 as (x, f(x), slope) where each starts (one may be empty or start
+    at inf: shift=0, cap=inf) and, for kinds the spec grammar names, the
+    parser of that text's argument."""
 
     bind: Callable[[MonotoneFn], Callable[[float], float]]
+    walk: Callable[..., list[float]]
     check: Callable[[MonotoneFn], str | None]
     spec: Callable[[MonotoneFn], str]
     segments: Callable[[MonotoneFn], list[tuple[float, float, float]]]
@@ -205,6 +213,28 @@ def _cap(c: float, x: float) -> float:
     return x if x < c else c  # min(c, x), bit for bit
 
 
+def _walk_linear(s: float, x: float, n: int) -> list[float]:
+    walked = [x]
+    for _ in range(n - 1):
+        x = x * s  # s * x, bit for bit
+        walked.append(x)
+    return walked
+
+
+def _walk_shift(c: float, x: float, n: int) -> list[float]:
+    walked = [x]
+    for k in range(1, n):
+        if not x > c:  # then 0.0, the fixed point, to the end
+            return walked + [0.0] * (n - k)
+        x -= c
+        walked.append(x)
+    return walked
+
+
+def _walk_cap(c: float, x: float, n: int) -> list[float]:
+    return [x] * n if x < c else [x] + [c] * (n - 1)
+
+
 def _bind_pwl(f: MonotoneFn) -> Callable[[float], float]:
     """Bind a curve once: (x0, y0, rise, run) per segment, indexed by the
     upper x's, and the final slope as a segment with run 1.0, an exact
@@ -218,15 +248,28 @@ def _bind_pwl(f: MonotoneFn) -> Callable[[float], float]:
     return partial(_eval_pwl, *pts[0], tuple(x for x, _ in pts[1:]), tuple(segs))
 
 
-def _eval_pwl(x_start: float, y_start: float, uppers: tuple[float, ...],
-              segs: tuple[tuple[float, float, float, float], ...], x: float) -> float:
-    if x <= x_start or not uppers:  # a single breakpoint is flat beyond it
-        return y_start if x >= x_start else 0.0
-    x0, y0, rise, run = segs[bisect_left(uppers, x)]
-    lift = rise * (x - x0)
-    if lift == math.inf and x < math.inf:  # overflowed above ~1e154: divide first
-        return y0 + rise / run * (x - x0)
-    return y0 + lift / run
+def _eval_pwl(*curve_and_x) -> float:
+    return _walk_pwl(*curve_and_x, 2)[1]  # f(x): the second term of a walk from x
+
+
+def _walk_pwl(x_start: float, y_start: float, uppers: tuple[float, ...],
+              segs: tuple[tuple[float, float, float, float], ...], x: float, n: int) -> list[float]:
+    """x, f(x), f(f(x)), ... to n terms, to a fixed point: once f(x) is x
+    bit for bit (the same sign of zero; NaN never), the rest repeat it."""
+    walked = [x]
+    for rest in range(n - 1, 0, -1):
+        if x <= x_start or not uppers:  # a single breakpoint is flat beyond it
+            y = y_start if x >= x_start else 0.0
+        else:
+            x0, y0, rise, run = segs[bisect_left(uppers, x)]
+            lift = rise * (x - x0)
+            y = (y0 + rise / run * (x - x0) if lift == math.inf and x < math.inf
+                 else y0 + lift / run)  # where lift overflowed above ~1e154, divide first
+        if y == x and (y or math.copysign(1.0, y) == math.copysign(1.0, x)):
+            return walked + [y] * rest
+        walked.append(y)
+        x = y
+    return walked
 
 
 def _parse_pwl(text: str, arg: str, at: int) -> MonotoneFn:
@@ -254,20 +297,20 @@ def _offset_problem(f: MonotoneFn) -> str | None:
 
 
 _KINDS: dict[str, _Kind] = {
-    "linear": _Kind(lambda f: partial(operator.mul, f.param),
+    "linear": _Kind(lambda f: partial(operator.mul, f.param), _walk_linear,
                     lambda f: None if 0.0 <= f.param <= 1.0
                     else f"linear slope must be in [0, 1], got {f.param}",
                     lambda f: f"linear={_num(f.param)}", lambda f: [(0.0, 0.0, f.param)],
                     _one_param("linear", "a slope in [0, 1]")),
-    "shift": _Kind(lambda f: partial(_shift, f.param), _offset_problem,
+    "shift": _Kind(lambda f: partial(_shift, f.param), _walk_shift, _offset_problem,
                    lambda f: f"shift={_num(f.param)}",
                    lambda f: [(0.0, 0.0, 0.0), (f.param, 0.0, 1.0)],
                    _one_param("shift", "a shift >= 0")),
-    "cap": _Kind(lambda f: partial(_cap, f.param), _offset_problem,
+    "cap": _Kind(lambda f: partial(_cap, f.param), _walk_cap, _offset_problem,
                  lambda f: f"cap={_num(f.param)}",
                  lambda f: [(0.0, 0.0, 1.0), (f.param, f.param, 0.0)],
                  _one_param("cap", "a cap >= 0")),
-    "pwl": _Kind(_bind_pwl, _pwl_problem,
+    "pwl": _Kind(_bind_pwl, _walk_pwl, _pwl_problem,
                  lambda f: "pwl=" + ",".join(f"{_num(x)}:{_num(y)}" for x, y in f.points),
                  lambda f: [(x0, y0, (y1 - y0) / (x1 - x0))  # a single point is flat
                             for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])]
@@ -444,7 +487,7 @@ def _iterated_pieces(f: MonotoneFn, n: int) -> tuple[list[float], ...] | None:
     values = [y for _, y, _ in segs]
     points = {0.0: 0.0}
     for b, _, _ in segs[1:]:
-        ahead = list(accumulate(iterates(f._eval, b, n)))  # the first 1, 2, ... iterates' sums
+        ahead = list(accumulate(f.walk(b, n)))  # the first 1, 2, ... iterates' sums
         x, above = b, 0.0
         for terms in range(n, 1, -1):
             points[x] = above + ahead[terms - 1]
@@ -456,7 +499,7 @@ def _iterated_pieces(f: MonotoneFn, n: int) -> tuple[list[float], ...] | None:
             above += x
     points = {x: g for x, g in points.items() if g < math.inf}  # not where g overflows
     far = 2.0 * max(points) + 1.0  # beyond the last bend, one more point gives g's slope
-    points[far] = sum(iterates(f._eval, far, n))
+    points[far] = sum(f.walk(far, n))
     xs = sorted(points)
     gs = [points[x] for x in xs]
     slopes = [(g1 - g0) / (x1 - x0) for x0, x1, g0, g1 in zip(xs, xs[1:], gs, gs[1:])]
@@ -475,10 +518,11 @@ def _estimating(level_sum: Callable[[float], float], pieces, e: float):
 
 class _LevelRule(RuleSpec):
     """A rule that pays its n levels at the x where they sum to E.  Each
-    family gives ``_at(n)``, a new function ``at(x, total=sum)`` that hands
-    its levels at x, in position order, to ``total`` (the solver calls it
-    with x alone), and ``_model(n)``, the pieces of their sum, or None; the
-    model is kept per n in ``_by_n``, not a field."""
+    family gives ``_model(n)``, the pieces of their sum, or None, kept per n
+    in ``_by_n``, and ``_walk(x, n)``, the list of its n levels at x in
+    position order, x itself first; neither is a field.  The level sum the
+    solver calls keeps its last levels: the solver returns right after it
+    evaluates the root, so those are the prizes, without a second walk."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_n", {})
@@ -487,17 +531,22 @@ class _LevelRule(RuleSpec):
         n = len(ids)
         if n not in self._by_n:
             self._by_n[n] = self._model(n)
-        at = self._at(n)
-        x = solve_level_sum(_estimating(at, self._by_n[n], e), n, e, cfg)
-        return at(x, list)
+        walk, levels = self._walk, None
+
+        def level_sum(x):
+            nonlocal levels
+            levels = walk(x, n)
+            return sum(levels)
+        x = solve_level_sum(_estimating(level_sum, self._by_n[n], e), n, e, cfg)
+        return levels if levels and levels[0] is x else walk(x, n)  # E = 0 evaluates none
 
 
 class SingleParametric(_LevelRule, Record):
     f: MonotoneFn
 
-    def _at(self, n):
-        f = self.f._eval
-        return lambda x, total=sum: total(iterates(f, x, n))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_walk", self.f.walk)
+        super().__post_init__()
 
     def _model(self, n):
         return _iterated_pieces(self.f, n)
@@ -518,7 +567,7 @@ class Parametric(_LevelRule, Record):
     fs: tuple[MonotoneFn, ...] = ()
     extend: Callable[[int], MonotoneFn] | None = None
     name: str = ""
-    _levels = ()  # not a field: f_1, f_2, ... to the largest n seen (_evals: their evaluators)
+    _levels = ()  # not a field: f_1, f_2, ... to the largest n seen (_walk: their values)
 
     def __post_init__(self) -> None:
         if self.fn(1) != MonotoneFn.identity():
@@ -542,15 +591,14 @@ class Parametric(_LevelRule, Record):
             f"rule defines {len(self.fs)} level functions, position {k} requested"
         )
 
-    def _at(self, n):
-        levels = self._evals[:n]
-        return lambda x, total=sum: total(f(x) for f in levels)
-
     def _model(self, n):
         levels = self._levels
         levels += tuple(self.fn(k) for k in range(len(levels) + 1, n + 1))
         object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_evals", tuple(f._eval for f in levels))
+        shifts = tuple(f.param for f in levels[1:] if f.kind == "shift")
+        object.__setattr__(self, "_walk", partial(_shift_levels, shifts)
+                           if len(shifts) == len(levels) - 1
+                           else partial(_levels_at, tuple(f._eval for f in levels[1:])))
         return _pieces(levels[1:n])
 
     def spec(self):
@@ -558,6 +606,16 @@ class Parametric(_LevelRule, Record):
             raise InvalidRuleParams(
                 "a Parametric rule without a name has no spec; name it: Parametric(..., name=...)")
         return f"param:{self.name}"
+
+
+def _shift_levels(cs: tuple[float, ...], x: float, n: int) -> list[float]:
+    """x, then f_k(x) = max(0, x - c) for the first n - 1 of cs, bit for bit."""
+    return [x, *[x - c if x > c else 0.0 for c in cs[:n - 1]]]
+
+
+def _levels_at(fs: tuple[Callable[[float], float], ...], x: float, n: int) -> list[float]:
+    """x (f_1, the identity: 1.0 * x is x), then the first n - 1 of fs at x."""
+    return [x, *[f(x) for f in fs[:n - 1]]]
 
 
 class Geometric(RuleSpec, Record):

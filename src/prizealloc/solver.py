@@ -10,17 +10,19 @@ kinks; it is derivative-free and unconditionally convergent on the bracket.
 
 ``solve_level_sum`` is the one bisection loop: it takes the level sum g as
 a single callable.  ``solve_level`` is its list form, for explicit level
-functions f_1..f_n.  A single-parametric rule (f_k = f^(k-1)) passes
-``sum(iterates(f, x, n))``, which walks x, f(x), f(f(x)), ... once, so a
-bisection step costs O(n): n - 1 calls to f rather than the n(n-1)/2 of
-evaluating each f^(k-1) from x.  Both forms add the same terms with
-``sum`` in position order, so the one-pass sum is bit-identical to the list
-form over ``iterate_f`` levels.  (A running ``+=`` would not be on every
-Python: from 3.12, ``sum`` of floats compensates rounding error.)  The walk
-stops calling f at a fixed point: once f(x) is x bit for bit (the same
-value and the same sign of zero; NaN never qualifies), every later iterate
-is that x, and the walk is ``chain(walked, repeat(x, rest))``.  That holds
-the same terms in the same order, so its ``sum`` is the same float.
+functions f_1..f_n.  ``iterates(f, x, n)`` walks x, f(x), f(f(x)), ...
+once, so a single-parametric level sum costs n - 1 calls to f rather than
+the n(n-1)/2 of evaluating each f^(k-1) from x, and its ``sum`` adds the
+same terms in position order as the list form over ``iterate_f`` levels,
+so it is bit-identical.  (A running ``+=`` would not be on every Python:
+from 3.12, ``sum`` of floats compensates rounding error.)  The walk stops
+calling f at a fixed point: once f(x) is x bit for bit (the same value and
+the same sign of zero; NaN never qualifies), every later iterate is that
+x.  The rules do not call f per term: each kind of level walks in one
+loop of its own (``rules._KINDS``), bit for bit ``iterates``, and a level
+rule's g keeps the terms of its last call.  ``solve_level_sum`` returns,
+but at E = 0, right after it evaluates g at the x it returns, so the rules
+pay those terms as the prizes, with no further walk.
 
 A solve runs in two phases.  On the benchmark's ``tables`` traffic it
 costs about 4 level sums, where plain bisection on [0, E] costs 33.

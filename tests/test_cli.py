@@ -654,6 +654,23 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == "1.5 1.5\n"
 
 
+def test_a_reader_that_closes_early_gets_no_traceback():
+    """`prizealloc table ... | head -c 10`: the command stops at the broken
+    pipe with exit 1 and nothing on stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        # 20,001 rows: far more than a pipe holds, so a write meets the closed end
+        [sys.executable, "-B", "-m", "prizealloc", "table", "--rule", "ed", "--n", "3",
+         "--endowments", "0:20000:1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)},
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 1 and len(head) == 10 and err == b""
+
+
 def test_late_dollar_allocates_the_largest_field_promptly():
     """The staircase of cx:late-dollar is batched: at the CLI's largest n
     its 5 * 10**9 steps take one pass over the field, not one per dollar."""

@@ -341,6 +341,21 @@ def test_rules_pickle_round_trip(rule):
             assert prize_vector(back, PICKLE_IDS[:n], e) == prize_vector(rule, PICKLE_IDS[:n], e)
 
 
+@pytest.mark.parametrize("fn", PICKLE_FNS, ids=lambda f: f.spec())
+def test_used_single_parametric_pickles(fn):
+    """A rule that has walked and built its models pickles with its bound
+    walk, and pays what the rule it came from pays."""
+    rule = SingleParametric(fn)
+    for n in (1, 5, 106):
+        prize_vector(rule, tuple(f"c{k}" for k in range(n)), 2.5 * n)
+    back = pickle.loads(pickle.dumps(rule))
+    assert back == rule and back.f.walk(7.0, 5) == fn.walk(7.0, 5)
+    for n in (1, 5, 106):
+        ids = tuple(f"c{k}" for k in range(n))
+        for e in (0.0, 1.5, 3.0 * n):
+            assert prize_vector(back, ids, e) == prize_vector(rule, ids, e)
+
+
 @pytest.mark.parametrize("make", [
     lambda: SingleParametric(MonotoneFn.piecewise([(0.0, 0.0), (2.0, 1.0), (4.0, 1.0)])),
     hyperarithmetic_rule,

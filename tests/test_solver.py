@@ -374,9 +374,12 @@ def flat_tail(a, rise, run):
 
 FIXED_POINT_SIZES = [1, 2, 5, 8, 50, 106]
 # zeros of either sign, built through the API (the spec language reads -0
-# as 0), and a flat tail that starts at a fixed point
+# as 0), a flat tail that starts at a fixed point, and a pwl curve from
+# (-0.0, -0.0), whose value at x = 0.0 is -0.0
+NEGATIVE_ZERO_START = MonotoneFn.piecewise(((-0.0, -0.0), (1.0, 0.0)))
 EDGE_FNS = [MonotoneFn.linear(-0.0), MonotoneFn.cap(-0.0), MonotoneFn.shift(-0.0),
-            MonotoneFn.shift(0.0), MonotoneFn.cap(0.0), flat_tail(1.0, 1.0, 1.0)]
+            MonotoneFn.shift(0.0), MonotoneFn.cap(0.0), flat_tail(1.0, 1.0, 1.0),
+            NEGATIVE_ZERO_START]
 FIXED_POINT_FNS = st.one_of(
     st.sampled_from(EDGE_FNS),
     MONOTONE_FNS,
@@ -428,39 +431,166 @@ def test_single_parametric_prizes_match_every_step_walk_bit_for_bit(data, fn, n,
             == prizes_outcome(every_step_prizes, fn, n, e, cfg))
 
 
-def f_calls(monkeypatch, walk, sample):
-    """The prize vectors (as bits) of a sample of (rule, n, E) with every
-    single-parametric walk routed through `walk`, and its calls to f."""
+def walked_points(monkeypatch, sample):
+    """(f, x, n) for every level sum the solves of a sample of single-parametric
+    (rule, n, E) evaluate, with the root estimate each rule attached: every
+    walk of f an allocation makes, the prizes' too."""
+    points = []
+
+    def solve(g, n, e, cfg=DEFAULT_SOLVER):
+        def g_seen(x):
+            points.append((f, x, n))
+            return g(x)
+        g_seen.estimate = getattr(g, "estimate", None)
+        return solve_level_sum(g_seen, n, e, cfg)
+
+    monkeypatch.setattr(rules, "solve_level_sum", solve)
+    ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
+    for rule, n, e in sample:
+        f = rule.f._eval
+        prize_vector(rule, ids[:n], e)
+    return points
+
+
+def f_calls(walk, points):
+    """The walks (as bits) of `walk` from each (f, x, n), and its calls to f."""
     calls = 0
 
-    def counted(f, x, n):
+    def counted(f):
         def f_counted(y):
             nonlocal calls
             calls += 1
             return f(y)
-        return walk(f_counted, x, n)
-
-    monkeypatch.setattr(rules, "iterates", counted)
-    ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
-    return [bits(prize_vector(rule, ids[:n], e)) for rule, n, e in sample], calls
+        return f_counted
+    return [bits(walk(counted(f), x, n)) for f, x, n in points], calls
 
 
 @pytest.mark.parametrize("head, share", [("sp:cap", 0.15), ("sp:arithmetic", 0.5)])
 def test_fixed_point_saves_f_calls(monkeypatch, head, share):
     """On a sample shaped like the benchmark's `tables` workload (n on a log
-    grid over 2..106, 8 endowments in [0, 5n] each), the walk calls f at
-    most `share` times as often as a walk that never stops, for the same
-    vectors."""
+    grid over 2..106, 8 endowments in [0, 5n] each), `iterates` from the
+    points the solves walk calls f at most `share` times as often as a walk
+    that never stops, for the same iterates."""
     rng = random.Random(f"fixed-point-{head}")
     sizes = [round(2 * 53 ** ((k + 0.5) / 16)) for k in range(16)]
     sample = []
     for n in sizes:
         rule = parse_rule_spec(f"sp:cap={rng.uniform(0.5, 5.0)}" if head == "sp:cap" else head)
         sample += [(rule, n, rng.uniform(0.0, 5.0 * n)) for _ in range(8)]
-    vectors, calls = f_calls(monkeypatch, iterates, sample)
-    every_step_vectors, every_step_calls = f_calls(monkeypatch, walk_every_step, sample)
-    assert vectors == every_step_vectors
+    points = walked_points(monkeypatch, sample)
+    walks, calls = f_calls(iterates, points)
+    every_step_walks, every_step_calls = f_calls(walk_every_step, points)
+    assert walks == every_step_walks
     assert calls <= share * every_step_calls, (calls, every_step_calls)
+
+
+@given(FIXED_POINT_FNS, st.sampled_from(FIXED_POINT_SIZES),
+       st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, 1.0, 5e-324]), st.floats()))
+@example(MonotoneFn.linear(-0.0), 5, 5.0)
+@example(MonotoneFn.linear(-0.0), 5, -0.0)
+@example(MonotoneFn.cap(-0.0), 5, 0.0)
+@example(MonotoneFn.cap(1.0), 106, math.nan)
+@example(NEGATIVE_ZERO_START, 2, 0.0)
+@example(NEGATIVE_ZERO_START, 5, -0.0)
+@example(MonotoneFn.piecewise([(0.0, 0.0)]), 5, 3.0)
+@example(MonotoneFn.shift(0.0), 106, 1e300)
+@settings(max_examples=500)
+def test_kind_walks_match_every_step_walk_bit_for_bit(fn, n, x):
+    """Each kind's one-loop walk lists the iterates a walk that calls f at
+    every step does, bit for bit, as a list that starts with x itself."""
+    walked = fn.walk(x, n)
+    assert type(walked) is list and walked[0] is x
+    assert bits(walked) == bits(walk_every_step(fn._eval, x, n))
+
+
+SHIFT_LEVELS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-9, math.inf]),
+                                  st.floats(min_value=0.0, max_value=1e3)), max_size=12)
+PARAMETRIC_RULES = st.one_of(
+    SHIFT_LEVELS.map(lambda cs: Parametric(  # sorted: f_{k+1} <= f_k
+        fs=(MonotoneFn.identity(), *map(MonotoneFn.shift, sorted(cs))), name="shifts")),
+    st.sampled_from([HYPERARITHMETIC, PWL_LEVELS]),
+)
+
+
+@given(PARAMETRIC_RULES, st.sampled_from([1, 2, 5, 13, 50, 106]),
+       st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-324]), st.floats()))
+@example(Parametric(fs=(MonotoneFn.identity(), MonotoneFn.shift(2.0)), name="one"), 2, -0.0)
+@settings(max_examples=400)
+def test_parametric_walk_is_its_levels_bit_for_bit(rule, n, x):
+    """A Parametric rule lists its levels at x in one pass, in one
+    comprehension when every level after the identity is a shift: bit for
+    bit each level's evaluator, as a list that starts with x itself."""
+    if rule.extend is None:
+        n = min(n, len(rule.fs))
+    rule._model(n)
+    shifts = all(rule.fn(k).kind == "shift" for k in range(2, len(rule._levels) + 1))
+    assert (rule._walk.func is rules._shift_levels) == shifts
+    walked = rule._walk(x, n)
+    assert walked[0] is x
+    assert bits(walked) == bits([rule.fn(k)._eval(x) for k in range(1, n + 1)])
+
+
+def count_walks(rule, sizes):
+    """Route the walks of `rule` through a counter, once it has seen every n
+    of `sizes`; returns the counter, a list that grows one entry a walk."""
+    ids = tuple(f"c{k}" for k in range(max(sizes)))
+    for n in sorted(sizes, reverse=True):
+        prize_vector(rule, ids[:n], 1.0)
+    walks, walk = [], rule._walk
+
+    def counted(x, n):
+        walks.append(x)
+        return walk(x, n)
+    object.__setattr__(rule, "_walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "sp:linear=0.5",
+                                  "sp:pwl=0:0,2:1,4:1", "param:hyperarithmetic"])
+def test_prizes_walk_once_per_level_sum(monkeypatch, spec):
+    """On the sample of test_estimates_save_level_sums, a level rule walks
+    its levels once per level sum its solve evaluates and never again: the
+    prizes are the last level sum's terms."""
+    rng = random.Random("solver-tables-sample")
+    sample = [(head, n, rng.uniform(0.0, 5.0 * n))
+              for head in PARITY_SPECS for n in (8, 50, 106) for _ in range(8)]
+    rule = parse_rule_spec(spec)
+    sample = [(rule, n, e) for head, n, e in sample if head == spec]
+    fresh = [prize_vector(parse_rule_spec(spec), tuple(f"c{k}" for k in range(n)), e)
+             for _, n, e in sample]
+    walks = count_walks(rule, {n for _, n, _ in sample})
+    sums = []
+
+    def counted(g, n, e, cfg=DEFAULT_SOLVER):
+        def g_counted(x):
+            sums.append(x)
+            return g(x)
+        g_counted.estimate = getattr(g, "estimate", None)
+        return solve_level_sum(g_counted, n, e, cfg)
+
+    monkeypatch.setattr(rules, "solve_level_sum", counted)
+    ids = tuple(f"c{k}" for k in range(106))
+    assert [prize_vector(rule, ids[:n], e) for _, n, e in sample] == fresh
+    assert len(sums) >= len(sample) and walks == sums
+
+
+def test_a_solver_that_returns_an_unwalked_x_gets_a_fresh_walk(monkeypatch):
+    """Prizes come from the kept levels only when the solver returns the x it
+    walked last; otherwise, and at E = 0, where no level sum is evaluated,
+    the rule walks once more at the x it is given."""
+    rule = parse_rule_spec("sp:arithmetic")
+    walks = count_walks(rule, {3})
+
+    def solve(g, n, e, cfg=DEFAULT_SOLVER):
+        g(1.0)
+        return 2.0
+
+    monkeypatch.setattr(rules, "solve_level_sum", solve)
+    assert prize_vector(rule, ("a", "b", "c"), 6.0) == (2.0, 1.0, 0.0)
+    assert walks == [1.0, 2.0]
+    monkeypatch.undo()
+    assert prize_vector(rule, ("a", "b", "c"), 0.0) == (0.0, 0.0, 0.0)
+    assert walks == [1.0, 2.0, 0.0]
 
 
 class TestIntervalLocate:
