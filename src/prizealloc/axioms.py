@@ -101,15 +101,19 @@ class SampleBudget(Record):
             raise InvalidBudget(
                 f"endowment grid values must be finite and <= {MAX_GRID_ENDOWMENT!r}, "
                 f"got {bad[0]}")
+        # not fields: the grid sorted, and in scan order, once per budget
+        grid = tuple(sorted(set(self.endowment_grid)))
+        object.__setattr__(self, "_sorted", grid)
+        object.__setattr__(self, "_scan", tuple(sorted(
+            grid, key=lambda e: abs(e * 4 - round(e * 4)) >= 1e-12)))
 
     def sorted_grid(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.endowment_grid)))
+        return self._sorted
 
     def scan_grid(self) -> tuple[float, ...]:
         """Grid in scan order: round quarter-dollar values first, so the
         first witness found lands on a readable endowment."""
-        return tuple(sorted(self.sorted_grid(),
-                            key=lambda e: abs(e * 4 - round(e * 4)) >= 1e-12))
+        return self._scan
 
     def describe(self) -> str:
         """The budget in words; a grid other than the seed's default is

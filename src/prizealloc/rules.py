@@ -29,8 +29,8 @@ level sum g per field size n from them (``_pieces``, ``_iterated_pieces``),
 whose piece that holds E gives each solve its root estimate; ``Parametric``
 checks f_{k+1} <= f_k on them, exactly, for the levels it lists.  Each
 kind's ``walk`` lists x, f(x), f(f(x)), ... in one loop, with no call per
-term; the level rules sum those lists and pay the last one their solve
-evaluated, at the root.
+term; the level rules sum those lists and pay the one their solve
+evaluated at the root, as a tuple.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
+from collections import deque
 from functools import partial
 from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Sequence
@@ -119,7 +120,13 @@ class MonotoneFn(Record):
 
     def __post_init__(self) -> None:
         entry = _KINDS.get(self.kind)
-        problem = f"unknown function kind: {self.kind!r}" if entry is None else entry.check(self)
+        if entry is None:
+            raise InvalidRuleParams(f"unknown function kind: {self.kind!r}")
+        try:  # a float, so that every level pays floats
+            object.__setattr__(self, "param", float(self.param))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidRuleParams(f"{self.kind} parameter: {exc}") from None
+        problem = entry.check(self)
         if problem:
             raise InvalidRuleParams(problem)
         # not fields: eq, hash and repr see only kind, param and points
@@ -245,7 +252,7 @@ def _bind_pwl(f: MonotoneFn) -> Callable[[float], float]:
     segs = [(x0, y0, y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
     if segs:
         segs.append((*pts[-1], segs[-1][2] / segs[-1][3], 1.0))
-    return partial(_eval_pwl, *pts[0], tuple(x for x, _ in pts[1:]), tuple(segs))
+    return partial(_eval_pwl, *map(float, pts[0]), tuple(x for x, _ in pts[1:]), tuple(segs))
 
 
 def _eval_pwl(*curve_and_x) -> float:
@@ -255,20 +262,30 @@ def _eval_pwl(*curve_and_x) -> float:
 def _walk_pwl(x_start: float, y_start: float, uppers: tuple[float, ...],
               segs: tuple[tuple[float, float, float, float], ...], x: float, n: int) -> list[float]:
     """x, f(x), f(f(x)), ... to n terms, to a fixed point: once f(x) is x
-    bit for bit (the same sign of zero; NaN never), the rest repeat it."""
-    walked = [x]
-    for rest in range(n - 1, 0, -1):
+    bit for bit (the same sign of zero; NaN never), the rest repeat it.
+    From one ``bisect_left``, the walk stays on a segment while x does."""
+    walked, rest = [x], n - 1
+    while rest:
         if x <= x_start or not uppers:  # a single breakpoint is flat beyond it
-            y = y_start if x >= x_start else 0.0
-        else:
-            x0, y0, rise, run = segs[bisect_left(uppers, x)]
+            y = y_start if x >= x_start else 0.0  # a zero: fixed only at x of its sign
+            if y == x and math.copysign(1.0, y) == math.copysign(1.0, x):
+                return walked + [y] * rest
+            walked.append(y)
+            x, rest = y, rest - 1
+            continue
+        i = bisect_left(uppers, x)  # x on (floor, top]; NaN on none: one step
+        x0, y0, rise, run = segs[i]
+        floor, top = uppers[i - 1] if i else x_start, uppers[i] if i < len(uppers) else math.inf
+        while rest:
             lift = rise * (x - x0)
             y = (y0 + rise / run * (x - x0) if lift == math.inf and x < math.inf
                  else y0 + lift / run)  # where lift overflowed above ~1e154, divide first
-        if y == x and (y or math.copysign(1.0, y) == math.copysign(1.0, x)):
-            return walked + [y] * rest
-        walked.append(y)
-        x = y
+            if y == x:  # x > x_start = 0 here: no sign of zero to tell apart
+                return walked + [y] * rest
+            walked.append(y)
+            x, rest = y, rest - 1
+            if not floor < x <= top:
+                break
     return walked
 
 
@@ -521,8 +538,9 @@ class _LevelRule(RuleSpec):
     family gives ``_model(n)``, the pieces of their sum, or None, kept per n
     in ``_by_n``, and ``_walk(x, n)``, the list of its n levels at x in
     position order, x itself first; neither is a field.  The level sum the
-    solver calls keeps its last levels: the solver returns right after it
-    evaluates the root, so those are the prizes, without a second walk."""
+    solver calls keeps the levels of its last three calls: the solver
+    evaluates the root, then at most two certificates, so the kept levels
+    that start at the root are the prizes, without a second walk."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_n", {})
@@ -531,14 +549,16 @@ class _LevelRule(RuleSpec):
         n = len(ids)
         if n not in self._by_n:
             self._by_n[n] = self._model(n)
-        walk, levels = self._walk, None
+        walk, kept = self._walk, deque(maxlen=3)
 
         def level_sum(x):
-            nonlocal levels
-            levels = walk(x, n)
+            kept.append(levels := walk(x, n))
             return sum(levels)
         x = solve_level_sum(_estimating(level_sum, self._by_n[n], e), n, e, cfg)
-        return levels if levels and levels[0] is x else walk(x, n)  # E = 0 evaluates none
+        for levels in kept:
+            if levels[0] is x:
+                return tuple(levels)
+        return tuple(walk(x, n))  # E = 0 evaluates none
 
 
 class SingleParametric(_LevelRule, Record):
@@ -930,7 +950,7 @@ def prize_vector(
             name = f"unnamed {type(rule).__name__} rule"
         # a rule overflows only on converting an E above MAX_FLOAT to a float
         kind = NonFiniteEndowment if isinstance(exc, OverflowError) else type(exc)
-        raise kind(f"{name} at n={len(ids)}, E={e!r}: {exc}") from exc
+        raise kind(f"{name} at n={len(ids)}, E={number_text(e)}: {exc}") from exc
     return prizes if type(prizes) is tuple else tuple([float(p) for p in prizes])
 
 

@@ -20,50 +20,57 @@ calling f at a fixed point: once f(x) is x bit for bit (the same value and
 the same sign of zero; NaN never qualifies), every later iterate is that
 x.  The rules do not call f per term: each kind of level walks in one
 loop of its own (``rules._KINDS``), bit for bit ``iterates``, and a level
-rule's g keeps the terms of its last call.  ``solve_level_sum`` returns,
-but at E = 0, right after it evaluates g at the x it returns, so the rules
-pay those terms as the prizes, with no further walk.
+rule's g keeps the terms of its last few calls, and the rules pay those
+of the x ``solve_level_sum`` returns as the prizes, with no further walk.
 
-A solve runs in two phases.  On the benchmark's ``tables`` traffic it
-costs about 4 level sums, where plain bisection on [0, E] costs 33.
+A solve replays plain bisection on [0, E]: the same midpoints, the same
+accept test |g(x) - E| <= tol, the same iteration count and the same
+failure.  (Once no float lies between lo and hi, every later step repeats
+the last, so the loop stops there.)  It only skips g at midpoints whose
+side of the root is known, so its answer is plain bisection's midpoint,
+bit for bit.  On the benchmark's
+``tables`` traffic it costs about 2.6 level sums, where plain bisection
+costs 33.
 
-1. Probe.  Each level rule sets ``g.estimate = (x, slope)``, read off its
-   piecewise-linear model of g: the root of the piece of g that holds E,
-   and g's slope there.  A probe becomes a bracket end only if its
-   residual clears the tolerance tol by a further tol: g(xl) - E < -2 tol,
-   g(xu) - E > 2 tol.  The estimate is not evaluated at first: two probes
-   step out to either side of it, 3 tol / slope away, and when each that
-   lies inside (0, E) clears that band on its side, they are the bracket.
-   That costs two level sums, and one at n = 1, where the root is E and
-   the upper step-out lies beyond E, where no midpoint lies.
-   Only if a step-out inside (0, E) misses is the estimate evaluated, and
-   the search goes on from there.  Without an estimate, or when E/2 lies
-   as close to the root, the first probe is the bisection's own first
-   midpoint E/2, so a solve that bisection ends there costs one level
-   sum.  From an evaluated probe, a few Illinois (false-position) steps
-   from the anchors (0, -E) and the probe, or E when the root lies above
-   it, look for a tight bracket xl < root < xu.  The first probe inside
-   the band ends the search, and two more probes step out around the root
-   it points at.  The slope is the rule's own when it gives one: the
-   secant from (0, -E) is steeper than a concave g (``sp:cap``) near its
-   root, so its steps fall short of the band, and the bracket stays wide.
-2. Replay.  The bisection runs exactly as it would alone: the same
-   midpoints, the same accept test |g(x) - E| <= tol, the same iteration
-   count and the same failure.  Only a midpoint at or below xl takes
-   lo = x without calling g, and one at or above xu takes hi = x.
+1. Predicted ends.  Each level rule sets ``g.estimate = (x, slope)``, read
+   off its piecewise-linear model of g: the root of the piece of g that
+   holds E, and g's slope there.  The bracket ends are then xl, xu = x -+
+   2 tol / slope, not evaluated: a midpoint at or below xl takes lo = x
+   without calling g, one at or above xu takes hi = x.  An evaluated
+   midpoint (x, r = g(x) - E) certifies, with band = 2 tol:
+   - by monotone g, every p <= x is low when r < -band, and every p >= x
+     high when r > band;
+   - by g' >= 1 (f_1 is the identity), with one tol of slack, every
+     p < x - (r + band) is low and every p > x + (band - r) high.  This
+     holds while the float sum's rounding, about n * 2**-53 * max(1, E)
+     at each point, stays below tol / 4, that is while n is at most
+     residual_tol * 2**51: 225,000 at the default 1e-10, above the CLI's
+     field cap, and 2,250 at the axiom checks' 1e-12.
+   When a midpoint passes the accept test, the largest midpoint taken low
+   and the smallest taken high without a call must be certified; one that
+   is not yet is evaluated, and must clear the band on its side.  Those
+   checks evaluate g after the accepted x, so a level rule keeps its last
+   few level sums' terms.
+2. Evaluated ends.  Without an estimate, when a check fails, or when
+   max_iter runs out first, the same loop runs again with ends that are
+   evaluated.  Its first probe is the bisection's own first midpoint E/2,
+   so a solve that bisection ends there costs one level sum.  From it, a
+   few Illinois (false-position) steps from the anchors (0, -E) and the
+   probe, or E when the root lies above it, look for a tight bracket
+   xl < root < xu whose ends clear the band, g(xl) - E < -2 tol and
+   g(xu) - E > 2 tol.  The first probe inside the band ends the search,
+   and two more probes step out 3 tol / slope around the root it points
+   at, by the secant's slope.
 
-So the probes only choose which midpoints are evaluated; the answer is
-always a bisection midpoint, and the same one plain bisection returns, bit
-for bit, however close a rule's estimate is.  That rests on one premise:
-fl(g), the level sum as rounded, may decrease as x grows, but by less
-than tol.  Then every midpoint at or below xl has a residual below -tol,
-as xl's is below -2 tol, and the skipped decision is the one an
-evaluation would have made (likewise above xu).  Each level of a rule is
-non-decreasing as evaluated, up to a few ulps at a ``pwl`` breakpoint,
-and a sum of n of them rounds with an error of at most about
-n * 2**-52 * E.  That is below tol = residual_tol * max(1, E) while n is
-below residual_tol * 2**52: about 450,000 at the default 1e-10, above the
-CLI's field cap, and 4,500 at the axiom checks' 1e-12, far above their
+Both rest on one premise: fl(g), the level sum as rounded, may decrease
+as x grows, but by less than tol.  Then every midpoint at or below an end
+whose residual is below -2 tol has a residual below -tol, and the skipped
+decision is the one an evaluation would have made (likewise above).  Each
+level of a rule is non-decreasing as evaluated, up to a few ulps at a
+``pwl`` breakpoint, and a sum of n of them rounds with an error of at most
+about n * 2**-52 * E.  That is below tol = residual_tol * max(1, E) while n
+is below residual_tol * 2**52: about 450,000 at the default 1e-10, above
+the CLI's field cap, and 4,500 at the axiom checks' 1e-12, far above their
 field cap of 12.
 """
 
@@ -99,8 +106,10 @@ class SolverConfig(Record):
 
 
 DEFAULT_SOLVER = SolverConfig()
-# false-position probes that look for a tight bracket before each bisection
+# false-position probes that look for a tight bracket when there is no estimate
 _PROBES = 10
+# predicted bracket ends lie _Z tol / slope either side of the rule's estimate
+_Z = 2.0
 
 
 def iterate_f(f: Callable[[float], float], x: float, k: int) -> float:
@@ -151,10 +160,12 @@ def solve_level_sum(
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
     """Solve g(x) = E for x by bisection on [0, E], where g is the sum of n
-    level functions, the first of them the identity.  Probes bracket the
-    root first, so the bisection calls g only inside the bracket; the first
-    probes step out around ``g.estimate``, a near root and g's slope there,
-    if g has one."""
+    level functions, the first of them the identity.  The bisection calls g
+    only between two bracket ends.  When g has ``g.estimate``, a near root
+    and g's slope there, the ends lie 2 tol / slope either side of it, not
+    evaluated, and the midpoints taken beyond them are certified once one
+    is accepted.  Without it, or when a certificate fails, ``_bracket``
+    evaluates the ends from E/2."""
     if n < 1:
         raise ValueError("need at least one competitor")
     if endowment < 0:
@@ -162,43 +173,64 @@ def solve_level_sum(
     if endowment == 0:
         return 0.0
     tol = cfg.residual_tol * max(1.0, endowment)
-    x = 0.5 * endowment  # the bisection's first midpoint
-    guess, slope = getattr(g, "estimate", None) or (x, 0.0)
-    # the guess, unless it lies outside (0, E] or is NaN, or E/2 is as close
-    if 0.0 < guess <= endowment and abs(guess - x) * slope > tol:
-        x, r = guess, None  # not evaluated: _bracket steps out around it
-    else:
-        r = g(x) - endowment
-        if abs(r) <= tol:
-            return x
-    xl, xu = _bracket(g, endowment, tol, x, r, slope)
-    lo, hi = 0.0, endowment
-    for _ in range(cfg.max_iter):
-        x = 0.5 * (lo + hi)
-        if x <= xl:
-            lo = x
-            continue
-        if x >= xu:
-            hi = x
-            continue
-        r = g(x) - endowment
-        if abs(r) <= tol:
-            return x
-        if r < 0:
-            lo = x
-        else:
-            hi = x
-    r = g(x) - endowment
-    if abs(r) <= tol:
-        return x
-    raise SolverFailure(
-        f"bisection did not reach residual {tol:g} within {cfg.max_iter} "
-        f"iterations (last residual {r:g})"
-    )
+    band = 2.0 * tol
+    steep = n <= cfg.residual_tol * 2.0 ** 51  # g' >= 1 certifies: the sum rounds by < tol / 4
+    guess, slope = getattr(g, "estimate", None) or (math.nan, 1.0)
+    w = _Z * tol / max(1.0, slope)
+    xl, xu, known = guess - w, guess + w, (-math.inf, math.inf)
+    predicted = 0.0 < guess <= endowment  # not without an estimate, nor for a NaN
+    while True:  # twice at most: the second time from E/2
+        if not predicted:
+            x = 0.5 * endowment  # the bisection's first midpoint
+            r = g(x) - endowment
+            if abs(r) <= tol:
+                return x
+            xl, xu = known = _bracket(g, endowment, tol, x, r)
+        # every p <= low_ok is low and every p >= high_ok high; low and high are
+        # the last midpoints taken as such without a call of g
+        (low_ok, high_ok), low, high = known, -math.inf, math.inf
+        lo, hi = 0.0, endowment
+        for _ in range(cfg.max_iter):
+            x = 0.5 * (lo + hi)
+            if x <= xl:
+                lo = low = x
+                continue
+            if x >= xu:
+                hi = high = x
+                continue
+            r = g(x) - endowment
+            if r < -band:
+                low_ok = max(low_ok, x)
+            elif steep:
+                low_ok = max(low_ok, x - (r + band))
+            if r > band:
+                high_ok = min(high_ok, x)
+            elif steep:
+                high_ok = min(high_ok, x + (band - r))
+            if abs(r) <= tol:
+                if ((low <= low_ok or g(low) - endowment < -band)
+                        and (high >= high_ok or g(high) - endowment > band)):
+                    return x
+                break
+            if x == lo or x == hi:  # no float left between: every later step repeats this one
+                break
+            if r < 0:
+                lo = x
+            else:
+                hi = x
+        if not predicted:  # evaluated ends certify every skip: bisection's own end
+            r = g(x) - endowment
+            if abs(r) <= tol:
+                return x
+            raise SolverFailure(
+                f"bisection did not reach residual {tol:g} within {cfg.max_iter} "
+                f"iterations (last residual {r:g})"
+            )
+        predicted = False  # a certificate failed, or the loop ended without an answer
 
 
 def _bracket(g: Callable[[float], float], e: float, tol: float,
-             x: float, r: float | None, slope: float = 0.0) -> tuple[float, float]:
+             x: float, r: float) -> tuple[float, float]:
     """From the probe (x, r) = (x, g(x) - E) and the anchors (0, -E) and,
     when the root lies above x, (E, g(E) - E), probe g by Illinois false
     position for xl < xu with g(xl) - E < -2 tol and g(xu) - E > 2 tol,
@@ -206,15 +238,11 @@ def _bracket(g: Callable[[float], float], e: float, tol: float,
     first probe inside that band ends the search, and the bracket steps
     out to 3 tol / slope either side of the root the probe points at:
     1.5 times the width of the window |g - E| <= tol.  The slope is the
-    rule's own, when it gives one (not 0), else the secant from the last
-    probe.  With r None, x is the rule's root estimate, not evaluated: the
-    bracket steps out around x, and g(x) is evaluated, for the search to go
-    on from there, only if a step-out inside (0, E) misses the band."""
+    secant's from the last probe, at least 1, as g' >= 1."""
     band = 2.0 * tol
     xl, xu = -math.inf, math.inf
     a, fa, b, fb = 0.0, -e, e, math.nan  # g(0) = 0: no call; g(E): not called yet
     x0, r0 = a, fa
-    guessed, r = r is None, r or 0.0
     for probe in range(_PROBES + 1):
         if r < -band:
             if x0 == a:
@@ -226,8 +254,8 @@ def _bracket(g: Callable[[float], float], e: float, tol: float,
                 fa *= 0.5
             xu = b = x
             fb = r
-        else:  # inside the band, NaN, or the rule's estimate
-            slope = max(1.0, slope or (r - r0) / (x - x0))  # g' >= 1: f_1 is the identity
+        else:  # inside the band, or NaN
+            slope = max(1.0, (r - r0) / (x - x0))  # g' >= 1: f_1 is the identity
             root, w = x - r / slope, 3.0 * tol / slope
             for y in (root - w, root + w):
                 if max(xl, 0.0) < y < min(xu, e):  # no midpoint lies outside (0, E)
@@ -236,11 +264,7 @@ def _bracket(g: Callable[[float], float], e: float, tol: float,
                         xl = y
                     elif ry > band:
                         xu = y
-            if not guessed or ((xl == root - w or root - w <= 0.0)
-                               and (xu == root + w or root + w >= e)):
-                break
-            guessed, r = False, g(x) - e  # a step-out missed: go on from the estimate
-            continue
+            break
         if probe == _PROBES:
             break
         x0, r0 = x, r

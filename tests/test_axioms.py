@@ -94,6 +94,17 @@ class TestSampleBudget:
         budget = SampleBudget(endowment_grid=(0.3, 1.0, 0.13, 0.25))
         assert budget.scan_grid() == (0.25, 1.0, 0.13, 0.3)
 
+    def test_grid_orders_are_kept_once_per_budget_and_are_no_fields(self):
+        budget = SampleBudget(endowment_grid=(0.3, 1.0, 0.13, 0.25, 1.0))
+        assert budget.sorted_grid() is budget.sorted_grid() == (0.13, 0.25, 0.3, 1.0)
+        assert budget.scan_grid() is budget.scan_grid()
+        twin = SampleBudget(endowment_grid=(0.3, 1.0, 0.13, 0.25, 1.0))
+        assert twin == budget and hash(twin) == hash(budget)
+        assert repr(budget) == ("SampleBudget(max_n=5, endowment_grid=(0.3, 1.0, 0.13, 0.25, "
+                                "1.0), rng_seed=0)")
+        assert budget.to_dict() == {"max_n": 5, "endowment_grid": [0.3, 1.0, 0.13, 0.25, 1.0],
+                                    "rng_seed": 0}
+
     def test_describe_names_a_custom_grid(self):
         one, seven = (SampleBudget(max_n=3, endowment_grid=(0.0, e)) for e in (1.0, 7.0))
         assert one.describe() == "max_n=3, 2 grid endowments [0.0, 1.0], seed=0"

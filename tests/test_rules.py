@@ -13,6 +13,7 @@ from prizealloc.core import (
     Ranking,
     Competition,
     make_competition,
+    number_text,
     standard_competition,
     validate_allocation,
 )
@@ -844,13 +845,15 @@ def test_prize_vector_rejects_what_competition_rejects(endowment):
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("endowment", [10 ** 400, Fraction(10 ** 400, 3)],
-                         ids=["int", "fraction"])
+@pytest.mark.parametrize("endowment", [10 ** 400, Fraction(10 ** 400, 3), 10 ** 5000],
+                         ids=["int", "fraction", "int-beyond-str"])
 @pytest.mark.parametrize("rule", bundled_rules(), ids=describe)
 def test_prize_vector_refuses_an_endowment_beyond_the_float_range(rule, endowment):
+    """The message names E as ``endowment_error`` does: str() of 10**5000
+    raises, as it has more than 4,300 digits."""
     with pytest.raises(NonFiniteEndowment) as exc:
         prize_vector(rule, ("p", "q", "c3"), endowment)
-    assert str(exc.value).startswith(f"{describe(rule)} at n=3, E={endowment!r}: ")
+    assert str(exc.value).startswith(f"{describe(rule)} at n=3, E={number_text(endowment)}: ")
 
 
 # every bundled rule, and an interval rule that pays E/n where n * a rounds above
@@ -887,6 +890,26 @@ def test_allocate_is_prize_vector_keyed_by_id(spec):
         vec = prize_vector(rule, ids, 7.5)
         assert all(type(p) is float for p in vec)
         assert allocate(rule, comp).prizes == dict(zip(ids, vec))
+
+
+@pytest.mark.parametrize("param", [3, Fraction(1, 2), True, 2.5])
+def test_monotone_fn_stores_its_parameter_as_a_float(param):
+    """A level pays floats whatever number its parameter was given as, so a
+    level rule's prizes are a tuple of floats without a conversion each."""
+    f = MonotoneFn("cap", param=param)
+    assert type(f.param) is float and f.param == param
+    assert f == MonotoneFn.cap(float(param))
+    assert all(type(p) is float for p in f.walk(7.0, 4))
+
+
+@pytest.mark.parametrize("param, message", [
+    ("x", "could not convert string to float"),
+    (None, "must be a string or a real number"),
+    (10 ** 400, "int too large to convert to float"),
+])
+def test_monotone_fn_refuses_a_parameter_that_is_no_float(param, message):
+    with pytest.raises(InvalidRuleParams, match=f"^shift parameter: .*{message}"):
+        MonotoneFn("shift", param=param)
 
 
 # int parameters, which each family must still pay out as floats

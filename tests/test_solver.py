@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from prizealloc import rules, solver, trace_path
-from prizealloc.axioms import CHECK_SOLVER, MAX_FIELD_SIZE
+from prizealloc.axioms import CHECK_SOLVER, MAX_FIELD_SIZE, SampleBudget
 from prizealloc.cli import MAX_ALLOCATION_N, parse_rule_spec
 from prizealloc.core import standard_competition
 from prizealloc.rules import (
@@ -311,7 +311,105 @@ def test_estimate_pays_plain_bisection_bits(data, rule, n, cfg):
     assert probed == plain
 
 
-def level_sums_per_solve(monkeypatch, sample):
+def near_root(g, e):
+    """The root of g(x) = E, to the last float bisection can reach, and g's
+    secant slope across it, at least 1."""
+    lo, hi = 0.0, e
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        lo, hi = (x, hi) if g(x) < e else (lo, x)
+    lo, hi = max(0.0, x * (1 - 1e-6)), x * (1 + 1e-6)
+    slope = (g(hi) - g(lo)) / (hi - lo) if hi > lo else 1.0
+    return x, max(1.0, slope) if math.isfinite(slope) else 1.0
+
+
+@st.composite
+def wrong_estimates(draw, g, e, tol):
+    """An estimate of the root of g(x) = E that may be far off: the root
+    offset by 0.5 to 10**4 tol / slope either way, a random (guess, slope)
+    pair, or the root with a slope 10 times too large or too small."""
+    root, slope = near_root(g, e)
+    kind = draw(st.sampled_from(["offset", "random", "slope"]))
+    if kind == "offset":
+        offset = draw(st.floats(min_value=0.5, max_value=1e4)) * draw(st.sampled_from([-1, 1]))
+        return root + offset * tol / slope, slope
+    if kind == "random":
+        guess = draw(st.floats(min_value=0.0, max_value=e, exclude_min=True))
+        return guess, draw(st.one_of(st.sampled_from([0.0, 1.0, math.inf, math.nan]),
+                                     st.floats(min_value=0.0, max_value=1e6)))
+    return root, slope * draw(st.sampled_from([0.1, 10.0]))
+
+
+def estimated_outcome(g, n, e, cfg, estimate):
+    """solve_level_sum's outcome for g with `estimate` attached, and whether
+    it evaluated bracket ends (``_bracket``): with an estimate, only after a
+    failed certificate."""
+    brackets, bracket = [], solver._bracket
+
+    def g_estimated(x):
+        return g(x)
+    g_estimated.estimate = estimate
+
+    def counted(*args):
+        brackets.append(args)
+        return bracket(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_bracket", counted)
+        return outcome(solve_level_sum, g_estimated, n, e, cfg), bool(brackets)
+
+
+@given(st.data(), st.sampled_from([1, 2, 5, 8, 50, 106]), st.sampled_from(SOLVER_CONFIGS))
+@settings(max_examples=300, deadline=None)
+def test_a_wrong_estimate_costs_level_sums_never_a_float(data, n, cfg):
+    """However far off a rule's estimate is, the solve pays plain bisection's
+    bits, and a failure its message: a bracket end that the bisection takes
+    without a call of g is certified before a midpoint is accepted, and a
+    failed certificate sends the solve on from evaluated ends."""
+    g = data.draw(level_sums(n))
+    e = data.draw(st.one_of(
+        st.sampled_from([5e-324, 1e12]),
+        st.floats(min_value=0.0, max_value=2 * cfg.residual_tol, exclude_min=True),
+        st.floats(min_value=0.0, max_value=5.0 * n, exclude_min=True),
+    ))
+    estimate = data.draw(wrong_estimates(g, e, cfg.residual_tol * max(1.0, e)))
+    got, _ = estimated_outcome(g, n, e, cfg, estimate)
+    assert got == outcome(plain_bisection, g, n, e, cfg)
+
+
+@given(st.data(), st.sampled_from([1, 2, 5, 50, 106]))
+@settings(max_examples=150, deadline=None)
+def test_a_bisection_out_of_floats_pays_plain_bisection_bits(data, n):
+    """At a tolerance below the float sum's rounding, bisection can run out
+    of floats between lo and hi long before max_iter, and every later step
+    repeats the last: the solve stops there and pays plain bisection's bits,
+    or its failure message, with or without a wrong estimate."""
+    cfg = SolverConfig(residual_tol=1e-16)
+    g = data.draw(level_sums(n))
+    e = data.draw(st.floats(min_value=0.0, max_value=5.0 * n, exclude_min=True))
+    estimate = data.draw(st.one_of(st.none(), wrong_estimates(g, e, 1e-16 * max(1.0, e))))
+    got, _ = estimated_outcome(g, n, e, cfg, estimate)
+    assert got == outcome(plain_bisection, g, n, e, cfg)
+
+
+@pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "sp:linear=0.5",
+                                  "sp:pwl=0:0,2:1,4:1", "param:hyperarithmetic"])
+@pytest.mark.parametrize("cfg", SOLVER_CONFIGS, ids=["default", "check", "three-steps"])
+def test_an_estimate_far_off_goes_on_from_evaluated_ends(spec, cfg):
+    """An estimate 10**4 tol / slope off the root fails its certificates, and
+    the solve that goes on from evaluated ends pays plain bisection's bits."""
+    rule, n, e = parse_rule_spec(spec), 8, 17.0
+    rule._model(n)
+
+    def g(x):
+        return sum(rule._walk(x, n))
+    tol = cfg.residual_tol * max(1.0, e)
+    root, slope = near_root(g, e)
+    for sign in (-1, 1):
+        got, fell_back = estimated_outcome(g, n, e, cfg, (root + sign * 1e4 * tol / slope, slope))
+        assert fell_back
+        assert got == outcome(plain_bisection, g, n, e, cfg)
+
+
+def level_sums_per_solve(monkeypatch, sample, cfg=DEFAULT_SOLVER):
     """Level sums per solve of a sample of (rule, n, E), each level sum
     counted with the root estimate its rule attached."""
     solves = calls = 0
@@ -330,22 +428,35 @@ def level_sums_per_solve(monkeypatch, sample):
     monkeypatch.setattr(rules, "solve_level_sum", counted)
     ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
     for rule, n, e in sample:
-        prize_vector(rule, ids[:n], e)
+        prize_vector(rule, ids[:n], e, cfg)
     return calls / solves
 
 
 @pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "sp:linear=0.5",
                                   "sp:pwl=0:0,2:1,4:1", "param:hyperarithmetic"])
 def test_estimates_save_level_sums(monkeypatch, spec):
-    """On the sample of test_probes_save_level_sums, a solve that steps out
-    around its rule's estimate evaluates at most 4.5 level sums on average
-    (2.3 to 4.2 here); from E/2 it takes 5 to 12.6."""
+    """On the sample of test_probes_save_level_sums, a solve that predicts
+    its bracket ends around its rule's estimate evaluates at most 3.2 level
+    sums on average (1.67 to 2.96 here, where evaluated step-outs took 2.33
+    to 4.21); from E/2 it takes 5 to 12.6."""
     rng = random.Random("solver-tables-sample")
     sample = [(head, n, rng.uniform(0.0, 5.0 * n))
               for head in PARITY_SPECS for n in (8, 50, 106) for _ in range(8)]
     rule = parse_rule_spec(spec)
     assert level_sums_per_solve(
-        monkeypatch, [(rule, n, e) for head, n, e in sample if head == spec]) <= 4.5
+        monkeypatch, [(rule, n, e) for head, n, e in sample if head == spec]) <= 3.2
+
+
+@pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "sp:linear=0.5",
+                                  "sp:pwl=0:0,2:1,4:1", "param:hyperarithmetic"])
+def test_estimates_save_level_sums_in_the_axiom_checks(monkeypatch, spec):
+    """At the axiom checks' fields (n <= 5, CHECK_SOLVER) over the seed-0
+    matrix grid, a solve evaluates at most 2.6 level sums on average
+    (1.66 to 2.29 here, where evaluated step-outs took 3.33 to 3.82)."""
+    grid = SampleBudget(rng_seed=0).sorted_grid()
+    rule = parse_rule_spec(spec)
+    sample = [(rule, n, e) for n in range(1, 6) for e in grid]
+    assert level_sums_per_solve(monkeypatch, sample, CHECK_SOLVER) <= 2.6
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +612,15 @@ def test_kind_walks_match_every_step_walk_bit_for_bit(fn, n, x):
     walked = fn.walk(x, n)
     assert type(walked) is list and walked[0] is x
     assert bits(walked) == bits(walk_every_step(fn._eval, x, n))
+
+
+def test_pwl_walk_leaves_a_segment_its_iterate_rounds_above():
+    """On the identity piece up to 0.1, f(0.1) rounds up to the next float,
+    which lies on the next piece: the walk, which stays on one segment while
+    its iterates do, must take that piece's expression for the next step."""
+    fn = MonotoneFn.piecewise([(0.0, 0.0), (0.1, 0.1), (1.0, 0.2)])
+    assert fn(0.1) > 0.1
+    assert bits(fn.walk(0.1, 5)) == bits(walk_every_step(fn._eval, 0.1, 5))
 
 
 SHIFT_LEVELS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-9, math.inf]),
