@@ -18,11 +18,11 @@ re-checks the fixture witnesses with relations of its own.
 
 Prize vectors are read through a memo keyed by the ranking's ids and the
 endowment, and computed by ``rules.prize_vector`` on position tuples;
-``Competition`` objects are built only for a reported witness and while
-snapping it.  ``run_axiom_matrix`` shares one memo across the cells of a
-rule's row, so the four consistency modes screen each batch once, and
-drops it when the row is done; a standalone check builds its own, and
-``verify_witness`` re-allocates through ``allocate`` without one.
+``Competition`` objects are built only for a witness (a pair cell's twice:
+its row walk runs the fault) and while snapping it.  ``run_axiom_matrix``
+shares one memo across a rule's row, so the four consistency modes screen
+each batch once, and drops it when the row is done; a standalone check
+builds its own, and ``verify_witness`` re-allocates through ``allocate``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import (accumulate, chain, combinations, compress, cycle, islice, permutations,
                        product, repeat)
 from operator import add, and_, gt, itemgetter, le, lt, mul, sub
@@ -279,14 +279,16 @@ def _scan(axiom, mode, budget, tol, vector, fault, samples, slots=()) -> Verdict
     return _verdict(axiom, mode, budget, tol, count, w)
 
 
-def _pair_samples(budget, memo, fields, first_pair):
+def _pair_samples(budget, memo, fields, screen, fault, mode, tol):
     """``_scan`` samples over the grid pairs (E, E') of each field in
-    ``fields``, in row-major order: a field's first failing pair, as found by
-    ``first_pair(grid, vectors)``, then the field's pairs as cleared."""
+    ``fields``, in row-major order: a field's first pair where ``fault`` holds,
+    as ``_first_pair`` finds it on the rows, slack and strict width that
+    ``screen(grid, vectors, mode, tol)`` gives, then the field's pairs as cleared."""
     grid = budget.sorted_grid()
     g, count = len(grid), 0
     for ids in fields:
-        hit = first_pair(grid, list(map(memo.field(ids), grid)))
+        hit = _first_pair(grid, *screen(grid, list(map(memo.field(ids), grid)), mode, tol),
+                          lambda a, b: fault(memo.vector, ids, grid[a], grid[b], mode, tol))
         if hit is not None:
             a, b = hit  # (a, b) is pair number a(g-1) - a(a-1)/2 + (b-a) of the field
             yield count + a * (g - 1) - a * (a - 1) // 2 + (b - a), (ids, grid[a], grid[b])
@@ -404,30 +406,13 @@ def check_endowment_monotonicity(
     cell_key("endowment_monotonicity", mode)  # refuses a mode the axiom lacks
     memo = memo or _Memo(rule)
     fields = (ids for n in range(1, budget.max_n + 1) for ids in _arrangements(rule, n))
-    samples = _pair_samples(budget, memo, fields,
-                            partial(_first_monotonicity_pair, mode=mode, tol=tol))
+    samples = _pair_samples(budget, memo, fields, _monotonicity_rows, _monotonicity_fault,
+                            mode, tol)
     return _scan("endowment_monotonicity", mode, budget, tol, memo.vector, _monotonicity_fault,
                  samples, slots=(1, 2))
 
 
-def _monotonicity_test(lo, hi, gap, mode, tol):
-    """The pair test on prize vectors at endowments ``gap`` apart: (position,
-    relation, margin) or None.  Strict modes skip gaps below MIN_STRICT_GAP."""
-    for pos in range(1, len(lo) + 1):
-        if lo[pos - 1] > hi[pos - 1] + tol:
-            return pos, "prize non-decreasing in E", lo[pos - 1] - hi[pos - 1]
-    if gap < MIN_STRICT_GAP:
-        return None
-    if mode == "winner_strict" and hi[0] <= lo[0] + tol:
-        return 1, "winner prize strictly increasing in E", lo[0] - hi[0] + tol
-    if mode == "strict":
-        for pos in range(1, len(lo) + 1):
-            if hi[pos - 1] <= lo[pos - 1] + tol:
-                return pos, "prize strictly increasing in E", lo[pos - 1] - hi[pos - 1] + tol
-    return None
-
-
-def _first_pair(grid, rows, slack, pair_test, width=0) -> tuple[int, int] | None:
+def _first_pair(grid, rows, slack, width, pair_test) -> tuple[int, int] | None:
     """First grid pair (a, b), a < b, in row-major order where ``pair_test(a, b)`` holds.
 
     Row a is flagged when an entry of ``rows[a]`` exceeds the minimum at its
@@ -454,29 +439,31 @@ def _first_pair(grid, rows, slack, pair_test, width=0) -> tuple[int, int] | None
     return None
 
 
-def _first_monotonicity_pair(grid, vecs, mode, tol) -> tuple[int, int] | None:
-    """First grid pair (a, b), a < b, in row-major order that fails the pair test.
-
-    Rounding is monotone, so fl(min p_b + tol) = min fl(p_b + tol): the row
-    screen flags exactly the rows that hold a weak failure, and its strict
-    part exactly those that hold a strict one.
-    """
-    width = {"weak": 0, "winner_strict": 1}.get(mode, 2)  # the positions the strict part tests
-    return _first_pair(grid, vecs, tol, lambda a, b: _monotonicity_test(
-        vecs[a], vecs[b], grid[b] - grid[a], mode, tol), width)
+def _monotonicity_rows(grid, vecs, mode, tol):
+    """The prize vectors as ``_first_pair``'s rows, at slack tol.  Rounding is
+    monotone, so fl(min p_b + tol) = min fl(p_b + tol): the screen flags exactly
+    the rows that hold a weak failure, and its strict part (the winner, or
+    every position) exactly those that hold a strict one."""
+    return vecs, tol, MONOTONICITY_MODES.index(mode)  # strict width 0, 1 or 2
 
 
 def _monotonicity_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
-    """The pair test on the field ``ids`` at endowments ``e_lo`` < ``e_hi``."""
+    """No prize of the field ``ids`` falls from ``e_lo`` to ``e_hi``; at a gap of
+    at least MIN_STRICT_GAP the winner's (winner_strict) or every prize (strict) rises."""
     if e_hi <= e_lo:
         return None
     lo, hi = vector(ids, e_lo), vector(ids, e_hi)
-    hit = _monotonicity_test(lo, hi, e_hi - e_lo, mode, tol)
-    if hit is None:
-        return None
-    pos, relation, margin = hit
-    return _witness("endowment_monotonicity", mode, ((ids, e_lo), (ids, e_hi)), pos,
-                    ids[pos - 1], lo[pos - 1], hi[pos - 1], relation, margin)
+    tests = [(i, False, "prize non-decreasing in E") for i in range(len(lo))]
+    if e_hi - e_lo >= MIN_STRICT_GAP and mode == "winner_strict":
+        tests.append((0, True, "winner prize strictly increasing in E"))
+    elif e_hi - e_lo >= MIN_STRICT_GAP and mode == "strict":
+        tests += [(i, True, "prize strictly increasing in E") for i in range(len(lo))]
+    for i, strict, relation in tests:
+        if hi[i] <= lo[i] + tol if strict else lo[i] > hi[i] + tol:
+            return _witness("endowment_monotonicity", mode, ((ids, e_lo), (ids, e_hi)), i + 1,
+                            ids[i], lo[i], hi[i], relation,
+                            lo[i] - hi[i] + tol if strict else lo[i] - hi[i])
+    return None
 
 
 def check_lipschitz(
@@ -496,40 +483,29 @@ def check_lipschitz(
             f"check_lipschitz needs a passed weak endowment_monotonicity verdict, got {got}")
     memo = memo or _Memo(rule)
     samples = _pair_samples(budget, memo, map(_generic_ids, range(1, budget.max_n + 1)),
-                            partial(_first_lipschitz_pair, tol=tol))
+                            _lipschitz_rows, _lipschitz_fault, None, tol)
     return _scan("lipschitz", None, budget, tol, memo.vector, _lipschitz_fault, samples)
 
 
-def _lipschitz_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
-    """The Lipschitz pair test on the field ``ids`` at endowments ``e_lo`` and ``e_hi``."""
-    lo, hi, d_e = vector(ids, e_lo), vector(ids, e_hi), abs(e_hi - e_lo)
-    pos = _lipschitz_test(lo, hi, d_e, tol)
-    if pos is None:
-        return None
-    gap = abs(hi[pos - 1] - lo[pos - 1])
-    return _witness("lipschitz", None, ((ids, e_lo), (ids, e_hi)), pos, ids[pos - 1],
-                    gap, d_e, "|prize(E) - prize(E')| <= |E - E'|", gap - d_e)
-
-
-def _lipschitz_test(lo, hi, gap, tol) -> int | None:
-    """The Lipschitz pair test on prize vectors at endowments ``gap`` apart:
-    the first position whose prize moves by more than gap + tol, or None."""
-    return next((pos for pos in range(1, len(lo) + 1)
-                 if abs(hi[pos - 1] - lo[pos - 1]) > gap + tol), None)
-
-
-def _first_lipschitz_pair(grid, vecs, tol) -> tuple[int, int] | None:
-    """First grid pair (a, b), a < b, in row-major order that fails the Lipschitz pair test.
-
-    For E_a < E_b the test fails exactly when p_a + E_a > p_b + E_b + tol or
-    E_a - p_a > E_b - p_b + tol, so ``_first_pair`` screens the rows (p + E,
-    E - p).  Those sums round differently from the test, so the screen's
-    slack is 1e-12 times the largest magnitude below tol, far beyond the few
-    ulps either can be off by."""
+def _lipschitz_rows(grid, vecs, mode, tol):
+    """For E_a < E_b the Lipschitz bound fails exactly when p_a + E_a > p_b +
+    E_b + tol or E_a - p_a > E_b - p_b + tol, so ``_first_pair`` screens the
+    rows (p + E, E - p).  Those sums round differently from the fault, so the
+    screen's slack is 1e-12 times the largest magnitude below tol, far beyond
+    the few ulps either can be off by."""
     scale = max(1.0, tol, grid[-1], *(abs(p) for vec in vecs for p in vec))
     rows = [[*map(add, vec, repeat(e)), *map(sub, repeat(e), vec)] for e, vec in zip(grid, vecs)]
-    return _first_pair(grid, rows, tol - 1e-12 * scale,
-                       lambda a, b: _lipschitz_test(vecs[a], vecs[b], grid[b] - grid[a], tol))
+    return rows, tol - 1e-12 * scale, 0
+
+
+def _lipschitz_fault(vector, ids, e_lo, e_hi, mode, tol) -> Witness | None:
+    """|prize(E) - prize(E')| <= |E - E'| + tol on the field ``ids`` at ``e_lo`` and ``e_hi``."""
+    lo, hi, d_e = vector(ids, e_lo), vector(ids, e_hi), abs(e_hi - e_lo)
+    for i, gap in enumerate(map(abs, map(sub, hi, lo))):
+        if gap > d_e + tol:
+            return _witness("lipschitz", None, ((ids, e_lo), (ids, e_hi)), i + 1, ids[i],
+                            gap, d_e, "|prize(E) - prize(E')| <= |E - E'|", gap - d_e)
+    return None
 
 
 # Scale invariance (checked jointly with endowment additivity)

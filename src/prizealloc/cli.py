@@ -103,15 +103,15 @@ def load_prize_data(path: str, fmt: str | None = None, endowment: float | None =
     """
     if fmt is None:
         fmt = "csv" if path.lower().endswith(".csv") else "json"
+    if fmt not in ("csv", "json"):
+        raise SchemaError(f"unknown data format {fmt!r}; expected 'csv' or 'json'")
     try:
         text = _read_data_text(path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if fmt == "json":
         return _parse_json_events(path, text)
-    if fmt == "csv":
-        return _parse_csv_event(path, text, endowment)
-    raise SchemaError(f"unknown data format {fmt!r}; expected 'csv' or 'json'")
+    return _parse_csv_event(path, text, endowment)
 
 
 def _read_data_text(path: str) -> str:

@@ -1,4 +1,5 @@
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,12 @@ settings.load_profile("prizealloc")
 from prizealloc.axioms import SampleBudget, run_axiom_matrix
 from prizealloc.cli import bundled_rules
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "prizealloc"
+
+# Tokens the code-token count leaves out: comments and layout.
+LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                 tokenize.DEDENT, tokenize.ENDMARKER}
+
 
 @pytest.fixture(scope="session")
 def default_budget():
@@ -27,7 +34,21 @@ def axiom_matrix(default_budget):
     return rules, run_axiom_matrix(rules, default_budget)
 
 
+def source_size() -> tuple[int, int]:
+    """Lines and code tokens of the package source."""
+    lines = tokens = 0
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines += len(source)
+        tokens += sum(tok.type not in LAYOUT_TOKENS
+                      for tok in tokenize.generate_tokens(iter(source).__next__))
+    return lines, tokens
+
+
 def pytest_terminal_summary(terminalreporter):
+    lines, tokens = source_size()
+    terminalreporter.section("source size")
+    terminalreporter.write_line(f"src/prizealloc: {lines:,} lines, {tokens:,} code tokens")
     try:
         from test_acceptance import RESULTS
     except ImportError:

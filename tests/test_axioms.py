@@ -35,19 +35,27 @@ from prizealloc.rules import (
     WTS,
     Counterexample,
     Geometric,
+    Interval,
+    IntervalList,
     InvalidRuleParams,
+    MonotoneFn,
+    Parametric,
+    Proportional,
     RuleSpec,
+    SingleParametric,
     describe,
     hyperarithmetic_rule,
 )
 
 from golden import GOLDEN_MATRIX, matrix_key
+from test_rules import piecewise_fns
 
 CELL_KEYS = [cell_key(a, m) for a, m in MATRIX_CELLS]
 
 # A small budget keeps the single-checker tests fast; the full default
 # budget is exercised by the session-scoped matrix fixture.
 SMALL = SampleBudget(max_n=4, endowment_grid=tuple(k * 0.5 for k in range(13)))
+SMALL_PAIRS = SampleBudget(max_n=4, endowment_grid=tuple(k * 0.5 for k in range(21)))
 
 
 class TestSampleBudget:
@@ -161,6 +169,12 @@ class TestSingleCheckers:
         assert w.competitions[0].endowment < w.competitions[1].endowment
         ok, margin = verify_witness(rule, w)
         assert ok and margin > 1e-9
+
+    def test_verify_witness_refuses_an_unknown_axiom(self):
+        rule = Counterexample("threshold-switch")
+        w = check_endowment_monotonicity(rule, SMALL, "weak").witness.replace(axiom="fairness")
+        with pytest.raises(InvalidCheck, match="unknown witness axiom: fairness"):
+            verify_witness(rule, w)
 
     def test_monotonicity_winner_strict_fail_for_late_dollar(self):
         verdict = check_endowment_monotonicity(
@@ -364,7 +378,10 @@ def test_monotonicity_row_scan_matches_pair_scan(mode, data):
     for n in range(1, 4):
         vecs = [table[n, e] for e in grid]
         hit, count = _reference_scan(grid, vecs, mode, tol)
-        assert axioms._first_monotonicity_pair(grid, vecs, mode, tol) == hit
+        # the screen plus walk, walking the reference pair test
+        rows = axioms._monotonicity_rows(grid, vecs, mode, tol)
+        assert axioms._first_pair(grid, *rows, lambda a, b: _reference_fault(
+            vecs[a], vecs[b], grid[b] - grid[a], mode, tol)) == hit
         expected_count += count
         if hit is None:
             continue
@@ -457,7 +474,11 @@ def test_lipschitz_row_scan_matches_pair_scan(data):
     for n in range(1, 4):
         vecs = [table[n, e] for e in grid]
         hit, count = _reference_lipschitz(grid, vecs, tol)
-        assert axioms._first_lipschitz_pair(grid, vecs, tol) == (hit and hit[:2])
+        # the screen plus walk, walking the reference pair test
+        rows = axioms._lipschitz_rows(grid, vecs, None, tol)
+        assert axioms._first_pair(grid, *rows, lambda a, b: any(
+            abs(y - x) > (grid[b] - grid[a]) + tol for x, y in zip(vecs[a], vecs[b]))
+        ) == (hit and hit[:2])
         expected_count += count
         if hit is None:
             continue
@@ -483,6 +504,46 @@ def test_lipschitz_row_scan_matches_pair_scan(data):
     assert verdict.samples_checked == expected_count
     assert verdict.witness == expected_witness
     assert verdict.passed == (expected_witness is None)
+
+
+# ---------------------------------------------------------------------------
+# Random members of the monotone families pass the weak pair cells
+
+
+def _intervals(ends):
+    ends = sorted(ends)
+    return Interval(IntervalList.of(*zip(ends[::2], ends[1::2])))
+
+
+_small = st.floats(0.0, 10.0, allow_subnormal=False)
+_unit = st.floats(0.0, 1.0, allow_subnormal=False)
+MONOTONE_MEMBERS = st.one_of(
+    _small.map(WTS),
+    st.lists(_small, min_size=2, max_size=6, unique=True).map(_intervals),
+    _unit.map(Geometric),
+    st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=4)
+    .map(lambda ws: Proportional(tuple(sorted(ws, reverse=True)))),
+    _unit.map(lambda s: SingleParametric(MonotoneFn.linear(s))),
+    _small.map(lambda c: SingleParametric(MonotoneFn.shift(c))),
+    _small.map(lambda c: SingleParametric(MonotoneFn.cap(c))),
+    piecewise_fns().map(SingleParametric),
+    st.lists(_small, min_size=3, max_size=3).map(lambda cs: Parametric(
+        (MonotoneFn.identity(), *map(MonotoneFn.shift, sorted(cs))))),
+)
+
+
+@settings(max_examples=100)
+@given(rule=MONOTONE_MEMBERS)
+def test_monotone_family_members_pass_the_weak_pair_cells(rule):
+    """Weak endowment monotonicity and the Lipschitz bound hold; a strict
+    mode may fail, and its witness then re-verifies."""
+    memo = axioms._Memo(rule)
+    weak = check_endowment_monotonicity(rule, SMALL_PAIRS, "weak", memo=memo)
+    assert weak.passed
+    assert check_lipschitz(rule, SMALL_PAIRS, weak, memo=memo).passed
+    for mode in ("winner_strict", "strict"):
+        verdict = check_endowment_monotonicity(rule, SMALL_PAIRS, mode, memo=memo)
+        assert verdict.passed or verify_witness(rule, verdict.witness, verdict.tolerance)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,11 @@ class TestLoadPrizeData:
         with pytest.raises(IoError):
             load_prize_data("/nonexistent/file.json")
 
+    @pytest.mark.parametrize("path", ["pga2019.json", "/nonexistent/file.json"])
+    def test_unknown_format_refused_before_reading(self, path):
+        with pytest.raises(SchemaError, match="unknown data format 'xml'"):
+            load_prize_data(path, fmt="xml")
+
     def test_json_schema_errors(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("[1, 2]")

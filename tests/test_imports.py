@@ -145,6 +145,17 @@ def test_one_source_of_level_bends():
     assert not names & {"_order_check_points", "pointwise_leq"}
 
 
+def test_pair_cells_walk_their_own_faults():
+    """Each pair cell's relation is written once, in its fault: the one row
+    scan walks flagged rows with that fault, and no separate pair test or
+    adapter is kept beside it."""
+    names = {node.name for node in ast.walk(_tree("axioms.py"))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not names & {"_monotonicity_test", "_lipschitz_test", "_first_monotonicity_pair",
+                        "_first_lipschitz_pair"}
+    assert _callers("_first_pair") == ["axioms.py:_pair_samples"]
+
+
 def test_cli_imports_no_private_package_name():
     """The CLI reaches the checkers through the public cell entry points and
     the fits through ``fit_family``: it uses only what each module offers."""

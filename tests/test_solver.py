@@ -75,6 +75,10 @@ class TestSolveLevel:
     def test_zero_endowment(self):
         assert solve_level([lambda x: x], 1, 0.0) == 0.0
 
+    def test_empty_field_rejected(self):
+        with pytest.raises(ValueError, match="need at least one competitor"):
+            solve_level([lambda x: x], 0, 1.0)
+
     def test_negative_endowment_rejected(self):
         with pytest.raises(ValueError):
             solve_level([lambda x: x], 1, -1.0)
