@@ -6,17 +6,17 @@ shares, flat-top/flat-tail interval pattern) and report a fit verdict at a
 relative tolerance.  A classification ties the verdicts into a single tier.
 
 Fitting a shape to a finite table establishes necessity, not proof: the
-reports describe how well the data matches the shape, nothing more.
+reports describe how well the data matches the shape, nothing more.  The
+rule-against-data check ``check_data_top_consistency`` is re-exported from
+``prizealloc.axioms``, which holds its fault and witness rebuild.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import TAU_EQ, EventSet, PrizeAllocError, PrizeTable, Record
-from .rules import RuleSpec
-from .axioms import (Verdict, _data_top_fault, _excess, _generic_ids, _Memo, _scan,
-                     check_tolerance)
+from .core import EventSet, PrizeAllocError, PrizeTable, Record
+from .axioms import _excess, check_data_top_consistency, check_tolerance
 
 # Default fit tolerance: 1% relative, loose enough to absorb the rounding
 # noise in published prize lists.
@@ -248,20 +248,3 @@ def fit_family(
     worst = max(reports, key=lambda r: r.max_rel_dev)
     return worst.replace(verdict=all(r.verdict for r in reports))
 
-
-def check_data_top_consistency(
-    table: PrizeTable, rule: RuleSpec, tol: float = TAU_EQ, abs_slack: float = 0.0
-) -> Verdict:
-    """Does re-allocating each observed prefix sum reproduce the prefix?
-
-    For every prefix length m, the sum of the top-m observed prizes is
-    allocated by the rule to an m-competitor field; the result must match
-    the observed prizes within the (relative) tolerance plus slack.
-    """
-    _check_fit_args(tol, abs_slack)
-    prizes = table.prizes
-    prefixes = [(_generic_ids(m), float(sum(prizes[:m]))) for m in range(1, len(prizes) + 1)]
-    samples = ((ids, e, pos, prizes[pos - 1], abs_slack)
-               for ids, e in prefixes for pos in range(1, len(ids) + 1))
-    return _scan("data_top_consistency", None, f"{len(prizes)} prefixes of table {table.name!r}",
-                 tol, _Memo(rule).vector, _data_top_fault, enumerate(samples, start=1))

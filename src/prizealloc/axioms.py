@@ -7,10 +7,11 @@ provers — the axioms quantify over infinite domains, so Pass only means
 
 Each axiom's relation is written once, as a fault function ``fault(vector,
 *sample, mode, tol) -> Witness | None``; ``vector(ids, E)`` gives the prizes
-of the field ``ids`` in position order.  A checker enumerates samples in a
-deterministic ascending order (field size, identity arrangement, endowment,
-subset size), so the first witness found is already small, and screens them
-in batches, such as one field over the grid or one E against every scalar.
+of the field ``ids`` in position order; ``AXIOMS`` holds each axiom's modes,
+fault and witness rebuild.  A checker enumerates samples in a deterministic
+ascending order (field size, identity arrangement, endowment, subset size),
+so the first witness found is already small, and screens them in batches,
+such as one field over the grid or one E against every scalar.
 ``_scan``, the one verdict loop, runs the fault on the flagged samples only
 and re-runs it to move a witness onto round endowments; ``verify_witness``
 runs it on freshly allocated prizes, and ``tests/test_fixture_witnesses.py``
@@ -18,8 +19,8 @@ re-checks the fixture witnesses with relations of its own.
 
 Prize vectors are read through a memo keyed by the ranking's ids and the
 endowment, and computed by ``rules.prize_vector`` on position tuples;
-``Competition`` objects are built only for a witness (a pair cell's twice:
-its row walk runs the fault) and while snapping it.  ``run_axiom_matrix``
+``Competition`` objects are built only for a witness (a pair cell's row walk
+hands its witness to ``_scan``) and while snapping it.  ``run_axiom_matrix``
 shares one memo across a rule's row, so the four consistency modes screen
 each batch once, and drops it when the row is done; a standalone check
 builds its own, and ``verify_witness`` re-allocates through ``allocate``.
@@ -36,7 +37,7 @@ from itertools import (accumulate, chain, combinations, compress, cycle, islice,
 from operator import add, and_, gt, itemgetter, le, lt, mul, sub
 from typing import Callable, Iterator, Sequence
 
-from .core import TAU_EQ, Competition, PrizeAllocError, Ranking, Record
+from .core import TAU_EQ, Competition, PrizeAllocError, PrizeTable, Ranking, Record
 from .rules import RuleSpec, allocate, describe, prize_vector
 from .solver import SolverConfig
 
@@ -261,15 +262,16 @@ def _snap_candidates(e: float) -> list[float]:
 
 
 def _scan(axiom, mode, budget, tol, vector, fault, samples, slots=()) -> Verdict:
-    """The verdict of ``fault`` over ``samples``, pairs (count, sample) where
+    """The verdict of ``fault`` over ``samples``, tuples (count, sample) where
     count is the number of samples enumerated so far; a None sample stands
-    for samples a screen cleared, counted but not tested.  A witness moves to
-    the first combination of round endowments, at the sample indices
-    ``slots``, where the fault persists.  ``budget`` is a SampleBudget, or
-    the text that names what was sampled."""
+    for samples a screen cleared, counted but not tested, and a third item is
+    the sample's witness, found already.  A witness moves to the first
+    combination of round endowments, at the sample indices ``slots``, where
+    the fault persists.  ``budget`` is a SampleBudget, or the text that names
+    what was sampled."""
     count, w = 0, None
-    for count, sample in samples:
-        w = None if sample is None else fault(vector, *sample, mode, tol)
+    for count, sample, *found in samples:
+        w = found[0] if found else sample and fault(vector, *sample, mode, tol)
         if w is not None:
             grids = ([sample[i]] + _snap_candidates(sample[i]) for i in slots)
             moves = ([dict(zip(slots, es)).get(i, x) for i, x in enumerate(sample)]
@@ -283,15 +285,17 @@ def _pair_samples(budget, memo, fields, screen, fault, mode, tol):
     """``_scan`` samples over the grid pairs (E, E') of each field in
     ``fields``, in row-major order: a field's first pair where ``fault`` holds,
     as ``_first_pair`` finds it on the rows, slack and strict width that
-    ``screen(grid, vectors, mode, tol)`` gives, then the field's pairs as cleared."""
+    ``screen(grid, vectors, mode, tol)`` gives, with the witness its cached
+    pair test built, then the field's pairs as cleared."""
     grid = budget.sorted_grid()
     g, count = len(grid), 0
     for ids in fields:
-        hit = _first_pair(grid, *screen(grid, list(map(memo.field(ids), grid)), mode, tol),
-                          lambda a, b: fault(memo.vector, ids, grid[a], grid[b], mode, tol))
+        test = lru_cache(lambda a, b: fault(memo.vector, ids, grid[a], grid[b], mode, tol))
+        hit = _first_pair(grid, *screen(grid, list(map(memo.field(ids), grid)), mode, tol), test)
         if hit is not None:
             a, b = hit  # (a, b) is pair number a(g-1) - a(a-1)/2 + (b-a) of the field
-            yield count + a * (g - 1) - a * (a - 1) // 2 + (b - a), (ids, grid[a], grid[b])
+            yield (count + a * (g - 1) - a * (a - 1) // 2 + (b - a), (ids, grid[a], grid[b]),
+                   test(*hit))
         count += g * (g - 1) // 2
         yield count, None
 
@@ -650,7 +654,24 @@ def _consistency_fault(vector, ids, e, positions, mode, tol) -> Witness | None:
     return None
 
 
-# Observed prize tables (checked by analysis.check_data_top_consistency)
+# Observed prize tables
+
+
+def check_data_top_consistency(
+    table: PrizeTable, rule: RuleSpec, tol: float = TAU_EQ, abs_slack: float = 0.0
+) -> Verdict:
+    """Does re-allocating each observed prefix sum reproduce the prefix?
+
+    For every prefix length m, the sum of the top-m observed prizes is
+    allocated by the rule to an m-competitor field; the result must match
+    the observed prizes within the (relative) tolerance plus slack."""
+    check_tolerance(tol)
+    check_tolerance(abs_slack, "slack")
+    prizes = table.prizes
+    samples = ((_generic_ids(m), float(sum(prizes[:m])), pos, prizes[pos - 1], abs_slack)
+               for m in range(1, len(prizes) + 1) for pos in range(1, m + 1))
+    return _scan("data_top_consistency", None, f"{len(prizes)} prefixes of table {table.name!r}",
+                 tol, _Memo(rule).vector, _data_top_fault, enumerate(samples, 1))
 
 
 def _excess(observed: float, predicted: float, abs_slack: float) -> float:
@@ -673,99 +694,82 @@ def _data_top_fault(vector, ids, e, pos, observed, slack, mode, tol) -> Witness 
                     abs(observed - predicted))
 
 
-# Witness re-verification
+# The axiom table and matrix
 
 
-# Each axiom's fault, called as fault(vector, *sample, mode, tol).
-_FAULTS = {
-    "anonymity": _anonymity_fault,
-    "order_preservation": _order_fault,
-    "endowment_monotonicity": _monotonicity_fault,
-    "lipschitz": _lipschitz_fault,
-    "scale_invariance": _scale_fault,
-    "consistency": _consistency_fault,
-    "data_top_consistency": _data_top_fault,
+def _at_endowments(w, ids, *es):
+    """The default rebuild: the field ``ids`` at each competition's endowment."""
+    return [(ids, *es)]
+
+
+# Each axiom once, as (modes, fault, rebuild): its modes, default first (the
+# data check is no matrix cell and has none); its fault's name, looked up when
+# it runs, so a patched fault runs; and ``rebuild(witness, ids, *es)``, the
+# fault's samples for a witness on the field ``ids`` with endowments ``es``.
+AXIOMS = {
+    "anonymity": ((None,), "_anonymity_fault",
+                  lambda w, ids, e, _: [(ids, w.competitions[1].ranking.by_position, e)]),
+    "order_preservation": (("weak", "winner_loser_strict", "strict"), "_order_fault",
+                           _at_endowments),
+    "endowment_monotonicity": (MONOTONICITY_MODES, "_monotonicity_fault", _at_endowments),
+    "lipschitz": ((None,), "_lipschitz_fault", _at_endowments),
+    # a scale witness does not store its scalar: each c in SCALARS with c * E == E' is tried
+    "scale_invariance": ((None,), "_scale_fault", lambda w, ids, e, e2: [(ids, e, e2)]
+                         if w.mode != "scale" else [(ids, e, c) for c in SCALARS if c * e == e2]),
+    "consistency": (("full", "bilateral", "local", "top"), "_consistency_fault",
+                    lambda w, ids, e, _: [(ids, e, tuple(sorted(
+                        map(Ranking(ids).position_of, w.subset))))]),
+    # re-run on the stored observed prize at slack 0, which can only widen the gap
+    "data_top_consistency": ((), "_data_top_fault",
+                             lambda w, ids, e: [(ids, e, w.position, w.lhs, 0.0)]),
 }
+
+MATRIX_CELLS = tuple((axiom, mode) for axiom, (modes, *_) in AXIOMS.items() for mode in modes)
 
 
 def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tuple[bool, float]:
-    """Re-run the checker's fault on the witness's sample, with prizes freshly
-    allocated through ``allocate`` (no memo).
-
-    Returns (still_violates, margin): the witness still violates when the
-    fault reports the same position and relation, and the margin is the one
-    it reports (0.0 when it does not).  A scale witness does not store its
-    scalar: each c in SCALARS with c * E1 == E2 is tried.  A data
-    top-consistency witness is re-run on its stored observed prize at slack
-    0, which can only widen the gap.
-    """
+    """Re-run the checker's fault, on prizes freshly allocated through
+    ``allocate`` (no memo), on the samples the axiom's rebuild gives for the
+    witness.  Returns (still_violates, margin): True and the fault's margin
+    once it reports the witness's position and relation, else (False, 0.0)."""
     check_tolerance(tol)
-    fault = _FAULTS.get(witness.axiom)
-    if fault is None:
+    if witness.axiom not in AXIOMS:
         raise InvalidCheck(f"unknown witness axiom: {witness.axiom}")
+    _, fault, rebuild = AXIOMS[witness.axiom]
 
     def vector(ids: tuple[str, ...], e: float) -> tuple[float, ...]:
         comp = _competition(ids, e)
         return allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
 
-    first, *rest = witness.competitions
-    ids, e = first.ranking.by_position, first.endowment
-    if witness.axiom == "anonymity":
-        samples = [(ids, rest[0].ranking.by_position, e)]
-    elif witness.axiom == "consistency":
-        samples = [(ids, e, tuple(sorted(map(first.ranking.position_of, witness.subset))))]
-    elif witness.axiom == "data_top_consistency":
-        samples = [(ids, e, witness.position, witness.lhs, 0.0)]
-    elif witness.mode == "scale":
-        samples = [(ids, e, c) for c in SCALARS if c * e == rest[0].endowment]
-    else:  # the field at the endowment of each competition
-        samples = [(ids, e, *(c.endowment for c in rest))]
-    for sample in samples:
-        w = fault(vector, *sample, witness.mode, tol)
+    for sample in rebuild(witness, witness.competitions[0].ranking.by_position,
+                          *(c.endowment for c in witness.competitions)):
+        w = globals()[fault](vector, *sample, witness.mode, tol)
         if w is not None and (w.position, w.relation) == (witness.position, witness.relation):
             return True, w.margin
     return False, 0.0
 
 
-# Axiom matrix
-
-
-MATRIX_CELLS = (
-    ("anonymity", None),
-    ("order_preservation", "weak"),
-    ("order_preservation", "winner_loser_strict"),
-    ("order_preservation", "strict"),
-    ("endowment_monotonicity", "weak"),
-    ("endowment_monotonicity", "winner_strict"),
-    ("endowment_monotonicity", "strict"),
-    ("lipschitz", None),
-    ("scale_invariance", None),
-    ("consistency", "full"),
-    ("consistency", "bilateral"),
-    ("consistency", "local"),
-    ("consistency", "top"),
-)
-
-
 def cell_key(axiom: str, mode: str | None) -> str:
     """The matrix key of the cell (axiom, mode); InvalidCheck if there is none."""
-    if (axiom, mode) not in MATRIX_CELLS:
-        modes = [m for a, m in MATRIX_CELLS if a == axiom]
-        raise InvalidCheck(f"axiom {axiom!r} has no mode {mode!r}; expected one of {modes}")
+    modes = AXIOMS.get(axiom, [()])[0]
+    if not modes:
+        raise InvalidCheck(f"unknown axiom {axiom!r}; expected one of {list(dict(MATRIX_CELLS))}")
+    if mode not in modes:
+        raise InvalidCheck(f"axiom {axiom!r} has no mode {mode!r}; expected one of {list(modes)}")
     return axiom if mode is None else f"{axiom}:{mode}"
 
 
 def _cell(axiom: str, mode: str | None, rule, budget, tol, memo: _Memo) -> Verdict:
-    """The cell's verdict from ``check_<axiom>``, computed at most once per
-    memo.  The checker is looked up in the module at call time, so a patched
-    checker runs.  Lipschitz continuity is checked only once weak
-    monotonicity passes; a failing weak-monotonicity verdict stands in its
-    place."""
+    """The cell's verdict, computed at most once per memo by ``check_<axiom>``,
+    which is looked up in the module at call time, so a patched checker runs.
+    Lipschitz continuity is checked only once weak monotonicity passes; a
+    failing weak-monotonicity verdict stands in its place."""
     args = {} if mode is None else {"mode": mode}
     if axiom == "lipschitz":
-        args["monotonicity"] = _cell("endowment_monotonicity", "weak", rule, budget, tol, memo)
-        if not args["monotonicity"].passed:
-            return args["monotonicity"]
+        weak = _cell("endowment_monotonicity", "weak", rule, budget, tol, memo)
+        if not weak.passed:
+            return weak
+        args["monotonicity"] = weak
     key = cell_key(axiom, mode)
     if key not in memo.verdicts:
         memo.verdicts[key] = globals()[f"check_{axiom}"](rule, budget, tol=tol, memo=memo, **args)
@@ -774,11 +778,11 @@ def _cell(axiom: str, mode: str | None, rule, budget, tol, memo: _Memo) -> Verdi
 
 def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
              tol: float = TAU_EQ) -> Verdict:
-    """One matrix cell on a fresh memo.  The first mode MATRIX_CELLS lists for
-    an axiom is its default; an axiom without modes ignores ``mode``."""
+    """One matrix cell on a fresh memo.  An axiom's first mode in AXIOMS is
+    its default; an axiom without modes ignores ``mode``."""
     check_tolerance(tol)
-    modes = [m for a, m in MATRIX_CELLS if a == axiom]
-    if modes and (modes[0] is None or mode is None):
+    modes = AXIOMS.get(axiom, [()])[0]  # none: cell_key refuses the axiom
+    if modes and (None in modes or mode is None):
         mode = modes[0]
     verdict = _cell(axiom, mode, rule, budget, tol, _Memo(rule))
     if not verdict.samples_checked:
@@ -789,12 +793,10 @@ def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
 
 def _matrix_row(rule, budget, tol) -> dict[str, Verdict | None]:
     memo = _Memo(rule)  # shared by the row's cells, dropped on return
-    row: dict[str, Verdict | None] = {}
-    for axiom, mode in MATRIX_CELLS:
-        verdict = _cell(axiom, mode, rule, budget, tol, memo)
-        # a Lipschitz cell that holds its failed precondition shows as None
-        row[cell_key(axiom, mode)] = verdict if verdict.axiom == axiom else None
-    return row
+    # a Lipschitz cell that holds its failed precondition shows as None
+    return {cell_key(axiom, mode): verdict if verdict.axiom == axiom else None
+            for axiom, mode in MATRIX_CELLS
+            for verdict in [_cell(axiom, mode, rule, budget, tol, memo)]}
 
 
 def run_axiom_matrix(

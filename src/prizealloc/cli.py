@@ -322,9 +322,6 @@ def _cmd_path(args, out) -> int:
     return 0
 
 
-AXIOM_NAMES = tuple(dict.fromkeys(axiom for axiom, _ in MATRIX_CELLS))
-
-
 def _cmd_check(args, out) -> int:
     rule = parse_rule_spec(args.rule)
     budget = _budget_from_args(args)
@@ -456,9 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check one axiom for a rule")
     common_rule(p)
-    p.add_argument("--axiom", required=True, choices=AXIOM_NAMES)
+    p.add_argument("--axiom", required=True, choices=dict(MATRIX_CELLS))
     p.add_argument("--mode", default=None,
-                   choices=sorted({m for _, m in MATRIX_CELLS if m is not None}))
+                   choices=sorted({m for _, m in MATRIX_CELLS} - {None}))
     common_budget(p)
 
     p = sub.add_parser("matrix", help="axiom matrix over a rule set")

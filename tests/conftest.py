@@ -34,21 +34,25 @@ def axiom_matrix(default_budget):
     return rules, run_axiom_matrix(rules, default_budget)
 
 
-def source_size() -> tuple[int, int]:
-    """Lines and code tokens of the package source."""
-    lines = tokens = 0
+def source_size() -> dict[str, tuple[int, int]]:
+    """Lines and code tokens of each module of the package source."""
+    sizes = {}
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines += len(source)
-        tokens += sum(tok.type not in LAYOUT_TOKENS
-                      for tok in tokenize.generate_tokens(iter(source).__next__))
-    return lines, tokens
+        sizes[path.name] = (len(source), sum(
+            tok.type not in LAYOUT_TOKENS
+            for tok in tokenize.generate_tokens(iter(source).__next__)))
+    return sizes
 
 
 def pytest_terminal_summary(terminalreporter):
-    lines, tokens = source_size()
+    sizes = source_size()
+    lines, tokens = map(sum, zip(*sizes.values()))
     terminalreporter.section("source size")
     terminalreporter.write_line(f"src/prizealloc: {lines:,} lines, {tokens:,} code tokens")
+    for name, (module_lines, module_tokens) in sizes.items():
+        terminalreporter.write_line(
+            f"  {name:<12} {module_lines:>6,} lines, {module_tokens:>7,} code tokens")
     try:
         from test_acceptance import RESULTS
     except ImportError:

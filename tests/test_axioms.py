@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -595,6 +596,38 @@ def test_matrix_row_allocates_each_grid_vector_once(monkeypatch):
         assert not repeated, describe(rule)
 
 
+def test_matrix_builds_each_pair_witness_once(monkeypatch):
+    # a pair cell's row walk hands the witness it built to the verdict loop;
+    # building it again there took 148 competitions at seed 0
+    real, built = axioms.Competition, []
+    monkeypatch.setattr(axioms, "Competition",
+                        lambda *args, **kwargs: built.append(1) or real(*args, **kwargs))
+    run_axiom_matrix(bundled_rules(), SampleBudget(rng_seed=0))
+    assert 0 < len(built) <= 118
+
+
+def test_patched_checkers_run_in_the_matrix_and_in_a_cell(monkeypatch):
+    # the cell spans of a traced run wrap the checkers bound on the module
+    calls = Counter()
+    for axiom in dict(MATRIX_CELLS):
+        real = getattr(axioms, f"check_{axiom}")
+        monkeypatch.setattr(axioms, f"check_{axiom}", lambda *args, real=real, axiom=axiom,
+                            **kwargs: calls.update([axiom]) or real(*args, **kwargs))
+    run_axiom_matrix([ED()], SMALL)
+    assert set(calls) == set(dict(MATRIX_CELLS))
+    calls.clear()
+    run_cell(ED(), "consistency", "top", SMALL)
+    run_cell(ED(), "lipschitz", None, SMALL)
+    assert calls == Counter(["consistency", "endowment_monotonicity", "lipschitz"])
+
+
+def test_checkers_of_axioms_with_modes_name_the_parameter_mode():
+    # a traced run reads a cell's mode off the argument bound to ``mode``
+    for axiom, (modes, *_) in axioms.AXIOMS.items():
+        params = inspect.signature(getattr(axioms, f"check_{axiom}")).parameters
+        assert ("mode" in params) == (modes not in ((), (None,))), axiom
+
+
 # ---------------------------------------------------------------------------
 # verify_witness judges a witness by the relation its checker used
 
@@ -702,6 +735,15 @@ class TestRunCell:
     def test_unknown_mode(self, axiom, mode):
         with pytest.raises(InvalidCheck, match=f"has no mode '{mode}'"):
             run_cell(ED(), axiom, mode, SMALL)
+
+    @pytest.mark.parametrize("axiom", ["fairness", "data_top_consistency"])
+    @pytest.mark.parametrize("mode", [None, "full"])
+    def test_unknown_axiom(self, axiom, mode):
+        # the data check is an axiom of the table, but no matrix cell
+        expected = f"unknown axiom '{axiom}'; expected one of .*'anonymity', .*'consistency'"
+        for call in (lambda: run_cell(ED(), axiom, mode, SMALL), lambda: cell_key(axiom, mode)):
+            with pytest.raises(InvalidCheck, match=expected):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +951,24 @@ def test_screens_run_no_fault_on_a_passing_cell(monkeypatch):
     assert run_cell(ED(), "order_preservation", "weak", SMALL).passed
     assert run_cell(Geometric(0.5), "order_preservation", "strict", SMALL).passed
     assert not calls
+
+
+def test_failing_cells_and_their_witnesses_run_the_patched_faults(monkeypatch):
+    # the control of the test above: the cells and verify_witness read each
+    # fault off the module when they run it, so a patched fault is the one run
+    calls = Counter()
+    for name in ("_order_fault", "_scale_fault"):
+        real = getattr(axioms, name)
+        monkeypatch.setattr(axioms, name,
+                            lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    for axiom, mode in (("order_preservation", "winner_loser_strict"),
+                        ("scale_invariance", None)):
+        verdict = run_cell(WTS(1.0), axiom, mode, SMALL)
+        assert not verdict.passed, axiom
+        checked = calls.copy()
+        assert verify_witness(WTS(1.0), verdict.witness)[0], axiom
+        assert calls - checked, axiom
+    assert set(calls) == {"_order_fault", "_scale_fault"}
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from prizealloc import analysis, axioms
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "prizealloc"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 IMPORTS = (ast.Import, ast.ImportFrom)
@@ -154,6 +156,31 @@ def test_pair_cells_walk_their_own_faults():
     assert not names & {"_monotonicity_test", "_lipschitz_test", "_first_monotonicity_pair",
                         "_first_lipschitz_pair"}
     assert _callers("_first_pair") == ["axioms.py:_pair_samples"]
+
+
+def test_axioms_are_listed_once_in_the_axiom_table():
+    """``MATRIX_CELLS`` is derived from ``AXIOMS``, ``verify_witness`` reads
+    each axiom's fault and rebuild off it with no branch on an axiom name,
+    and the data-top axiom is whole in ``axioms.py``: ``analysis`` imports
+    none of its private names, only the shared ``_excess``."""
+    tree = _tree("axioms.py")
+    cells = [stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+             for target in stmt.targets if getattr(target, "id", None) == "MATRIX_CELLS"]
+    assert len(cells) == 1 and not isinstance(cells[0], (ast.Tuple, ast.List))
+    verify = next(stmt for stmt in tree.body
+                  if isinstance(stmt, ast.FunctionDef) and stmt.name == "verify_witness")
+    compared = [f"axioms.py:{node.lineno}" for node in ast.walk(verify)
+                if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)
+                if isinstance(operand, ast.Constant) and isinstance(operand.value, str)]
+    named = [f"axioms.py:{node.lineno}" for node in ast.walk(verify)
+             if isinstance(node, ast.Constant) and node.value in axioms.AXIOMS]
+    assert not compared and not named, f"verify_witness names an axiom at {compared + named}"
+    private = [alias.name for node in ast.walk(_tree("analysis.py"))
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "axioms"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == ["_excess"], f"analysis.py imports {private} from axioms"
+    assert analysis.check_data_top_consistency is axioms.check_data_top_consistency
 
 
 def test_cli_imports_no_private_package_name():
