@@ -8,10 +8,11 @@ provers — the axioms quantify over infinite domains, so Pass only means
 Each axiom's relation is written once, as a fault function ``fault(vector,
 *sample, mode, tol) -> Witness | None``; ``vector(ids, E)`` gives the prizes
 of the field ``ids`` in position order; ``AXIOMS`` holds each axiom's modes,
-fault and witness rebuild.  A checker enumerates samples in a deterministic
-ascending order (field size, identity arrangement, endowment, subset size),
-so the first witness found is already small, and screens them in batches,
-such as one field over the grid or one E against every scalar.
+fault, witness size and rebuild, and the cell it needs to pass first.  A
+checker enumerates samples in a deterministic ascending order (field size,
+identity arrangement, endowment, subset size), so the first witness found is
+already small, and screens them in batches, such as one field over the grid
+or one E against every scalar.
 ``_scan``, the one verdict loop, runs the fault on the flagged samples only
 and re-runs it to move a witness onto round endowments; ``verify_witness``
 runs it on freshly allocated prizes, and ``tests/test_fixture_witnesses.py``
@@ -35,7 +36,7 @@ from functools import lru_cache
 from itertools import (accumulate, chain, combinations, compress, cycle, islice, permutations,
                        product, repeat)
 from operator import add, and_, gt, itemgetter, le, lt, mul, sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import TAU_EQ, Competition, PrizeAllocError, PrizeTable, Ranking, Record
 from .rules import RuleSpec, allocate, describe, prize_vector
@@ -702,26 +703,36 @@ def _at_endowments(w, ids, *es):
     return [(ids, *es)]
 
 
-# Each axiom once, as (modes, fault, rebuild): its modes, default first (the
-# data check is no matrix cell and has none); its fault's name, looked up when
-# it runs, so a patched fault runs; and ``rebuild(witness, ids, *es)``, the
-# fault's samples for a witness on the field ``ids`` with endowments ``es``.
+class _Axiom(NamedTuple):
+    """An axiom's modes, default first (the data check is no matrix cell and
+    has none); its fault's name, looked up when it runs, so a patched fault
+    runs; its witness's number of competitions; ``rebuild(witness, ids, *es)``,
+    the fault's samples for a witness on the field ``ids`` paid ``es``; and
+    the cell (axiom, mode) that must pass before its checker runs."""
+
+    modes: tuple
+    fault: str
+    competitions: int = 2
+    rebuild: Callable = _at_endowments
+    needs: tuple = ()
+
+
 AXIOMS = {
-    "anonymity": ((None,), "_anonymity_fault",
-                  lambda w, ids, e, _: [(ids, w.competitions[1].ranking.by_position, e)]),
-    "order_preservation": (("weak", "winner_loser_strict", "strict"), "_order_fault",
-                           _at_endowments),
-    "endowment_monotonicity": (MONOTONICITY_MODES, "_monotonicity_fault", _at_endowments),
-    "lipschitz": ((None,), "_lipschitz_fault", _at_endowments),
+    "anonymity": _Axiom((None,), "_anonymity_fault", rebuild=lambda w, ids, e, _: [
+        (ids, w.competitions[1].ranking.by_position, e)]),
+    "order_preservation": _Axiom(("weak", "winner_loser_strict", "strict"), "_order_fault",
+                                 competitions=1),
+    "endowment_monotonicity": _Axiom(MONOTONICITY_MODES, "_monotonicity_fault"),
+    "lipschitz": _Axiom((None,), "_lipschitz_fault", needs=("endowment_monotonicity", "weak")),
     # a scale witness does not store its scalar: each c in SCALARS with c * E == E' is tried
-    "scale_invariance": ((None,), "_scale_fault", lambda w, ids, e, e2: [(ids, e, e2)]
-                         if w.mode != "scale" else [(ids, e, c) for c in SCALARS if c * e == e2]),
-    "consistency": (("full", "bilateral", "local", "top"), "_consistency_fault",
-                    lambda w, ids, e, _: [(ids, e, tuple(sorted(
-                        map(Ranking(ids).position_of, w.subset))))]),
+    "scale_invariance": _Axiom((None,), "_scale_fault", rebuild=lambda w, ids, e, e2: [
+        (ids, e, e2)] if w.mode != "scale" else [(ids, e, c) for c in SCALARS if c * e == e2]),
+    "consistency": _Axiom(("full", "bilateral", "local", "top"), "_consistency_fault",
+                          rebuild=lambda w, ids, e, _: [(ids, e, tuple(sorted(
+                              map(Ranking(ids).position_of, w.subset))))]),
     # re-run on the stored observed prize at slack 0, which can only widen the gap
-    "data_top_consistency": ((), "_data_top_fault",
-                             lambda w, ids, e: [(ids, e, w.position, w.lhs, 0.0)]),
+    "data_top_consistency": _Axiom((), "_data_top_fault", competitions=1,
+                                   rebuild=lambda w, ids, e: [(ids, e, w.position, w.lhs, 0.0)]),
 }
 
 MATRIX_CELLS = tuple((axiom, mode) for axiom, (modes, *_) in AXIOMS.items() for mode in modes)
@@ -735,15 +746,18 @@ def verify_witness(rule: RuleSpec, witness: Witness, tol: float = TAU_EQ) -> tup
     check_tolerance(tol)
     if witness.axiom not in AXIOMS:
         raise InvalidCheck(f"unknown witness axiom: {witness.axiom}")
-    _, fault, rebuild = AXIOMS[witness.axiom]
+    entry = AXIOMS[witness.axiom]
+    if len(witness.competitions) != entry.competitions:
+        raise InvalidCheck(f"a {witness.axiom} witness holds {entry.competitions} "
+                           f"competition(s), got {len(witness.competitions)}")
 
     def vector(ids: tuple[str, ...], e: float) -> tuple[float, ...]:
         comp = _competition(ids, e)
         return allocate(rule, comp, CHECK_SOLVER).by_position(comp.ranking)
 
-    for sample in rebuild(witness, witness.competitions[0].ranking.by_position,
-                          *(c.endowment for c in witness.competitions)):
-        w = globals()[fault](vector, *sample, witness.mode, tol)
+    for sample in entry.rebuild(witness, witness.competitions[0].ranking.by_position,
+                                *(c.endowment for c in witness.competitions)):
+        w = globals()[entry.fault](vector, *sample, witness.mode, tol)
         if w is not None and (w.position, w.relation) == (witness.position, witness.relation):
             return True, w.margin
     return False, 0.0
@@ -762,17 +776,16 @@ def cell_key(axiom: str, mode: str | None) -> str:
 def _cell(axiom: str, mode: str | None, rule, budget, tol, memo: _Memo) -> Verdict:
     """The cell's verdict, computed at most once per memo by ``check_<axiom>``,
     which is looked up in the module at call time, so a patched checker runs.
-    Lipschitz continuity is checked only once weak monotonicity passes; a
-    failing weak-monotonicity verdict stands in its place."""
-    args = {} if mode is None else {"mode": mode}
-    if axiom == "lipschitz":
-        weak = _cell("endowment_monotonicity", "weak", rule, budget, tol, memo)
-        if not weak.passed:
-            return weak
-        args["monotonicity"] = weak
-    key = cell_key(axiom, mode)
+    The cell the axiom ``needs`` comes first: failing, it stands in this
+    cell's place; passing, it is the checker's third argument."""
+    key, needs = cell_key(axiom, mode), AXIOMS[axiom].needs
+    needed = needs and (_cell(*needs, rule, budget, tol, memo),)
+    if needed and not needed[0].passed:
+        return needed[0]
     if key not in memo.verdicts:
-        memo.verdicts[key] = globals()[f"check_{axiom}"](rule, budget, tol=tol, memo=memo, **args)
+        args = {} if mode is None else {"mode": mode}
+        memo.verdicts[key] = globals()[f"check_{axiom}"](
+            rule, budget, *needed, tol=tol, memo=memo, **args)
     return memo.verdicts[key]
 
 

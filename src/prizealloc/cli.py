@@ -11,8 +11,10 @@ Commands
 
 Exit codes: 0 success / all checks pass, 1 any axiom check failed (the
 witness is printed), 2 input or usage error.  Output is deterministic
-given --seed; --json switches to a machine-readable report that parses
-back losslessly.
+given --seed; --json (all but path, whose CSV is machine-readable already)
+switches to a report that parses back losslessly.  Each ``_cmd_<name>(args)``
+returns (exit code, report, human lines) and writes nothing: ``run`` prints
+the report under --json, else the lines, and an input error to stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import os
 import sys
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     TAU_EQ,
@@ -203,20 +205,19 @@ def bundled_rules() -> tuple[RuleSpec, ...]:
 # Human-readable reports
 
 
-def _print_witness(w: Witness, out) -> None:
-    print(f"witness ({w.axiom}" + (f", {w.mode}" if w.mode else "") + "):", file=out)
-    for comp in w.competitions:
-        ranking = " > ".join(comp.ranking.by_position)
-        print(f"  competition: {ranking} | E = {_fmt(comp.endowment)}", file=out)
-    if w.subset:
-        print(f"  subset: {{{', '.join(w.subset)}}}", file=out)
-    where = f"competitor {w.competitor} (position {w.position})"
-    print(f"  violated at {where}: {w.relation}", file=out)
-    print(f"  lhs = {w.lhs!r}, rhs = {w.rhs!r}, margin = {w.margin!r}", file=out)
+def _witness_lines(w: Witness) -> list[str]:
+    return [
+        f"witness ({w.axiom}" + (f", {w.mode}" if w.mode else "") + "):",
+        *(f"  competition: {' > '.join(comp.ranking.by_position)} | E = {_fmt(comp.endowment)}"
+          for comp in w.competitions),
+        *([f"  subset: {{{', '.join(w.subset)}}}"] if w.subset else []),
+        f"  violated at competitor {w.competitor} (position {w.position}): {w.relation}",
+        f"  lhs = {w.lhs!r}, rhs = {w.rhs!r}, margin = {w.margin!r}",
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: each returns (exit code, JSON report, human lines)
 
 
 def _parse_endowments(spec: str) -> list[float]:
@@ -258,97 +259,58 @@ def _parse_endowments(spec: str) -> list[float]:
 MAX_ALLOCATION_N = 100_000
 
 
-def _field_size(n: int) -> int:
-    if not 1 <= n <= MAX_ALLOCATION_N:
-        bound = "least 1" if n < 1 else f"most {MAX_ALLOCATION_N}"
-        raise SchemaError(f"--n must be at {bound}, got {n}")
-    return n
-
-
-def _rows(rule: RuleSpec, n: int, endowments) -> list[tuple[float, tuple[float, ...]]]:
-    """(E, what ``rule`` pays the field c1..cn out of E, in position order) per E."""
-    return [(e, allocate(rule, comp := standard_competition(n, e)).by_position(comp.ranking))
-            for e in endowments]
-
-
-def _budget_from_args(args) -> SampleBudget:
-    return SampleBudget(max_n=args.samples, rng_seed=args.seed)
-
-
-def _emit(report: dict, as_json: bool, out, human_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True), file=out)
-    else:
-        for line in human_lines:
-            print(line, file=out)
-
-
-def _cmd_allocate(args, out) -> int:
+def _rows(args, endowments: Callable[[], list[float]]):
+    """The rule ``--rule`` and, per E of ``endowments()``, what it pays the field
+    c1..cn (n = ``--n``) out of E in position order; checked in that order."""
     rule = parse_rule_spec(args.rule)
-    [(_, vec)] = _rows(rule, _field_size(args.n), [args.endowment])
-    report = {
-        "command": "allocate",
-        "rule": describe(rule),
-        "n": args.n,
-        "endowment": args.endowment,
-        "prizes": list(vec),
-    }
-    _emit(report, args.json, out, [" ".join(_fmt(p) for p in vec)])
-    return 0
+    if not 1 <= args.n <= MAX_ALLOCATION_N:
+        bound = "least 1" if args.n < 1 else f"most {MAX_ALLOCATION_N}"
+        raise SchemaError(f"--n must be at {bound}, got {args.n}")
+    return rule, [(e, allocate(rule, comp := standard_competition(args.n, e))
+                   .by_position(comp.ranking)) for e in endowments()]
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_allocate(args):
+    rule, [(_, vec)] = _rows(args, lambda: [args.endowment])
+    report = {"command": "allocate", "rule": describe(rule), "n": args.n,
+              "endowment": args.endowment, "prizes": list(vec)}
+    return 0, report, [" ".join(map(_fmt, vec))]
+
+
+def _cmd_table(args):
+    rule, rows = _rows(args, lambda: _parse_endowments(args.endowments))
+    report = {"command": "table", "rule": describe(rule), "n": args.n,
+              "rows": [{"endowment": e, "prizes": list(v)} for e, v in rows]}
+    return 0, report, [_fmt(e) + " | " + " ".join(map(_fmt, v)) for e, v in rows]
+
+
+def _cmd_path(args):
+    """CSV lines; every cell is a ``_fmt`` number, which needs no quoting."""
+    _, rows = _rows(args, lambda: path_endowments(args.endowment, args.step))
+    header = ",".join(["endowment", *(f"prize_{k}" for k in range(1, args.n + 1))])
+    return 0, None, [header, *(",".join(map(_fmt, (e, *v))) for e, v in rows)]
+
+
+def _cmd_check(args):
     rule = parse_rule_spec(args.rule)
-    rows = _rows(rule, _field_size(args.n), _parse_endowments(args.endowments))
-    report = {
-        "command": "table",
-        "rule": describe(rule),
-        "n": args.n,
-        "rows": [{"endowment": e, "prizes": list(v)} for e, v in rows],
-    }
-    lines = [
-        _fmt(e) + " | " + " ".join(_fmt(p) for p in vec) for e, vec in rows
-    ]
-    _emit(report, args.json, out, lines)
-    return 0
-
-
-def _cmd_path(args, out) -> int:
-    rule = parse_rule_spec(args.rule)
-    rows = _rows(rule, _field_size(args.n), path_endowments(args.endowment, args.step))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["endowment"] + [f"prize_{k}" for k in range(1, args.n + 1)])
-    writer.writerows([_fmt(e)] + [_fmt(p) for p in vec] for e, vec in rows)
-    return 0
-
-
-def _cmd_check(args, out) -> int:
-    rule = parse_rule_spec(args.rule)
-    budget = _budget_from_args(args)
+    budget = SampleBudget(max_n=args.samples, rng_seed=args.seed)
     verdict = run_cell(rule, args.axiom, args.mode, budget, args.tol)
-    report = {
-        "command": "check",
-        "rule": describe(rule),
-        "seed": args.seed,
-        "verdict": verdict.to_dict(),
-    }
+    report = {"command": "check", "rule": describe(rule), "seed": args.seed,
+              "verdict": verdict.to_dict()}
     label = verdict.axiom + (f" ({verdict.mode})" if verdict.mode else "")
-    lines = [
-        f"{label}: {verdict.outcome.upper()} "
-        f"[{verdict.samples_checked} samples, {verdict.budget}]"
-    ]
-    _emit(report, args.json, out, lines)
-    if not args.json and verdict.witness is not None:
-        _print_witness(verdict.witness, out)
-    return 0 if verdict.passed else 1
+    lines = [f"{label}: {verdict.outcome.upper()} "
+             f"[{verdict.samples_checked} samples, {verdict.budget}]"]
+    if verdict.passed:
+        return 0, report, lines
+    return 1, report, lines + _witness_lines(verdict.witness)
 
 
-def _cmd_matrix(args, out) -> int:
+def _cmd_matrix(args):
     rules = (bundled_rules() if args.rules is None
              else tuple(parse_rule_spec(spec) for spec in args.rules.split()))
     if not rules:
         raise SchemaError("--rules names no rule spec")
-    budget = _budget_from_args(args)
+    budget = SampleBudget(max_n=args.samples, rng_seed=args.seed)
     matrix = run_axiom_matrix(rules, budget, args.tol)
     report = {
         "command": "matrix",
@@ -360,43 +322,33 @@ def _cmd_matrix(args, out) -> int:
     keys = [cell_key(a, m) for a, m in MATRIX_CELLS]
     width = max(len(describe(r)) for r in rules)
     lines = [" " * width + "  " + " ".join(f"{i:>2d}" for i in range(len(keys)))]
-    for idx, key in enumerate(keys):
-        lines.append(f"{'':{width}}  # {idx}: {key}")
-    any_fail = False
+    lines += [f"{'':{width}}  # {idx}: {key}" for idx, key in enumerate(keys)]
+    # a row's cells are in MATRIX_CELLS order, as ``keys`` are
     for rule_name, row in matrix.items():
-        marks = ["-" if v is None else "P" if v.passed else "F" for v in map(row.get, keys)]
-        any_fail = any_fail or "F" in marks
+        marks = ["-" if v is None else "P" if v.passed else "F" for v in row.values()]
         lines.append(f"{rule_name:{width}} " + " ".join(m.rjust(2) for m in marks))
-    _emit(report, args.json, out, lines)
-    if not args.json:
-        for rule_name, row in matrix.items():
-            for key in keys:
-                v = row[key]
-                if v is not None and not v.passed and v.witness is not None:
-                    print(f"-- {rule_name} / {key}", file=out)
-                    _print_witness(v.witness, out)
-    return 1 if any_fail else 0
+    failed = [(rule_name, key, v.witness) for rule_name, row in matrix.items()
+              for key, v in row.items() if v and not v.passed]
+    for rule_name, key, witness in failed:
+        lines += [f"-- {rule_name} / {key}", *_witness_lines(witness)]
+    return (1 if failed else 0), report, lines
 
 
-def _cmd_fit(args, out) -> int:
+def _cmd_fit(args):
     events = load_prize_data(args.data, args.format, args.endowment)
     fit = fit_family(events, args.family, args.tol, args.slack)
-    report = {"command": "fit", "data": args.data, "fit": fit.to_dict()}
-    params = ", ".join(
-        f"{k}={_fmt(val) if isinstance(val, float) else val}"
-        for k, val in fit.parameters.items()
-    )
+    params = ", ".join(f"{k}={_fmt(val) if isinstance(val, float) else val}"
+                       for k, val in fit.parameters.items())
     lines = [
         f"{fit.family} fit: {'OK' if fit.verdict else 'NO FIT'} "
         f"(max relative deviation {fit.max_rel_dev:.6g} at tolerance {fit.tolerance:g})",
         f"parameters: {params}",
+        *(f"warning: {w}" for w in fit.warnings),
     ]
-    lines.extend(f"warning: {w}" for w in fit.warnings)
-    _emit(report, args.json, out, lines)
-    return 0
+    return 0, {"command": "fit", "data": args.data, "fit": fit.to_dict()}, lines
 
 
-def _cmd_classify(args, out) -> int:
+def _cmd_classify(args):
     events = load_prize_data(args.data, args.format, args.endowment)
     result = classify(events, args.tol, args.slack)
     report = {"command": "classify", "data": args.data, **result.to_dict()}
@@ -410,8 +362,7 @@ def _cmd_classify(args, out) -> int:
         f"(dev {result.proportional.max_rel_dev:.6g})",
         f"interval pattern: {'OK' if result.interval_pattern.verdict else 'no'}",
     ]
-    _emit(report, args.json, out, lines)
-    return 0
+    return 0, report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -425,90 +376,74 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_rule(p):
-        p.add_argument("--rule", required=True, help="rule spec, e.g. geometric:lambda=0.5")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def shared(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
 
-    def common_budget(p):
-        p.add_argument("--samples", type=int, default=5, help="maximum field size")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=TAU_EQ)
+    rule = shared()
+    rule.add_argument("--rule", required=True, help="rule spec, e.g. geometric:lambda=0.5")
+    field = shared(rule)
+    field.add_argument("--n", type=int, required=True)
+    budget = shared()
+    budget.add_argument("--samples", type=int, default=5, help="maximum field size")
+    budget.add_argument("--seed", type=int, default=0)
+    budget.add_argument("--tol", type=float, default=TAU_EQ)
+    data = shared()
+    data.add_argument("--data", required=True, help="path or bundled dataset name")
+    data.add_argument("--format", choices=("csv", "json"))
+    data.add_argument("--endowment", type=float, help="endowment for CSV input")
+    data.add_argument("--tol", type=float, default=TAU_FIT)
+    data.add_argument("--slack", type=float, default=0.0,
+                      help="absolute rounding slack per prize")
 
-    p = sub.add_parser("allocate", help="allocate one endowment")
-    common_rule(p)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("allocate", help="allocate one endowment", parents=[field])
     p.add_argument("--endowment", type=float, required=True)
 
-    p = sub.add_parser("table", help="allocations over an endowment range")
-    common_rule(p)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("table", help="allocations over an endowment range", parents=[field])
     p.add_argument("--endowments", required=True,
                    help="start:stop:step range or comma-separated list")
 
-    p = sub.add_parser("path", help="allocation path as CSV")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("path", help="allocation path as CSV", parents=[field])
     p.add_argument("--endowment", type=float, required=True, help="maximum endowment")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=float)
 
-    p = sub.add_parser("check", help="check one axiom for a rule")
-    common_rule(p)
+    p = sub.add_parser("check", help="check one axiom for a rule", parents=[rule, budget])
     p.add_argument("--axiom", required=True, choices=dict(MATRIX_CELLS))
-    p.add_argument("--mode", default=None,
-                   choices=sorted({m for _, m in MATRIX_CELLS} - {None}))
-    common_budget(p)
+    p.add_argument("--mode", choices=sorted({m for _, m in MATRIX_CELLS} - {None}))
 
-    p = sub.add_parser("matrix", help="axiom matrix over a rule set")
-    p.add_argument("--rules", default=None,
-                   help="space-separated rule specs (default: bundled set)")
-    common_budget(p)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("matrix", help="axiom matrix over a rule set", parents=[budget])
+    p.add_argument("--rules", help="space-separated rule specs (default: bundled set)")
 
-    def common_data(p):
-        p.add_argument("--data", required=True, help="path or bundled dataset name")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--endowment", type=float, default=None,
-                       help="endowment for CSV input")
-        p.add_argument("--tol", type=float, default=TAU_FIT)
-        p.add_argument("--slack", type=float, default=0.0,
-                       help="absolute rounding slack per prize")
-        p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("fit", help="fit one family to observed prizes")
+    p = sub.add_parser("fit", help="fit one family to observed prizes", parents=[data])
     p.add_argument("--family", required=True, choices=FIT_FAMILIES)
-    common_data(p)
 
-    p = sub.add_parser("classify", help="fit all families and assign a tier")
-    common_data(p)
+    sub.add_parser("classify", help="fit all families and assign a tier", parents=[data])
 
+    for name, p in sub.choices.items():
+        if name != "path":  # CSV is already machine-readable
+            p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
-_DISPATCH = {
-    "allocate": _cmd_allocate,
-    "table": _cmd_table,
-    "path": _cmd_path,
-    "check": _cmd_check,
-    "matrix": _cmd_matrix,
-    "fit": _cmd_fit,
-    "classify": _cmd_classify,
-}
-
-
 def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
-    """Parse and execute one command; returns the process exit code."""
+    """Parse and execute one command; returns the process exit code.  This
+    is the one place that writes a report: the command's JSON report under
+    ``--json``, else its human lines; an input error goes to ``err``."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
     try:
-        return _DISPATCH[args.command](args, out)
+        code, report, lines = globals()[f"_cmd_{args.command}"](args)
     except PrizeAllocError as exc:
         print(f"error: {exc}", file=err)
         return 2
+    if getattr(args, "json", False):
+        print(json.dumps(report, sort_keys=True), file=out)
+    else:
+        print(*lines, sep="\n", file=out)
+    return code
 
 
 def main() -> None:

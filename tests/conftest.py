@@ -1,3 +1,4 @@
+import ast
 import sys
 import tokenize
 from pathlib import Path
@@ -45,6 +46,25 @@ def source_size() -> dict[str, tuple[int, int]]:
     return sizes
 
 
+def largest_definitions(count: int = 5) -> list[tuple[str, int, int]]:
+    """(``module.name``, code tokens, lines) of the ``count`` largest top-level
+    functions and classes of the package, by code tokens; a definition's
+    lines run from its first decorator to its last line."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = iter(text.splitlines(keepends=True))
+        rows = [tok.start[0] for tok in tokenize.generate_tokens(lines.__next__)
+                if tok.type not in LAYOUT_TOKENS]
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                found.append((f"{path.stem}.{node.name}",
+                              sum(first <= row <= node.end_lineno for row in rows),
+                              node.end_lineno - first + 1))
+    return sorted(found, key=lambda item: -item[1])[:count]
+
+
 def pytest_terminal_summary(terminalreporter):
     sizes = source_size()
     lines, tokens = map(sum, zip(*sizes.values()))
@@ -53,6 +73,8 @@ def pytest_terminal_summary(terminalreporter):
     for name, (module_lines, module_tokens) in sizes.items():
         terminalreporter.write_line(
             f"  {name:<12} {module_lines:>6,} lines, {module_tokens:>7,} code tokens")
+    terminalreporter.write_line("largest definitions (code tokens / lines): " + ", ".join(
+        f"{name} {tokens:,} / {lines}" for name, tokens, lines in largest_definitions()))
     try:
         from test_acceptance import RESULTS
     except ImportError:

@@ -661,6 +661,24 @@ class _ThreeThousandSkew(RuleSpec):
         return "test:skew-at-3000"
 
 
+# The competitions a witness of each axiom holds: order preservation and the
+# data-top check compare prizes within one competition, the rest across two.
+WITNESS_SIZES = {"order_preservation": 1, "data_top_consistency": 1}
+
+
+@pytest.mark.parametrize("axiom", list(axioms.AXIOMS))
+def test_verify_witness_refuses_a_wrong_competition_count(axiom):
+    size = WITNESS_SIZES.get(axiom, 2)
+    ranking = Ranking(("c1", "c2"))
+    for count in sorted({0, size - 1, size + 1}):
+        w = Witness(axiom=axiom, mode=(axioms.AXIOMS[axiom][0] or (None,))[0],
+                    competitions=(Competition(ranking=ranking, endowment=1.0),) * count,
+                    subset=("c1", "c2"), competitor="c1", position=1, lhs=1.0, rhs=0.5,
+                    relation="any", margin=0.5)
+        with pytest.raises(InvalidCheck, match=f"{axiom} witness holds {size} competition"):
+            verify_witness(ED(), w)
+
+
 def test_order_witness_behind_a_weak_failure_verifies():
     # winner_loser_strict fails its weak part first, at position 1 of n = 3
     verdict = check_order_preservation(_Shares(), SampleBudget(max_n=3), "winner_loser_strict")

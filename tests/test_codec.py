@@ -3,7 +3,10 @@
 ``fixtures/fit_classify_reports.json`` holds the exact stdout of ``fit --json``
 (each family) and ``classify --json`` on both bundled datasets and on
 ``fixtures/event.csv``, recorded before the reports were built by
-``Record.to_dict``.  A witness's JSON is rebuilt here by hand, so the round
+``Record.to_dict``.  ``fixtures/cli_human.json`` holds the exit code, stdout
+and stderr of every command's human output (witnesses, ``-`` matrix cells,
+fit warnings and four exit-2 errors), recorded before the commands returned
+their reports to one printer in ``run``.  A witness's JSON is rebuilt here by hand, so the round
 trip shares no decoding code with the package.
 """
 
@@ -20,6 +23,7 @@ from prizealloc.core import Competition, Ranking
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPORTS = json.loads((FIXTURES / "fit_classify_reports.json").read_text())
+HUMAN = json.loads((FIXTURES / "cli_human.json").read_text())
 
 
 @pytest.mark.parametrize("case", REPORTS, ids=lambda case: " ".join(case["argv"][:-1]))
@@ -28,6 +32,14 @@ def test_fit_and_classify_reports_are_byte_identical(case, monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert run(case["argv"], out=out, err=err) == 0, err.getvalue()
     assert out.getvalue() == case["stdout"]
+
+
+@pytest.mark.parametrize("case", HUMAN, ids=lambda case: " ".join(case["argv"])[:60])
+def test_human_output_is_byte_identical(case, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(case["argv"], out=out, err=err)
+    assert (code, out.getvalue(), err.getvalue()) == (case["code"], case["stdout"], case["stderr"])
 
 
 @cache

@@ -183,6 +183,50 @@ def test_axioms_are_listed_once_in_the_axiom_table():
     assert analysis.check_data_top_consistency is axioms.check_data_top_consistency
 
 
+def test_cell_names_no_axiom():
+    """What an axiom needs before its checker runs (weak monotonicity before
+    the Lipschitz bound) is its ``AXIOMS`` entry's ``needs``: ``_cell``
+    compares against no string and names no axiom."""
+    cell = next(stmt for stmt in _tree("axioms.py").body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "_cell")
+    found = [f"axioms.py:{node.lineno}" for node in ast.walk(cell)
+             if isinstance(node, ast.Compare)
+             for operand in (node.left, *node.comparators)
+             if isinstance(operand, ast.Constant) and isinstance(operand.value, str)]
+    found += [f"axioms.py:{node.lineno}" for node in ast.walk(cell)
+              if isinstance(node, ast.Constant) and node.value in axioms.AXIOMS]
+    assert not found, f"_cell names an axiom at {found}"
+
+
+def _cli_commands() -> list[ast.FunctionDef]:
+    return [stmt for stmt in _tree("cli.py").body
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_cmd_")]
+
+
+def test_cli_commands_take_no_output_stream():
+    """Each ``_cmd_<name>(args)`` returns its exit code, report and human
+    lines; it is handed no stream to write them to."""
+    commands = _cli_commands()
+    assert len(commands) == 7
+    streams = [f"{fn.name}({arg.arg})" for fn in commands
+               for arg in (*fn.args.args, *fn.args.kwonlyargs) if arg.arg != "args"]
+    assert not streams, f"commands take more than args: {streams}"
+
+
+def test_cli_prints_only_in_run():
+    found = [f"cli.py:{getattr(stmt, 'name', node.lineno)}" for stmt in _tree("cli.py").body
+             for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+    assert found and set(found) == {"cli.py:run"}, f"print called in {found}"
+
+
+def test_cli_declares_json_once():
+    """``--json`` is declared once, for every command that has it."""
+    found = [node.lineno for node in ast.walk(_tree("cli.py"))
+             if isinstance(node, ast.Constant) and node.value == "--json"]
+    assert len(found) == 1, f"'--json' written at lines {found}"
+
+
 def test_cli_imports_no_private_package_name():
     """The CLI reaches the checkers through the public cell entry points and
     the fits through ``fit_family``: it uses only what each module offers."""
