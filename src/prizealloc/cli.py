@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -427,11 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     """Parse and execute one command; returns the process exit code.  This
     is the one place that writes a report: the command's JSON report under
-    ``--json``, else its human lines; an input error goes to ``err``."""
+    ``--json``, else its human lines, ``--help`` to ``out`` and any error to ``err``."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    try:
-        args = _build_parser().parse_args(argv)
+    try:  # argparse writes its usage errors and --help to sys.stderr and sys.stdout
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
     try:

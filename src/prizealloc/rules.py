@@ -345,7 +345,9 @@ class IntervalList(Record):
 
     Endpoints may coincide (b_k = a_{k+1}); only the last upper endpoint may
     be infinite.  An empty list degenerates the interval rule to equal
-    division.
+    division.  ``uppers``, the upper endpoints in order, which
+    ``interval_locate`` bisects, and ``units``, each b in units of the finer
+    binary denominator of its a and b, are no fields.
     """
 
     pairs: tuple[tuple[float, float], ...] = ()
@@ -361,10 +363,20 @@ class IntervalList(Record):
                 raise InvalidRuleParams(
                     f"intervals must be disjoint and sorted: ({a0}, {b0}) vs ({a1}, {b1})"
                 )
+        object.__setattr__(self, "uppers", tuple([b for _, b in self.pairs]))
+        object.__setattr__(self, "units", tuple([_units(a, b) for a, b in self.pairs]))
 
     @staticmethod
     def of(*pairs: tuple[float, float]) -> "IntervalList":
         return IntervalList(tuple((float(a), float(b)) for a, b in pairs))
+
+
+def _units(a: float, b: float) -> float:
+    """b in units of 1/q, q the larger binary denominator of a and b."""
+    if b == math.inf:
+        return math.inf
+    (_, qa), (pb, qb) = float(a).as_integer_ratio(), float(b).as_integer_ratio()
+    return pb * max(qa // qb, 1)
 
 
 def unit_steps(count: int) -> IntervalList:
@@ -469,7 +481,18 @@ class Interval(RuleSpec, Record):
         if idx is None:
             return _equal(n, e)
         a, b = map(float, self.intervals.pairs[idx])  # int endpoints still pay floats
-        return tuple([_interval_prize(n, e, r, a, b) for r in range(1, n + 1)])
+        # Rank r pays a up to the bound H(r) = (n - r + 1) a + (r - 1) b, b from
+        # H(r + 1) on, and the remainder between.  When n b is below 2**53
+        # units of 1/q, q the larger denominator of a and b, every bound is a
+        # whole number of them, so exact, and they rise with r: one bisection
+        # finds the rank k with H(k) < E <= H(k + 1), and the vector is three runs.
+        if n * self.intervals.units[idx] >= 2 ** 53:
+            return tuple([_interval_prize(n, e, r, a, b) for r in range(1, n + 1)])
+        if not n * a <= e <= n * b:  # where n * a or n * b rounds past E
+            return (float(e / n),) * n
+        k = bisect_left(range(1, n + 2), e, key=lambda r: (n - r + 1) * a + (r - 1) * b)
+        head = [b] * (k - 1) + [e - (n - k) * a - (k - 1) * b] if k else []  # k = 0: E = n a
+        return tuple(head + [a] * (n - k))
 
     def spec(self):
         return "interval:" + ";".join(f"[{_num(a)},{_num(b)}]" for a, b in self.intervals.pairs)
@@ -523,13 +546,23 @@ def _iterated_pieces(f: MonotoneFn, n: int) -> tuple[list[float], ...] | None:
     return xs, gs, slopes + slopes[-1:]
 
 
-def _estimating(level_sum: Callable[[float], float], pieces, e: float):
+def _estimating(level_sum: Callable[[float], float], pieces, e: float, cfg: SolverConfig):
     """level_sum with its ``estimate`` for ``solve_level_sum``, given pieces:
-    the root of g(x) = E on the piece that holds it, and g's slope there."""
+    the root of g(x) = E on the piece that holds it, and g's slope there.
+    Where E lies within 2 tol of a bend, the solver's bracket, 2 tol / slope
+    either side of the root, reaches past it: the estimate hands over the
+    smaller slope of the two pieces, whose wider ends clear the band on
+    both sides."""
     if pieces:
         xs, gs, slopes = pieces
         i = bisect_left(gs, e) - 1  # gs[0] = g(0) = 0 < E
-        level_sum.estimate = xs[i] + (e - gs[i]) / slopes[i], slopes[i]
+        g, slope = gs[i], slopes[i]
+        band = 2.0 * cfg.residual_tol * (e if e > 1.0 else 1.0)
+        if i > 0 and e - g <= band:  # the bend at gs[i]
+            slope = min(slope, slopes[i - 1])
+        if e <= gs[-1] and gs[i + 1] - e <= band:  # the bend at gs[i + 1]
+            slope = min(slope, slopes[i + 1])
+        level_sum.estimate = xs[i] + (e - g) / slopes[i], slope
     return level_sum
 
 
@@ -554,7 +587,7 @@ class _LevelRule(RuleSpec):
         def level_sum(x):
             kept.append(levels := walk(x, n))
             return sum(levels)
-        x = solve_level_sum(_estimating(level_sum, self._by_n[n], e), n, e, cfg)
+        x = solve_level_sum(_estimating(level_sum, self._by_n[n], e, cfg), n, e, cfg)
         for levels in kept:
             if levels[0] is x:
                 return tuple(levels)
@@ -721,7 +754,9 @@ def _late_dollar_vector(n: int, e: float) -> list[float]:
             whole, rem = whole + 1, rem - 1.0
     r = (math.isqrt(8 * whole + 1) - 1) // 2  # whole rounds, then d dollars of round r + 1
     d = whole - r * (r + 1) // 2
-    v = [float(max(0, r - i) + (r - d < i <= r)) for i in range(n)]
+    # positions 0..r - d hold r - i, up to r one dollar more, the rest nothing
+    v = [*map(float, range(r, d - 1, -1)[:n]), *map(float, range(d, 0, -1))]
+    v += [0.0] * (n - 1 - r)
     if whole < steps:
         if rem > 0:  # the fraction goes to the next position of the staircase
             v[r - d] += rem

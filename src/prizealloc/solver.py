@@ -77,6 +77,7 @@ field cap of 12.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -284,10 +285,11 @@ def interval_locate(intervals: "IntervalList", avg: float) -> int | None:
     Intervals are disjoint open sets, so avg can lie in the closure of at
     most two of them only via a shared endpoint; the first match in sorted
     order is returned (the allocation formula agrees on shared endpoints).
+    Every interval before the first whose upper endpoint is at least avg
+    ends below avg, and every one after it starts at or above that
+    endpoint: it is the only candidate.  A NaN avg lies in none.
     """
-    for idx, (a, b) in enumerate(intervals.pairs):
-        if a <= avg <= b:
-            return idx
-        if avg < a:
-            break
+    idx = bisect_left(intervals.uppers, avg)
+    if idx < len(intervals.uppers) and intervals.pairs[idx][0] <= avg:
+        return idx
     return None

@@ -646,6 +646,22 @@ def test_argparse_exit_becomes_the_return_code(capsys, argv, code):
         assert "the following arguments are required: --rule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("check", "--rule", "ed"), ("allocate", "--n", "3"),
+                                  ("bogus",), ()])
+def test_usage_errors_go_to_the_err_stream_run_is_given(capsys, argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "") and err.startswith("usage: prizealloc")
+    assert "error: " in err
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help")])
+def test_help_goes_to_the_out_stream_run_is_given(capsys, argv):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "") and out.startswith("usage: prizealloc")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(

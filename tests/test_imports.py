@@ -276,3 +276,23 @@ def test_no_module_imports_dataclasses():
              for node in ast.walk(_tree(path.name))
              if isinstance(node, IMPORTS) and "dataclasses" in _imported_modules(node)]
     assert not found, f"dataclasses imported at {found}"
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(_tree(module))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_closed_forms_pay_in_runs():
+    """``interval_locate`` bisects, with no loop over the intervals; the
+    per-rank interval formula is called once, in ``Interval.prizes``, where
+    the bounds are not proven exact; and ``_late_dollar_vector`` lists its
+    staircase from ranges, with no comprehension over positions."""
+    loops = [node.lineno for node in ast.walk(_function("solver.py", "interval_locate"))
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, f"interval_locate loops at {loops}"
+    assert _callers("_interval_prize") == ["rules.py:Interval"]
+    listed = [node.lineno for node in ast.walk(_function("rules.py", "_late_dollar_vector"))
+              if isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Call)
+              and getattr(node.iter.func, "id", None) == "range"]
+    assert not listed, f"_late_dollar_vector lists positions one at a time at {listed}"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from prizealloc.cli import bundled_rules
+from prizealloc.cli import MAX_ALLOCATION_N, bundled_rules
 from prizealloc.core import (
     NonFiniteEndowment,
     PrizeAllocError,
@@ -214,6 +214,154 @@ class TestIntervalRules:
             for r in range(1, n + 1)
         )
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The interval vector in three runs, against the per-rank formula
+
+
+def mul_per_rank(count, value):
+    return 0.0 if count == 0 else count * value
+
+
+def interval_prize_per_rank(n, e, rank, a, b):
+    """One rank's interval prize by the per-rank formula: a up to its bound,
+    then the remainder, then b, and E / n where n a or n b rounds past E."""
+    lo1, hi1 = n * a, (n - rank + 1) * a + mul_per_rank(rank - 1, b)
+    if lo1 <= e <= hi1:
+        return a
+    hi2 = mul_per_rank(n - rank, a) + mul_per_rank(rank, b)
+    if hi1 <= e <= hi2:
+        return e - (n - rank) * a - mul_per_rank(rank - 1, b)
+    if hi2 <= e <= mul_per_rank(n, b):
+        return b
+    return float(e / n)
+
+
+def locate_by_scan(intervals, avg):
+    """The interval whose closure holds avg, by a scan in sorted order."""
+    for idx, (a, b) in enumerate(intervals.pairs):
+        if a <= avg <= b:
+            return idx
+        if avg < a:
+            break
+    return None
+
+
+def interval_per_rank(intervals, n, e):
+    idx = locate_by_scan(intervals, e / n)
+    if idx is None:
+        share = e / n
+        return [share if type(share) is float else float(share)] * n
+    a, b = map(float, intervals.pairs[idx])
+    return [interval_prize_per_rank(n, e, r, a, b) for r in range(1, n + 1)]
+
+
+def _dyadic_points(scale):
+    return st.integers(min_value=0, max_value=600).map(lambda k: k / 2.0 ** scale)
+
+
+def _nudged(x, ulps):
+    for _ in range(ulps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# endpoints: integers, dyadics at one scale or at several, decimals (not
+# dyadic), any float, subnormals included, and floats a few ulps apart
+ENDPOINTS = st.one_of(
+    st.just(st.integers(min_value=0, max_value=40).map(float)),
+    st.integers(min_value=1, max_value=12).map(_dyadic_points),
+    st.just(st.integers(min_value=1, max_value=12).flatmap(_dyadic_points)),
+    st.just(st.integers(min_value=0, max_value=4000).map(lambda k: k / 100)),
+    st.just(st.floats(min_value=0.0, max_value=1e4)),
+    st.floats(min_value=0.05, max_value=10.0).map(
+        lambda base: st.integers(min_value=0, max_value=40).map(lambda k: _nudged(base, k))),
+)
+
+
+@st.composite
+def run_intervals(draw):
+    """Interval lists with shared or separate endpoints, a first a = -0.0 or
+    a last b = inf at times."""
+    points = sorted(set(draw(st.lists(draw(ENDPOINTS), min_size=2, max_size=8))))
+    assume(len(points) >= 2)
+    if draw(st.booleans()):
+        pairs = list(zip(points, points[1:]))
+    else:
+        pairs = list(zip(points[::2], points[1::2]))
+    if pairs[0][0] == 0.0 and draw(st.booleans()):
+        pairs[0] = (-0.0, pairs[0][1])
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        pairs[-1] = (pairs[-1][0], math.inf)
+    return IntervalList(tuple(pairs))
+
+
+@st.composite
+def interval_endowments(draw, intervals, n):
+    """E as a float, an int or a Fraction: at n a, at n b, at a rank's bound
+    as the per-rank formula computes it, an ulp either side, or anywhere."""
+    a, b = draw(st.sampled_from(intervals.pairs))
+    top = b if b < math.inf else a + draw(st.floats(min_value=0.5, max_value=50.0))
+    r = draw(st.integers(min_value=1, max_value=n + 1))
+    e = draw(st.one_of(
+        st.sampled_from([n * a, n * top, (n - r + 1) * a + mul_per_rank(r - 1, b)]),
+        st.floats(min_value=0.0, max_value=1.2 * n * top),
+    ))
+    assume(e < math.inf)
+    e = max(0.0, math.nextafter(e, draw(st.sampled_from([e, 0.0, math.inf]))))
+    as_type = draw(st.sampled_from(["float", "int", "fraction", "fraction+"]))
+    if as_type == "int" and e.is_integer():
+        return int(e)
+    if as_type == "fraction":
+        return Fraction(e)
+    if as_type == "fraction+":  # strictly between two floats
+        return Fraction(e) + Fraction(1, 3 * 2 ** 60)
+    return e
+
+
+@given(st.data(), st.integers(min_value=1, max_value=130))
+@settings(max_examples=400, deadline=None)
+def test_interval_runs_match_the_per_rank_formula_bit_for_bit(data, n):
+    intervals = data.draw(run_intervals())
+    e = data.draw(interval_endowments(intervals, n))
+    got = prize_vector(Interval(intervals), tuple(range(n)), e)
+    assert bits(got) == bits(interval_per_rank(intervals, n, e))
+
+
+@pytest.mark.parametrize("pairs", [
+    ((0.0, 1.0), (1.0, 2.0), (3.0, 64.0)), ((-0.0, 1.0),), ((0.5, 0.75), (2.25, math.inf)),
+    ((0.1, 0.3), (0.3, 0.7)), ((5e-324, 1e-300),), ((0.1, _nudged(0.1, 8)),),
+], ids=["int", "minus-zero", "dyadic-inf", "decimal", "subnormal", "ulps-apart"])
+@pytest.mark.parametrize("n", [1, 2, 5, 38, 106])
+def test_interval_runs_match_the_per_rank_formula_at_every_bound(pairs, n):
+    """E at every rank's bound of every interval, as a float, an ulp either
+    side and as a Fraction, and at n a and n b."""
+    intervals = IntervalList(pairs)
+    rule, ids = Interval(intervals), tuple(range(n))
+    for a, b in pairs:
+        bounds = [(n - r + 1) * a + mul_per_rank(r - 1, b) for r in range(1, n + 2)]
+        for bound in {*bounds, n * a, mul_per_rank(n, b)} - {math.inf}:
+            for e in (bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf),
+                      Fraction(bound) + Fraction(1, 3 * 2 ** 60)):
+                got = prize_vector(rule, ids, e)
+                assert bits(got) == bits(interval_per_rank(intervals, n, e)), (n, e)
+
+
+RUN_CASES_AT_THE_FIELD_CAP = [
+    (step_rule().intervals, 63.5), (step_rule().intervals, 64.0), (step_rule().intervals, 0.0),
+    (IntervalList(((-0.0, 1.0),)), 0.0), (IntervalList(((-0.0, 1.0),)), 0.5),
+    (IntervalList.of((0.25, 0.75), (0.75, math.inf)), 0.75),
+    (IntervalList.of((0.1, 0.7),), 0.3),
+]
+
+
+@pytest.mark.parametrize("intervals,avg", RUN_CASES_AT_THE_FIELD_CAP)
+def test_interval_runs_match_the_per_rank_formula_at_the_field_cap(intervals, avg):
+    n = MAX_ALLOCATION_N
+    e = n * avg + 0.375
+    got = prize_vector(Interval(intervals), tuple(range(n)), e)
+    assert bits(got) == bits(interval_per_rank(intervals, n, e))
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +768,62 @@ class TestCounterexamples:
         ))
         got = prize_vector(Counterexample("late-dollar"), tuple(f"c{k}" for k in range(n)), e)
         assert bits(got) == bits(late_dollar_step_loop(n, e))
+
+
+def late_dollar_per_position(n, e):
+    """cx:late-dollar with its staircase listed one position at a time: the
+    reference the staircase from ranges must match bit for bit."""
+    steps, whole, rem = n * (n + 1) // 2, 0, float(e)
+    while rem >= 1.0 and whole < steps:
+        if rem - 1.0 == rem:
+            whole = steps
+        elif rem < 2.0 ** 53:
+            dollars = min(steps - whole, int(rem))
+            whole, rem = whole + dollars, rem - dollars
+        else:
+            whole, rem = whole + 1, rem - 1.0
+    r = (math.isqrt(8 * whole + 1) - 1) // 2
+    d = whole - r * (r + 1) // 2
+    v = [float(max(0, r - i) + (r - d < i <= r)) for i in range(n)]
+    if whole < steps:
+        if rem > 0:
+            v[r - d] += rem
+        return v
+    rounds = int(rem // n)
+    if rounds:
+        v = [p + rounds for p in v]
+        rem -= rounds * n
+    for pos in range(n, 0, -1):
+        amt = min(1.0, rem)
+        v[pos - 1] += amt
+        rem -= amt
+        if rem <= 0:
+            break
+    return v
+
+
+@given(st.data(), st.integers(min_value=1, max_value=130))
+@settings(max_examples=500, deadline=None)
+def test_late_dollar_staircase_matches_the_per_position_list_bit_for_bit(data, n):
+    steps = n * (n + 1) // 2
+    whole = data.draw(st.integers(min_value=0, max_value=steps))  # r whole rounds and d dollars
+    e = data.draw(st.one_of(
+        st.just(whole), st.just(float(whole)),
+        st.floats(min_value=0.0, max_value=0.999).map(lambda f: whole + f),
+        st.fractions(min_value=0, max_value=1).map(lambda f: whole + f),
+        st.floats(min_value=0.0, max_value=3.0 * steps),
+        st.floats(min_value=0.0, max_value=1e6),
+        st.integers(min_value=0, max_value=10 ** 6),
+    ))
+    got = prize_vector(Counterexample("late-dollar"), tuple(range(n)), e)
+    assert bits(got) == bits(late_dollar_per_position(n, e))
+
+
+@pytest.mark.parametrize("e", [0.0, 1.5, 123_456.25, 5_000_050_000, 5_000_049_999.5, 1e9, 1e12])
+def test_late_dollar_staircase_matches_the_per_position_list_at_the_field_cap(e):
+    n = MAX_ALLOCATION_N
+    got = prize_vector(Counterexample("late-dollar"), tuple(range(n)), e)
+    assert bits(got) == bits(late_dollar_per_position(n, e))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 import struct
 from bisect import bisect_right
 
@@ -34,7 +35,7 @@ from prizealloc.solver import (
     solve_level_sum,
 )
 
-from test_rules import PARITY_SPECS, pwl_points
+from test_rules import PARITY_SPECS, locate_by_scan, pwl_points, run_intervals
 
 
 class TestIterate:
@@ -463,6 +464,32 @@ def test_estimates_save_level_sums_in_the_axiom_checks(monkeypatch, spec):
     assert level_sums_per_solve(monkeypatch, sample, CHECK_SOLVER) <= 2.6
 
 
+def test_a_root_on_the_cap_takes_few_level_sums(monkeypatch):
+    """sp:cap=2 at n = 50 pays its root on the cap at E = 100, where g's
+    slope falls from 50 to 1.  The estimate hands over the smaller slope, so
+    its bracket ends clear the band and the solve takes at most 4 level sums
+    (39 with the steeper slope, whose high end failed its certificate)."""
+    rule = parse_rule_spec("sp:cap=2")
+    for e in (100.0, 100, 37.0, 100.0000001):
+        assert level_sums_per_solve(monkeypatch, [(rule, 50, e)]) <= 4
+
+
+@pytest.mark.parametrize("spec", ["sp:cap=2", "sp:cap=0.7", "sp:pwl=0:0,1:0.5,3:1,4:2",
+                                  "sp:pwl=0:0,1.2:0.9,5:1.5", "param:hyperarithmetic",
+                                  "sp:arithmetic", "sp:shift=0.3"])
+def test_an_endowment_on_a_model_bend_takes_few_level_sums(monkeypatch, spec):
+    """E on each bend of the level-sum model, or one tol either side, costs
+    at most 9 level sums a solve (up to 46 when the estimate handed over the
+    slope of the piece that holds E alone)."""
+    rule = parse_rule_spec(spec)
+    for n in (3, 10, 50, 106):
+        prize_vector(rule, tuple(range(n)), 1.0)
+        for bend in rule._by_n[n][1][1:]:
+            tol = DEFAULT_SOLVER.residual_tol * max(1.0, bend)
+            for e in (bend - tol, bend, bend + tol):
+                assert level_sums_per_solve(monkeypatch, [(rule, n, e)]) <= 9, (n, e)
+
+
 # ---------------------------------------------------------------------------
 # The walk's fixed point against a walk that calls f at every step
 
@@ -736,6 +763,28 @@ class TestIntervalLocate:
     def test_infinite_tail(self):
         ivs = IntervalList.of((1.0, math.inf))
         assert interval_locate(ivs, 1e12) == 0
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_bisection_finds_what_a_scan_finds(self, data):
+        ivs = data.draw(run_intervals())
+        ends = [v for pair in ivs.pairs for v in pair]
+        avg = data.draw(st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, *ends]),
+            st.sampled_from(ends).flatmap(lambda v: st.sampled_from(
+                [math.nextafter(v, -math.inf), math.nextafter(v, math.inf)])),
+            st.sampled_from(ends).filter(math.isfinite).map(
+                lambda v: Fraction(v) + Fraction(1, 3 * 2 ** 60)),
+            st.floats(allow_nan=False),
+        ))
+        assert interval_locate(ivs, avg) == locate_by_scan(ivs, avg)
+
+    def test_bisection_is_no_field(self):
+        ivs = IntervalList.of((1.0, 2.0), (2.0, math.inf))
+        assert ivs.uppers == (2.0, math.inf)
+        assert ivs.to_dict() == {"pairs": [[1.0, 2.0], [2.0, math.inf]]}
+        assert ivs == IntervalList.of((1.0, 2.0), (2.0, math.inf))
+        assert "uppers" not in repr(ivs)
 
 
 class TestTracePath:
