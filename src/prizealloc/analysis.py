@@ -206,7 +206,6 @@ def classify(
     locally-consistent; proportional fit holds -> top-consistent; otherwise
     unordered.  Prizes that increase with position force unordered.
     """
-    _check_fit_args(tau_fit, abs_slack)
     order_preserved = all(
         all(ev.prizes[k] >= ev.prizes[k + 1] for k in range(len(ev.prizes) - 1))
         for ev in events.events

@@ -269,7 +269,9 @@ def _scan(axiom, mode, budget, tol, vector, fault, samples, slots=()) -> Verdict
     the sample's witness, found already.  A witness moves to the first
     combination of round endowments, at the sample indices ``slots``, where
     the fault persists.  ``budget`` is a SampleBudget, or the text that names
-    what was sampled."""
+    what was sampled.  A tolerance not finite and >= 0 is refused before the
+    first sample is drawn, so every checker refuses it."""
+    check_tolerance(tol)
     count, w = 0, None
     for count, sample, *found in samples:
         w = found[0] if found else sample and fault(vector, *sample, mode, tol)
@@ -666,7 +668,6 @@ def check_data_top_consistency(
     For every prefix length m, the sum of the top-m observed prizes is
     allocated by the rule to an m-competitor field; the result must match
     the observed prizes within the (relative) tolerance plus slack."""
-    check_tolerance(tol)
     check_tolerance(abs_slack, "slack")
     prizes = table.prizes
     samples = ((_generic_ids(m), float(sum(prizes[:m])), pos, prizes[pos - 1], abs_slack)
@@ -793,7 +794,6 @@ def run_cell(rule: RuleSpec, axiom: str, mode: str | None, budget: SampleBudget,
              tol: float = TAU_EQ) -> Verdict:
     """One matrix cell on a fresh memo.  An axiom's first mode in AXIOMS is
     its default; an axiom without modes ignores ``mode``."""
-    check_tolerance(tol)
     modes = AXIOMS.get(axiom, [()])[0]  # none: cell_key refuses the axiom
     if modes and (None in modes or mode is None):
         mode = modes[0]

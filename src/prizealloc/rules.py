@@ -58,7 +58,6 @@ from .solver import (
     DEFAULT_SOLVER,
     SolverConfig,
     SolverFailure,
-    interval_locate,
     solve_level_sum,
 )
 
@@ -244,30 +243,32 @@ def _walk_cap(c: float, x: float, n: int) -> list[float]:
 
 def _bind_pwl(f: MonotoneFn) -> Callable[[float], float]:
     """Bind a curve once: (x0, y0, rise, run) per segment, indexed by the
-    upper x's, and the final slope as a segment with run 1.0, an exact
-    divisor; each value is y0 + (y1 - y0) * (x - x0) / (x1 - x0) between
-    breakpoints and y1 + slope * (x - x1) beyond, bit for bit; only where
-    (y1 - y0) * (x - x0) overflows is the quotient taken first."""
+    upper x's, and the final slope (0.0 for a single breakpoint) as a
+    segment with run 1.0, an exact divisor, so ``segs[0]`` starts at the
+    first breakpoint; each value is y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    between breakpoints and y1 + slope * (x - x1) beyond, bit for bit; only
+    where (y1 - y0) * (x - x0) overflows is the quotient taken first."""
     pts = f.points
     segs = [(x0, y0, y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
-    if segs:
-        segs.append((*pts[-1], segs[-1][2] / segs[-1][3], 1.0))
-    return partial(_eval_pwl, *map(float, pts[0]), tuple(x for x, _ in pts[1:]), tuple(segs))
+    segs.append((*pts[-1], segs[-1][2] / segs[-1][3] if segs else 0.0, 1.0))
+    return partial(_eval_pwl, tuple(x for x, _ in pts[1:]), tuple(segs))
 
 
 def _eval_pwl(*curve_and_x) -> float:
     return _walk_pwl(*curve_and_x, 2)[1]  # f(x): the second term of a walk from x
 
 
-def _walk_pwl(x_start: float, y_start: float, uppers: tuple[float, ...],
-              segs: tuple[tuple[float, float, float, float], ...], x: float, n: int) -> list[float]:
+def _walk_pwl(uppers: tuple[float, ...], segs: tuple[tuple[float, float, float, float], ...],
+              x: float, n: int) -> list[float]:
     """x, f(x), f(f(x)), ... to n terms, to a fixed point: once f(x) is x
     bit for bit (the same sign of zero; NaN never), the rest repeat it.
-    From one ``bisect_left``, the walk stays on a segment while x does."""
+    From one ``bisect_left``, the walk stays on a segment while x does.
+    The curve starts at (0, 0), with a y of either sign, ``segs[0][1]``."""
     walked, rest = [x], n - 1
     while rest:
-        if x <= x_start or not uppers:  # a single breakpoint is flat beyond it
-            y = y_start if x >= x_start else 0.0  # a zero: fixed only at x of its sign
+        if x <= 0.0 or not uppers:  # a single breakpoint is flat beyond it
+            # the start's zero, fixed only at x of its sign; 0.0 below the start
+            y = float(segs[0][1]) if x >= 0.0 else 0.0
             if y == x and math.copysign(1.0, y) == math.copysign(1.0, x):
                 return walked + [y] * rest
             walked.append(y)
@@ -275,12 +276,12 @@ def _walk_pwl(x_start: float, y_start: float, uppers: tuple[float, ...],
             continue
         i = bisect_left(uppers, x)  # x on (floor, top]; NaN on none: one step
         x0, y0, rise, run = segs[i]
-        floor, top = uppers[i - 1] if i else x_start, uppers[i] if i < len(uppers) else math.inf
+        floor, top = uppers[i - 1] if i else 0.0, uppers[i] if i < len(uppers) else math.inf
         while rest:
             lift = rise * (x - x0)
             y = (y0 + rise / run * (x - x0) if lift == math.inf and x < math.inf
                  else y0 + lift / run)  # where lift overflowed above ~1e154, divide first
-            if y == x:  # x > x_start = 0 here: no sign of zero to tell apart
+            if y == x:  # x > 0 here: no sign of zero to tell apart
                 return walked + [y] * rest
             walked.append(y)
             x, rest = y, rest - 1
@@ -377,6 +378,22 @@ def _units(a: float, b: float) -> float:
         return math.inf
     (_, qa), (pb, qb) = float(a).as_integer_ratio(), float(b).as_integer_ratio()
     return pb * max(qa // qb, 1)
+
+
+def interval_locate(intervals: IntervalList, avg: float) -> int | None:
+    """Index of the interval whose closure contains avg, or None.
+
+    Intervals are disjoint open sets, so avg can lie in the closure of at
+    most two of them only via a shared endpoint; the first match in sorted
+    order is returned (the allocation formula agrees on shared endpoints).
+    Every interval before the first whose upper endpoint is at least avg
+    ends below avg, and every one after it starts at or above that
+    endpoint: it is the only candidate.  A NaN avg lies in none.
+    """
+    idx = bisect_left(intervals.uppers, avg)
+    if idx < len(intervals.uppers) and intervals.pairs[idx][0] <= avg:
+        return idx
+    return None
 
 
 def unit_steps(count: int) -> IntervalList:

@@ -1,5 +1,5 @@
-"""Numeric kernels: monotone root-finding for the level equation, iterated
-function application, and interval location.
+"""Numeric kernels: monotone root-finding for the level equation and
+iterated function application.
 
 The level equation g(x) = sum_k f_k(x) = E is solved by bisection on [0, E].
 The bracket is valid because g is continuous with g(0) = 0 and
@@ -28,9 +28,8 @@ accept test |g(x) - E| <= tol, the same iteration count and the same
 failure.  (Once no float lies between lo and hi, every later step repeats
 the last, so the loop stops there.)  It only skips g at midpoints whose
 side of the root is known, so its answer is plain bisection's midpoint,
-bit for bit.  On the benchmark's
-``tables`` traffic it costs about 2.6 level sums, where plain bisection
-costs 33.
+bit for bit.  On the benchmark's ``tables`` traffic it costs about 2.6
+level sums, where plain bisection costs 33.
 
 1. Predicted ends.  Each level rule sets ``g.estimate = (x, slope)``, read
    off its piecewise-linear model of g: the root of the piece of g that
@@ -51,18 +50,11 @@ costs 33.
    is not yet is evaluated, and must clear the band on its side.  Those
    checks evaluate g after the accepted x, so a level rule keeps its last
    few level sums' terms.
-2. Evaluated ends.  Without an estimate, when a check fails, or when
-   max_iter runs out first, the same loop runs again with ends that are
-   evaluated.  Its first probe is the bisection's own first midpoint E/2,
-   so a solve that bisection ends there costs one level sum.  From it, a
-   few Illinois (false-position) steps from the anchors (0, -E) and the
-   probe, or E when the root lies above it, look for a tight bracket
-   xl < root < xu whose ends clear the band, g(xl) - E < -2 tol and
-   g(xu) - E > 2 tol.  The first probe inside the band ends the search,
-   and two more probes step out 3 tol / slope around the root it points
-   at, by the secant's slope.
+2. Plain bisection.  Without an estimate, when a check fails, or when
+   max_iter runs out first, the same loop runs again with no ends: plain
+   bisection, which evaluates every midpoint.
 
-Both rest on one premise: fl(g), the level sum as rounded, may decrease
+The skips rest on one premise: fl(g), the level sum as rounded, may decrease
 as x grows, but by less than tol.  Then every midpoint at or below an end
 whose residual is below -2 tol has a residual below -tol, and the skipped
 decision is the one an evaluation would have made (likewise above).  Each
@@ -77,14 +69,10 @@ field cap of 12.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import PrizeAllocError, Record
-
-if TYPE_CHECKING:
-    from .rules import IntervalList
 
 
 class SolverFailure(PrizeAllocError):
@@ -107,8 +95,6 @@ class SolverConfig(Record):
 
 
 DEFAULT_SOLVER = SolverConfig()
-# false-position probes that look for a tight bracket when there is no estimate
-_PROBES = 10
 # predicted bracket ends lie _Z tol / slope either side of the rule's estimate
 _Z = 2.0
 
@@ -165,8 +151,8 @@ def solve_level_sum(
     only between two bracket ends.  When g has ``g.estimate``, a near root
     and g's slope there, the ends lie 2 tol / slope either side of it, not
     evaluated, and the midpoints taken beyond them are certified once one
-    is accepted.  Without it, or when a certificate fails, ``_bracket``
-    evaluates the ends from E/2."""
+    is accepted.  Without it, or when a certificate fails, the ends are
+    infinite: plain bisection."""
     if n < 1:
         raise ValueError("need at least one competitor")
     if endowment < 0:
@@ -178,18 +164,13 @@ def solve_level_sum(
     steep = n <= cfg.residual_tol * 2.0 ** 51  # g' >= 1 certifies: the sum rounds by < tol / 4
     guess, slope = getattr(g, "estimate", None) or (math.nan, 1.0)
     w = _Z * tol / max(1.0, slope)
-    xl, xu, known = guess - w, guess + w, (-math.inf, math.inf)
-    predicted = 0.0 < guess <= endowment  # not without an estimate, nor for a NaN
-    while True:  # twice at most: the second time from E/2
-        if not predicted:
-            x = 0.5 * endowment  # the bisection's first midpoint
-            r = g(x) - endowment
-            if abs(r) <= tol:
-                return x
-            xl, xu = known = _bracket(g, endowment, tol, x, r)
+    predicted = [(guess - w, guess + w)] if 0.0 < guess <= endowment else []  # not for a NaN
+    # plain bisection runs last: without an estimate, after a failed
+    # certificate, or when the predicted run ends without an answer
+    for xl, xu in predicted + [(-math.inf, math.inf)]:
         # every p <= low_ok is low and every p >= high_ok high; low and high are
         # the last midpoints taken as such without a call of g
-        (low_ok, high_ok), low, high = known, -math.inf, math.inf
+        low_ok, high_ok, low, high = -math.inf, math.inf, -math.inf, math.inf
         lo, hi = 0.0, endowment
         for _ in range(cfg.max_iter):
             x = 0.5 * (lo + hi)
@@ -219,77 +200,10 @@ def solve_level_sum(
                 lo = x
             else:
                 hi = x
-        if not predicted:  # evaluated ends certify every skip: bisection's own end
-            r = g(x) - endowment
-            if abs(r) <= tol:
-                return x
-            raise SolverFailure(
-                f"bisection did not reach residual {tol:g} within {cfg.max_iter} "
-                f"iterations (last residual {r:g})"
-            )
-        predicted = False  # a certificate failed, or the loop ended without an answer
-
-
-def _bracket(g: Callable[[float], float], e: float, tol: float,
-             x: float, r: float) -> tuple[float, float]:
-    """From the probe (x, r) = (x, g(x) - E) and the anchors (0, -E) and,
-    when the root lies above x, (E, g(E) - E), probe g by Illinois false
-    position for xl < xu with g(xl) - E < -2 tol and g(xu) - E > 2 tol,
-    each an evaluated probe; an end no probe clears stays infinite.  The
-    first probe inside that band ends the search, and the bracket steps
-    out to 3 tol / slope either side of the root the probe points at:
-    1.5 times the width of the window |g - E| <= tol.  The slope is the
-    secant's from the last probe, at least 1, as g' >= 1."""
-    band = 2.0 * tol
-    xl, xu = -math.inf, math.inf
-    a, fa, b, fb = 0.0, -e, e, math.nan  # g(0) = 0: no call; g(E): not called yet
-    x0, r0 = a, fa
-    for probe in range(_PROBES + 1):
-        if r < -band:
-            if x0 == a:
-                fb *= 0.5  # Illinois: an end kept twice in a row weighs half
-            xl = a = x
-            fa = r
-        elif r > band:
-            if x0 == b:
-                fa *= 0.5
-            xu = b = x
-            fb = r
-        else:  # inside the band, or NaN
-            slope = max(1.0, (r - r0) / (x - x0))  # g' >= 1: f_1 is the identity
-            root, w = x - r / slope, 3.0 * tol / slope
-            for y in (root - w, root + w):
-                if max(xl, 0.0) < y < min(xu, e):  # no midpoint lies outside (0, E)
-                    ry = g(y) - e
-                    if ry < -band:
-                        xl = y
-                    elif ry > band:
-                        xu = y
-            break
-        if probe == _PROBES:
-            break
-        x0, r0 = x, r
-        if fb != fb:  # every probe so far lies below the root
-            x = e
-        else:
-            x = b - fb * (b - a) / (fb - fa)
-            if not a < x < b:
-                x = 0.5 * (a + b)
-        r = g(x) - e
-    return xl, xu
-
-
-def interval_locate(intervals: "IntervalList", avg: float) -> int | None:
-    """Index of the interval whose closure contains avg, or None.
-
-    Intervals are disjoint open sets, so avg can lie in the closure of at
-    most two of them only via a shared endpoint; the first match in sorted
-    order is returned (the allocation formula agrees on shared endpoints).
-    Every interval before the first whose upper endpoint is at least avg
-    ends below avg, and every one after it starts at or above that
-    endpoint: it is the only candidate.  A NaN avg lies in none.
-    """
-    idx = bisect_left(intervals.uppers, avg)
-    if idx < len(intervals.uppers) and intervals.pairs[idx][0] <= avg:
-        return idx
-    return None
+    r = g(x) - endowment  # plain bisection's own end
+    if abs(r) <= tol:
+        return x
+    raise SolverFailure(
+        f"bisection did not reach residual {tol:g} within {cfg.max_iter} "
+        f"iterations (last residual {r:g})"
+    )

@@ -21,6 +21,7 @@ from prizealloc.axioms import (
     cell_key,
     check_anonymity,
     check_consistency,
+    check_data_top_consistency,
     check_endowment_monotonicity,
     check_lipschitz,
     check_order_preservation,
@@ -30,7 +31,7 @@ from prizealloc.axioms import (
     verify_witness,
 )
 from prizealloc.cli import bundled_rules, parse_rule_spec
-from prizealloc.core import TAU_EQ, Competition, PrizeAllocError, Ranking
+from prizealloc.core import TAU_EQ, Competition, PrizeAllocError, PrizeTable, Ranking
 from prizealloc.rules import (
     ED,
     WTS,
@@ -718,6 +719,32 @@ def test_unusable_tolerance_rejected(tol):
         with pytest.raises(InvalidCheck, match="tolerance must be finite and >= 0"):
             call()
     assert issubclass(InvalidCheck, PrizeAllocError) and issubclass(InvalidCheck, ValueError)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_every_checker_refuses_an_unusable_tolerance_before_a_vector(monkeypatch, tol):
+    """A NaN tolerance fails no comparison, so a checker that took it passed
+    every cell; each refuses it, and an infinite or negative one, before it
+    computes a prize vector."""
+    rule = Counterexample("pair-favoritism", i="p", j="q")
+    weak = check_endowment_monotonicity(rule, SMALL)
+    assert weak.passed
+    computed = []
+    monkeypatch.setattr(axioms, "prize_vector", lambda *args: computed.append(args))
+    table = PrizeTable(name="t", endowment=10.0, prizes=(6.0, 4.0))
+    checks = [
+        lambda: check_anonymity(rule, SMALL, tol),
+        lambda: check_order_preservation(rule, SMALL, tol=tol),
+        lambda: check_endowment_monotonicity(rule, SMALL, tol=tol),
+        lambda: check_lipschitz(rule, SMALL, weak, tol),
+        lambda: check_scale_invariance(rule, SMALL, tol),
+        lambda: check_consistency(rule, SMALL, tol=tol),
+        lambda: check_data_top_consistency(table, rule, tol),
+    ]
+    for check in checks:
+        with pytest.raises(InvalidCheck, match="tolerance must be finite and >= 0"):
+            check()
+    assert computed == []
 
 
 def test_zero_tolerance_accepted():

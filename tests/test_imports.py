@@ -27,11 +27,6 @@ def _imported_modules(node) -> list[str]:
     return [alias.name for alias in node.names]  # from . import x
 
 
-def _is_type_checking_block(stmt) -> bool:
-    return (isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name)
-            and stmt.test.id == "TYPE_CHECKING")
-
-
 def test_no_import_inside_a_function():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -43,14 +38,10 @@ def test_no_import_inside_a_function():
 
 
 def test_solver_imports_no_higher_layer_at_runtime():
-    found = []
-    for stmt in _tree("solver.py").body:
-        if _is_type_checking_block(stmt):
-            continue
-        for node in ast.walk(stmt):
-            if isinstance(node, IMPORTS):
-                found += [m for m in _imported_modules(node) if m in ("rules", "axioms", "cli")]
-    assert not found, f"solver.py imports {found} at run time"
+    """Not even for type checking: the solver is the lowest layer but core."""
+    found = [m for node in ast.walk(_tree("solver.py")) if isinstance(node, IMPORTS)
+             for m in _imported_modules(node) if m in ("rules", "axioms", "cli")]
+    assert not found, f"solver.py imports {found}"
 
 
 def test_only_verify_witness_calls_allocate_in_axioms():
@@ -117,10 +108,8 @@ def test_one_kernel_exit():
 
 def test_one_level_solver_path():
     """A rule's root estimate is the first probe of the one bisection,
-    not a second solver: only ``solve_level_sum`` brackets the root, and
-    only ``solve_level`` and the one ``prizes`` of the level rules call it,
-    once each."""
-    assert _callers("_bracket") == ["solver.py:solve_level_sum"]
+    not a second solver: only ``solve_level`` and the one ``prizes`` of the
+    level rules call ``solve_level_sum``, once each."""
     assert _callers("solve_level_sum") == ["rules.py:_LevelRule", "solver.py:solve_level"]
 
 
@@ -288,7 +277,7 @@ def test_closed_forms_pay_in_runs():
     per-rank interval formula is called once, in ``Interval.prizes``, where
     the bounds are not proven exact; and ``_late_dollar_vector`` lists its
     staircase from ranges, with no comprehension over positions."""
-    loops = [node.lineno for node in ast.walk(_function("solver.py", "interval_locate"))
+    loops = [node.lineno for node in ast.walk(_function("rules.py", "interval_locate"))
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert not loops, f"interval_locate loops at {loops}"
     assert _callers("_interval_prize") == ["rules.py:Interval"]

@@ -21,6 +21,7 @@ from prizealloc.rules import (
     SingleParametric,
     allocate,
     hyperarithmetic_rule,
+    interval_locate,
     prize_vector,
     step_rule,
 )
@@ -28,7 +29,6 @@ from prizealloc.solver import (
     DEFAULT_SOLVER,
     SolverConfig,
     SolverFailure,
-    interval_locate,
     iterate_f,
     iterates,
     solve_level,
@@ -127,9 +127,8 @@ class TestSolveLevel:
 
 
 def plain_bisection(g, n, endowment, cfg=DEFAULT_SOLVER):
-    """solve_level_sum as it was before the probes: bisection on [0, E] that
-    calls g at every midpoint.  The solver must return its float bit for bit,
-    or fail with its message."""
+    """Bisection on [0, E] that calls g at every midpoint.  The solver must
+    return its float bit for bit, or fail with its message."""
     if endowment == 0:
         return 0.0
     tol = cfg.residual_tol * max(1.0, endowment)
@@ -188,34 +187,10 @@ def test_solve_matches_plain_bisection_bit_for_bit(data, n, cfg):
     g = data.draw(level_sums(n))
     e = data.draw(st.one_of(
         st.sampled_from([0.0, 5e-324, 1e12]),
-        st.floats(min_value=0.0, max_value=2 * cfg.residual_tol),  # inside the probe band
+        st.floats(min_value=0.0, max_value=2 * cfg.residual_tol),  # E inside the band 2 tol
         st.floats(min_value=0.0, max_value=5.0 * n),
     ))
     assert outcome(solve_level_sum, g, n, e, cfg) == outcome(plain_bisection, g, n, e, cfg)
-
-
-@given(st.data(), st.sampled_from([1, 2, 5, 8, 50, 106]), st.sampled_from(SOLVER_CONFIGS))
-@settings(max_examples=300)
-def test_bracket_ends_clear_the_probe_band(data, n, cfg):
-    """The bisection skips g at midpoints outside the probe bracket, so each
-    finite end must be a point where g - E clears tol by a further tol."""
-    g = data.draw(level_sums(n))
-    e = data.draw(st.one_of(
-        st.sampled_from([5e-324, 1e12]),
-        st.floats(min_value=0.0, max_value=5.0 * n, exclude_min=True),
-        st.floats(min_value=1e11, max_value=1e13),
-    ))
-    tol = cfg.residual_tol * max(1.0, e)
-    x = 0.5 * e
-    r = g(x) - e
-    if abs(r) <= tol:
-        return  # solve_level_sum returns x without a bracket
-    xl, xu = solver._bracket(g, e, tol, x, r)
-    assert xl < xu
-    if math.isfinite(xl):
-        assert g(xl) - e < -2 * tol
-    if math.isfinite(xu):
-        assert g(xu) - e > 2 * tol
 
 
 def level_sum_calls(monkeypatch, solve, sample):
@@ -237,25 +212,26 @@ def level_sum_calls(monkeypatch, solve, sample):
     return vectors, calls
 
 
-def test_probes_save_level_sums(monkeypatch):
-    """The probes must keep paying: on a sample shaped like the benchmark's
-    `tables` workload they evaluate at most 40% of the level sums plain
-    bisection does, for the same vectors.
+def test_a_solve_without_an_estimate_is_plain_bisection(monkeypatch):
+    """A level sum with no root estimate is solved by plain bisection: on a
+    sample shaped like the benchmark's `tables` workload, the same vectors
+    for the same number of level sums.
 
-    That the vectors stay the same rests on one premise: the probe band of
-    2 tol covers fl(g)'s non-monotonicity, at most about n * 2**-52 * E.
-    That is below tol = residual_tol * max(1, E) for every n up to
-    MAX_ALLOCATION_N at the default 1e-10, and for every field the axiom
-    checks build (n <= MAX_FIELD_SIZE) at CHECK_SOLVER's 1e-12."""
+    That an estimate's skipped midpoints keep those vectors rests on one
+    premise: the certificates' band of 2 tol covers fl(g)'s
+    non-monotonicity, at most about n * 2**-52 * E.  That is below tol =
+    residual_tol * max(1, E) for every n up to MAX_ALLOCATION_N at the
+    default 1e-10, and for every field the axiom checks build
+    (n <= MAX_FIELD_SIZE) at CHECK_SOLVER's 1e-12."""
     assert MAX_ALLOCATION_N * 2.0 ** -52 < DEFAULT_SOLVER.residual_tol
     assert MAX_FIELD_SIZE * 2.0 ** -52 < CHECK_SOLVER.residual_tol
     rng = random.Random("solver-tables-sample")
     sample = [(parse_rule_spec(spec), n, rng.uniform(0.0, 5.0 * n))
               for spec in PARITY_SPECS for n in (8, 50, 106) for _ in range(8)]
-    vectors, probed = level_sum_calls(monkeypatch, solve_level_sum, sample)
+    vectors, calls = level_sum_calls(monkeypatch, solve_level_sum, sample)
     plain_vectors, plain = level_sum_calls(monkeypatch, plain_bisection, sample)
     assert vectors == plain_vectors
-    assert probed <= 0.4 * plain, (probed, plain)
+    assert calls == plain, (calls, plain)
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +322,20 @@ def wrong_estimates(draw, g, e, tol):
 
 def estimated_outcome(g, n, e, cfg, estimate):
     """solve_level_sum's outcome for g with `estimate` attached, and whether
-    it evaluated bracket ends (``_bracket``): with an estimate, only after a
-    failed certificate."""
-    brackets, bracket = [], solver._bracket
+    it fell back to plain bisection: with an estimate, only after a failed
+    certificate.  The fallback shows as a call of g at E/2, plain
+    bisection's first midpoint, outside the predicted window, where the
+    run from the estimate takes it without a call."""
+    calls = []
 
     def g_estimated(x):
+        calls.append(x)
         return g(x)
     g_estimated.estimate = estimate
-
-    def counted(*args):
-        brackets.append(args)
-        return bracket(*args)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_bracket", counted)
-        return outcome(solve_level_sum, g_estimated, n, e, cfg), bool(brackets)
+    guess, slope = estimate or (math.nan, 1.0)
+    w = solver._Z * cfg.residual_tol * max(1.0, e) / max(1.0, slope)
+    got = outcome(solve_level_sum, g_estimated, n, e, cfg)
+    return got, 0.5 * e in calls and not guess - w < 0.5 * e < guess + w
 
 
 @given(st.data(), st.sampled_from([1, 2, 5, 8, 50, 106]), st.sampled_from(SOLVER_CONFIGS))
@@ -368,7 +344,7 @@ def test_a_wrong_estimate_costs_level_sums_never_a_float(data, n, cfg):
     """However far off a rule's estimate is, the solve pays plain bisection's
     bits, and a failure its message: a bracket end that the bisection takes
     without a call of g is certified before a midpoint is accepted, and a
-    failed certificate sends the solve on from evaluated ends."""
+    failed certificate reruns the solve as plain bisection."""
     g = data.draw(level_sums(n))
     e = data.draw(st.one_of(
         st.sampled_from([5e-324, 1e12]),
@@ -400,7 +376,8 @@ def test_a_bisection_out_of_floats_pays_plain_bisection_bits(data, n):
 @pytest.mark.parametrize("cfg", SOLVER_CONFIGS, ids=["default", "check", "three-steps"])
 def test_an_estimate_far_off_goes_on_from_evaluated_ends(spec, cfg):
     """An estimate 10**4 tol / slope off the root fails its certificates, and
-    the solve that goes on from evaluated ends pays plain bisection's bits."""
+    the solve falls back to plain bisection, whose midpoints are all
+    evaluated, and pays its bits."""
     rule, n, e = parse_rule_spec(spec), 8, 17.0
     rule._model(n)
 
@@ -440,10 +417,10 @@ def level_sums_per_solve(monkeypatch, sample, cfg=DEFAULT_SOLVER):
 @pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "sp:linear=0.5",
                                   "sp:pwl=0:0,2:1,4:1", "param:hyperarithmetic"])
 def test_estimates_save_level_sums(monkeypatch, spec):
-    """On the sample of test_probes_save_level_sums, a solve that predicts
-    its bracket ends around its rule's estimate evaluates at most 3.2 level
-    sums on average (1.67 to 2.96 here, where evaluated step-outs took 2.33
-    to 4.21); from E/2 it takes 5 to 12.6."""
+    """On the sample of test_a_solve_without_an_estimate_is_plain_bisection,
+    a solve that predicts its bracket ends around its rule's estimate
+    evaluates at most 3.2 level sums on average (1.67 to 2.96 here, where
+    evaluated step-outs took 2.33 to 4.21); plain bisection takes 28.5."""
     rng = random.Random("solver-tables-sample")
     sample = [(head, n, rng.uniform(0.0, 5.0 * n))
               for head in PARITY_SPECS for n in (8, 50, 106) for _ in range(8)]
@@ -869,8 +846,7 @@ def test_parametric_model_matches_the_level_sum(data, fns):
 
 def test_an_f_of_many_bends_gets_no_model():
     """Each bend of f costs the model up to 2 n steps, so past 4 bends the
-    rule builds none and its solves start from E/2, for plain bisection's
-    bits all the same."""
+    rule builds none and its solves are plain bisection."""
     fn = MonotoneFn.piecewise([(0.0, 0.0), (1.0, 0.5), (2.0, 0.7), (3.0, 1.5), (4.0, 2.0),
                                (5.0, 2.2), (6.0, 3.0), (7.0, 3.5)])
     assert rules._iterated_pieces(fn, 50) is None
