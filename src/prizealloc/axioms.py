@@ -35,6 +35,7 @@ import sys
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations, compress, cycle, islice, permutations,
                        product, repeat)
+from numbers import Real
 from operator import add, and_, gt, itemgetter, le, lt, mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -89,6 +90,9 @@ class SampleBudget(Record):
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in (("max_n", self.max_n), ("rng_seed", self.rng_seed)):
+            if type(value) is not int:  # a bool, a float or None is no count and no seed
+                raise InvalidBudget(f"sample budget {name} must be an int, got {value!r}")
         if self.max_n < 2:
             raise InvalidBudget(f"sample budget max_n must be >= 2, got {self.max_n}")
         if self.max_n > MAX_FIELD_SIZE:
@@ -96,6 +100,9 @@ class SampleBudget(Record):
                 f"sample budget max_n must be <= {MAX_FIELD_SIZE}, got {self.max_n}")
         if not self.endowment_grid:
             object.__setattr__(self, "endowment_grid", _default_grid(self.rng_seed))
+        bad = [e for e in self.endowment_grid if isinstance(e, bool) or not isinstance(e, Real)]
+        if bad:
+            raise InvalidBudget(f"endowment grid values must be real numbers, got {bad[0]!r}")
         if any(e < 0 for e in self.endowment_grid):
             raise InvalidBudget("endowment grid must be non-negative")
         bad = [e for e in self.endowment_grid if not e <= MAX_GRID_ENDOWMENT]  # also NaN

@@ -80,7 +80,11 @@ class IoError(PrizeAllocError):
 
 
 def _fmt(x: float) -> str:
-    """Six-decimal display of a number in human-readable output."""
+    """Six-decimal display of a number in human-readable output; from 1e16
+    on, where its six decimals would print every digit, its repr, which the
+    JSON report prints too."""
+    if abs(x) >= 1e16:
+        return repr(x)
     s = f"{x:.6f}".rstrip("0").rstrip(".")
     return s if s else "0"
 

@@ -27,10 +27,10 @@ A level's linear pieces (``_KINDS[kind].segments``) are the one source of
 where it bends.  The level rules build one piecewise-linear model of their
 level sum g per field size n from them (``_pieces``, ``_iterated_pieces``),
 whose piece that holds E gives each solve its root estimate; ``Parametric``
-checks f_{k+1} <= f_k on them, exactly, for the levels it lists.  Each
-kind's ``walk`` lists x, f(x), f(f(x)), ... in one loop, with no call per
-term; the level rules sum those lists and pay the one their solve
-evaluated at the root, as a tuple.
+checks f_{k+1} <= f_k on them, exactly, for the levels it lists.  A kind
+is its ``walk``: x, f(x), f(f(x)), ... in one loop, with no call per term,
+and f(x) its second term.  The level rules sum those lists and pay the one
+their solve evaluated at the root, as a tuple.
 """
 
 from __future__ import annotations
@@ -128,10 +128,8 @@ class MonotoneFn(Record):
         problem = entry.check(self)
         if problem:
             raise InvalidRuleParams(problem)
-        # not fields: eq, hash and repr see only kind, param and points
-        evaluate = entry.bind(self)
-        object.__setattr__(self, "_eval", evaluate)
-        object.__setattr__(self, "walk", partial(entry.walk, *evaluate.args))
+        # not a field: eq, hash and repr see only kind, param and points
+        object.__setattr__(self, "walk", partial(entry.walk, *entry.args(self)))
 
     # -- constructors
 
@@ -162,7 +160,7 @@ class MonotoneFn(Record):
         return MonotoneFn("pwl", points=tuple((float(x), float(y)) for x, y in points))
 
     def __call__(self, x: float) -> float:
-        return self._eval(x)
+        return self.walk(x, 2)[1]  # f(x): the second term of a walk from x
 
     def spec(self) -> str:
         """The text after ``sp:`` that parses back to this function."""
@@ -170,18 +168,18 @@ class MonotoneFn(Record):
 
 
 class _Kind(NamedTuple):
-    """One MonotoneFn kind: ``bind``, which does a function's per-curve work
-    once, at construction, and returns its evaluator (a ``partial`` over a
-    module-level function, so rules pickle), its ``walk``, a module-level
-    function that takes the evaluator's bound arguments, then x and n >= 1,
-    and lists x, f(x), f(f(x)), ... to n terms in one loop, bit for bit
+    """One MonotoneFn kind, which is its walk: ``args``, which does a
+    function's per-curve work once, at construction, and returns what its
+    walk is bound to, ``walk``, a module-level function (so rules pickle)
+    that takes those arguments, then x and n >= 1, and lists x, f(x),
+    f(f(x)), ... to n terms in one loop, bit for bit
     ``list(iterates(f, x, n))``, its parameter check (a message, or None
     when the parameters are valid), its spec text, its linear pieces from
     x = 0 as (x, f(x), slope) where each starts (one may be empty or start
     at inf: shift=0, cap=inf) and, for kinds the spec grammar names, the
     parser of that text's argument."""
 
-    bind: Callable[[MonotoneFn], Callable[[float], float]]
+    args: Callable[[MonotoneFn], tuple]
     walk: Callable[..., list[float]]
     check: Callable[[MonotoneFn], str | None]
     spec: Callable[[MonotoneFn], str]
@@ -211,14 +209,6 @@ def _pwl_problem(f: MonotoneFn) -> str | None:
     return None
 
 
-def _shift(c: float, x: float) -> float:
-    return x - c if x > c else 0.0  # max(0, x - c), bit for bit
-
-
-def _cap(c: float, x: float) -> float:
-    return x if x < c else c  # min(c, x), bit for bit
-
-
 def _walk_linear(s: float, x: float, n: int) -> list[float]:
     walked = [x]
     for _ in range(n - 1):
@@ -230,7 +220,7 @@ def _walk_linear(s: float, x: float, n: int) -> list[float]:
 def _walk_shift(c: float, x: float, n: int) -> list[float]:
     walked = [x]
     for k in range(1, n):
-        if not x > c:  # then 0.0, the fixed point, to the end
+        if not x > c:  # max(0, x - c) is 0.0, the fixed point, to the end
             return walked + [0.0] * (n - k)
         x -= c
         walked.append(x)
@@ -238,24 +228,21 @@ def _walk_shift(c: float, x: float, n: int) -> list[float]:
 
 
 def _walk_cap(c: float, x: float, n: int) -> list[float]:
-    return [x] * n if x < c else [x] + [c] * (n - 1)
+    return [x] * n if x < c else [x] + [c] * (n - 1)  # min(c, x), bit for bit
 
 
-def _bind_pwl(f: MonotoneFn) -> Callable[[float], float]:
-    """Bind a curve once: (x0, y0, rise, run) per segment, indexed by the
-    upper x's, and the final slope (0.0 for a single breakpoint) as a
-    segment with run 1.0, an exact divisor, so ``segs[0]`` starts at the
-    first breakpoint; each value is y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    between breakpoints and y1 + slope * (x - x1) beyond, bit for bit; only
-    where (y1 - y0) * (x - x0) overflows is the quotient taken first."""
+def _pwl_args(f: MonotoneFn) -> tuple[tuple, tuple]:
+    """A curve's walk arguments, worked out once: the upper x's and,
+    indexed by them, (x0, y0, rise, run) per segment, with the final slope
+    (0.0 for a single breakpoint) as a segment with run 1.0, an exact
+    divisor, so ``segs[0]`` starts at the first breakpoint; each value is
+    y0 + (y1 - y0) * (x - x0) / (x1 - x0) between breakpoints and
+    y1 + slope * (x - x1) beyond, bit for bit; only where
+    (y1 - y0) * (x - x0) overflows is the quotient taken first."""
     pts = f.points
     segs = [(x0, y0, y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
     segs.append((*pts[-1], segs[-1][2] / segs[-1][3] if segs else 0.0, 1.0))
-    return partial(_eval_pwl, tuple(x for x, _ in pts[1:]), tuple(segs))
-
-
-def _eval_pwl(*curve_and_x) -> float:
-    return _walk_pwl(*curve_and_x, 2)[1]  # f(x): the second term of a walk from x
+    return tuple(x for x, _ in pts[1:]), tuple(segs)
 
 
 def _walk_pwl(uppers: tuple[float, ...], segs: tuple[tuple[float, float, float, float], ...],
@@ -315,20 +302,20 @@ def _offset_problem(f: MonotoneFn) -> str | None:
 
 
 _KINDS: dict[str, _Kind] = {
-    "linear": _Kind(lambda f: partial(operator.mul, f.param), _walk_linear,
+    "linear": _Kind(lambda f: (f.param,), _walk_linear,
                     lambda f: None if 0.0 <= f.param <= 1.0
                     else f"linear slope must be in [0, 1], got {f.param}",
                     lambda f: f"linear={_num(f.param)}", lambda f: [(0.0, 0.0, f.param)],
                     _one_param("linear", "a slope in [0, 1]")),
-    "shift": _Kind(lambda f: partial(_shift, f.param), _walk_shift, _offset_problem,
+    "shift": _Kind(lambda f: (f.param,), _walk_shift, _offset_problem,
                    lambda f: f"shift={_num(f.param)}",
                    lambda f: [(0.0, 0.0, 0.0), (f.param, 0.0, 1.0)],
                    _one_param("shift", "a shift >= 0")),
-    "cap": _Kind(lambda f: partial(_cap, f.param), _walk_cap, _offset_problem,
+    "cap": _Kind(lambda f: (f.param,), _walk_cap, _offset_problem,
                  lambda f: f"cap={_num(f.param)}",
                  lambda f: [(0.0, 0.0, 1.0), (f.param, f.param, 0.0)],
                  _one_param("cap", "a cap >= 0")),
-    "pwl": _Kind(_bind_pwl, _walk_pwl, _pwl_problem,
+    "pwl": _Kind(_pwl_args, _walk_pwl, _pwl_problem,
                  lambda f: "pwl=" + ",".join(f"{_num(x)}:{_num(y)}" for x, y in f.points),
                  lambda f: [(x0, y0, (y1 - y0) / (x1 - x0))  # a single point is flat
                             for (x0, y0), (x1, y1) in zip(f.points, f.points[1:])]
@@ -563,24 +550,24 @@ def _iterated_pieces(f: MonotoneFn, n: int) -> tuple[list[float], ...] | None:
     return xs, gs, slopes + slopes[-1:]
 
 
-def _estimating(level_sum: Callable[[float], float], pieces, e: float, cfg: SolverConfig):
-    """level_sum with its ``estimate`` for ``solve_level_sum``, given pieces:
-    the root of g(x) = E on the piece that holds it, and g's slope there.
-    Where E lies within 2 tol of a bend, the solver's bracket, 2 tol / slope
-    either side of the root, reaches past it: the estimate hands over the
-    smaller slope of the two pieces, whose wider ends clear the band on
-    both sides."""
-    if pieces:
-        xs, gs, slopes = pieces
-        i = bisect_left(gs, e) - 1  # gs[0] = g(0) = 0 < E
-        g, slope = gs[i], slopes[i]
-        band = 2.0 * cfg.residual_tol * (e if e > 1.0 else 1.0)
-        if i > 0 and e - g <= band:  # the bend at gs[i]
-            slope = min(slope, slopes[i - 1])
-        if e <= gs[-1] and gs[i + 1] - e <= band:  # the bend at gs[i + 1]
-            slope = min(slope, slopes[i + 1])
-        level_sum.estimate = xs[i] + (e - g) / slopes[i], slope
-    return level_sum
+def _estimate(pieces, e: float, cfg: SolverConfig) -> tuple[float, float] | None:
+    """The ``estimate`` for ``solve_level_sum``, given pieces, or None
+    without them: the root of g(x) = E on the piece that holds it, and g's
+    slope there.  Where E lies within 2 tol of a bend, the solver's bracket,
+    2 tol / slope either side of the root, reaches past it: the estimate
+    hands over the smaller slope of the two pieces, whose wider ends clear
+    the band on both sides."""
+    if not pieces:
+        return None
+    xs, gs, slopes = pieces
+    i = bisect_left(gs, e) - 1  # gs[0] = g(0) = 0 < E
+    g, slope = gs[i], slopes[i]
+    band = 2.0 * cfg.residual_tol * (e if e > 1.0 else 1.0)
+    if i > 0 and e - g <= band:  # the bend at gs[i]
+        slope = min(slope, slopes[i - 1])
+    if e <= gs[-1] and gs[i + 1] - e <= band:  # the bend at gs[i + 1]
+        slope = min(slope, slopes[i + 1])
+    return xs[i] + (e - g) / slopes[i], slope
 
 
 class _LevelRule(RuleSpec):
@@ -604,7 +591,7 @@ class _LevelRule(RuleSpec):
         def level_sum(x):
             kept.append(levels := walk(x, n))
             return sum(levels)
-        x = solve_level_sum(_estimating(level_sum, self._by_n[n], e, cfg), n, e, cfg)
+        x = solve_level_sum(level_sum, n, e, cfg, estimate=_estimate(self._by_n[n], e, cfg))
         for levels in kept:
             if levels[0] is x:
                 return tuple(levels)
@@ -668,7 +655,7 @@ class Parametric(_LevelRule, Record):
         shifts = tuple(f.param for f in levels[1:] if f.kind == "shift")
         object.__setattr__(self, "_walk", partial(_shift_levels, shifts)
                            if len(shifts) == len(levels) - 1
-                           else partial(_levels_at, tuple(f._eval for f in levels[1:])))
+                           else partial(_levels_at, levels[1:]))
         return _pieces(levels[1:n])
 
     def spec(self):

@@ -31,7 +31,7 @@ side of the root is known, so its answer is plain bisection's midpoint,
 bit for bit.  On the benchmark's ``tables`` traffic it costs about 2.6
 level sums, where plain bisection costs 33.
 
-1. Predicted ends.  Each level rule sets ``g.estimate = (x, slope)``, read
+1. Predicted ends.  Each level rule passes ``estimate=(x, slope)``, read
    off its piecewise-linear model of g: the root of the piece of g that
    holds E, and g's slope there.  The bracket ends are then xl, xu = x -+
    2 tol / slope, not evaluated: a midpoint at or below xl takes lo = x
@@ -145,11 +145,12 @@ def solve_level_sum(
     n: int,
     endowment: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
+    estimate: tuple[float, float] | None = None,
 ) -> float:
     """Solve g(x) = E for x by bisection on [0, E], where g is the sum of n
     level functions, the first of them the identity.  The bisection calls g
-    only between two bracket ends.  When g has ``g.estimate``, a near root
-    and g's slope there, the ends lie 2 tol / slope either side of it, not
+    only between two bracket ends.  Given ``estimate``, a near root and g's
+    slope there, the ends lie 2 tol / slope either side of it, not
     evaluated, and the midpoints taken beyond them are certified once one
     is accepted.  Without it, or when a certificate fails, the ends are
     infinite: plain bisection."""
@@ -162,7 +163,7 @@ def solve_level_sum(
     tol = cfg.residual_tol * max(1.0, endowment)
     band = 2.0 * tol
     steep = n <= cfg.residual_tol * 2.0 ** 51  # g' >= 1 certifies: the sum rounds by < tol / 4
-    guess, slope = getattr(g, "estimate", None) or (math.nan, 1.0)
+    guess, slope = estimate or (math.nan, 1.0)
     w = _Z * tol / max(1.0, slope)
     predicted = [(guess - w, guess + w)] if 0.0 < guess <= endowment else []  # not for a NaN
     # plain bisection runs last: without an estimate, after a failed

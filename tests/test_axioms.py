@@ -90,6 +90,18 @@ class TestSampleBudget:
 
         assert marks((1.0, axioms.MAX_GRID_ENDOWMENT)) == marks((1.0, 2.0))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("max_n", 3.0), ("max_n", True), ("max_n", "3"), ("rng_seed", None),
+        ("rng_seed", "0"), ("rng_seed", 0.0), ("rng_seed", False),
+        ("endowment_grid", ("1",)), ("endowment_grid", (True,)),
+        ("endowment_grid", (1.0, None)), ("endowment_grid", (1.0, 2j))])
+    def test_a_count_seed_or_grid_value_of_the_wrong_type_is_refused(self, field, bad):
+        """A float max_n failed in every checker with a bare TypeError, a None
+        seed drew its grid from OS entropy, a text seed drew another grid
+        than the seed it printed, and a bool grid value printed as True."""
+        with pytest.raises(axioms.InvalidBudget, match="int|real number"):
+            SampleBudget(**{"max_n": 3, field: bad})
+
     def test_invalid_budget_is_a_package_error(self):
         with pytest.raises(PrizeAllocError):
             SampleBudget(max_n=0)

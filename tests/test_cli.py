@@ -287,6 +287,25 @@ class TestPathCommand:
         assert lines[1:] == ["0,0,0", "0.5,0.25,0.25", "1,0.5,0.5"]
 
 
+def test_huge_numbers_print_short_and_parse_back():
+    """From 1e16 on, a human table or path number is no longer every digit of
+    its six-decimal form (about 300 near 1e308) but short, within 1e-6 of the
+    JSON report's value."""
+    args = ("--rule", "ed", "--n", "2")
+    _, report, _ = run_cli("table", *args, "--endowments", "0:1e308:1e307", "--json")
+    rows = [[row["endowment"], *row["prizes"]] for row in json.loads(report)["rows"]]
+    _, table, _ = run_cli("table", *args, "--endowments", "0:1e308:1e307")
+    _, path, _ = run_cli("path", *args, "--endowment", "1e308", "--step", "1e307")
+    printed = ([line.replace(" | ", " ").split() for line in table.splitlines()],
+               [line.split(",") for line in path.splitlines()[1:]])
+    for lines in printed:
+        assert len(lines) == len(rows) == 11
+        for line, row in zip(lines, rows):
+            assert [len(text) <= 20 for text in line] == [True] * 3, line
+            assert all(math.isclose(float(text), value, rel_tol=1e-6)
+                       for text, value in zip(line, row, strict=True)), (line, row)
+
+
 class TestCheckCommand:
     def test_pass_exits_0(self):
         code, out, _ = run_cli("check", "--rule", "ed", "--axiom",

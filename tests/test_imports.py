@@ -114,17 +114,29 @@ def test_one_level_solver_path():
 
 
 def test_one_root_estimate_source():
-    """Both level rules read ``g.estimate`` off their piecewise-linear model
-    of the level sum through one lookup; no closed form is kept beside it."""
-    assigned = [f"{path.name}:{getattr(stmt, 'name', node.lineno)}"
-                for path in sorted(SRC.glob("*.py")) for stmt in _tree(path.name).body
-                for node in ast.walk(stmt) if isinstance(node, ast.Assign)
-                for target in node.targets
-                if isinstance(target, ast.Attribute) and target.attr == "estimate"]
-    assert assigned == ["rules.py:_estimating"]
-    names = {node.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path.name))
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert "_sp_estimate" not in names
+    """The root estimate is an argument of ``solve_level_sum``, not an
+    attribute of the level sum: nothing in the package reads or writes an
+    ``estimate`` attribute, ``_estimate`` is its one producer, read off the
+    level rules' piecewise-linear model of the level sum, and
+    ``_LevelRule.prizes`` the one caller that passes one; no closed form is
+    kept beside it."""
+    nodes = [(path.name, stmt, node) for path in sorted(SRC.glob("*.py"))
+             for stmt in _tree(path.name).body for node in ast.walk(stmt)]
+    attributes = [f"{name}:{node.lineno}" for name, _, node in nodes
+                  if isinstance(node, ast.Attribute) and node.attr == "estimate"
+                  or isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                  in ("getattr", "setattr", "hasattr", "delattr")
+                  and any(isinstance(arg, ast.Constant) and arg.value == "estimate"
+                          for arg in node.args)]
+    assert not attributes, f"estimate attribute at {attributes}"
+    assert _callers("_estimate") == ["rules.py:_LevelRule"]
+    passing = [f"{name}:{getattr(stmt, 'name', node.lineno)}" for name, stmt, node in nodes
+               if isinstance(node, ast.Call) and (
+                   any(kw.arg == "estimate" for kw in node.keywords)
+                   or getattr(node.func, "id", None) == "solve_level_sum" and len(node.args) > 4)]
+    assert passing == ["rules.py:_LevelRule"]
+    names = {node.name for _, _, node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not names & {"_sp_estimate", "_estimating"}
 
 
 def test_one_source_of_level_bends():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 import struct
 from bisect import bisect_right
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -35,7 +36,7 @@ from prizealloc.solver import (
     solve_level_sum,
 )
 
-from test_rules import PARITY_SPECS, locate_by_scan, pwl_points, run_intervals
+from test_rules import PARITY_SPECS, locate_by_scan, pwl_points, run_intervals, segment_loop_pwl
 
 
 class TestIterate:
@@ -126,9 +127,10 @@ class TestSolveLevel:
 # Probe and replay against plain bisection
 
 
-def plain_bisection(g, n, endowment, cfg=DEFAULT_SOLVER):
-    """Bisection on [0, E] that calls g at every midpoint.  The solver must
-    return its float bit for bit, or fail with its message."""
+def plain_bisection(g, n, endowment, cfg=DEFAULT_SOLVER, estimate=None):
+    """Bisection on [0, E] that calls g at every midpoint, whatever the
+    estimate.  The solver must return its float bit for bit, or fail with
+    its message."""
     if endowment == 0:
         return 0.0
     tol = cfg.residual_tol * max(1.0, endowment)
@@ -176,8 +178,8 @@ def level_sums(draw, n):
     hyperarithmetic rule's levels."""
     f = draw(st.one_of(MONOTONE_FNS, st.just(None)))
     if f is not None:
-        return lambda x: sum(iterates(f._eval, x, n))
-    levels = [HYPERARITHMETIC.fn(k)._eval for k in range(1, n + 1)]
+        return lambda x: sum(iterates(f, x, n))
+    levels = [HYPERARITHMETIC.fn(k) for k in range(1, n + 1)]
     return lambda x: sum(level(x) for level in levels)
 
 
@@ -195,10 +197,11 @@ def test_solve_matches_plain_bisection_bit_for_bit(data, n, cfg):
 
 def level_sum_calls(monkeypatch, solve, sample):
     """The prize vectors of a sample of (rule, n, E) with every level solve
-    routed through `solve`, and the number of level sums it evaluated."""
+    routed through `solve` without the rule's estimate, and the number of
+    level sums it evaluated."""
     calls = 0
 
-    def counted(g, n, e, cfg=DEFAULT_SOLVER):
+    def counted(g, n, e, cfg=DEFAULT_SOLVER, estimate=None):
         def g_counted(x):
             nonlocal calls
             calls += 1
@@ -279,9 +282,9 @@ def test_estimate_pays_plain_bisection_bits(data, rule, n, cfg):
     ))
     estimates = []
 
-    def solve(g, n, e, cfg):
-        estimates.append(getattr(g, "estimate", None))
-        return solve_level_sum(g, n, e, cfg)
+    def solve(g, n, e, cfg, estimate=None):
+        estimates.append(estimate)
+        return solve_level_sum(g, n, e, cfg, estimate)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rules, "solve_level_sum", solve)
@@ -321,7 +324,7 @@ def wrong_estimates(draw, g, e, tol):
 
 
 def estimated_outcome(g, n, e, cfg, estimate):
-    """solve_level_sum's outcome for g with `estimate` attached, and whether
+    """solve_level_sum's outcome for g given `estimate`, and whether
     it fell back to plain bisection: with an estimate, only after a failed
     certificate.  The fallback shows as a call of g at E/2, plain
     bisection's first midpoint, outside the predicted window, where the
@@ -331,10 +334,9 @@ def estimated_outcome(g, n, e, cfg, estimate):
     def g_estimated(x):
         calls.append(x)
         return g(x)
-    g_estimated.estimate = estimate
     guess, slope = estimate or (math.nan, 1.0)
     w = solver._Z * cfg.residual_tol * max(1.0, e) / max(1.0, slope)
-    got = outcome(solve_level_sum, g_estimated, n, e, cfg)
+    got = outcome(partial(solve_level_sum, estimate=estimate), g_estimated, n, e, cfg)
     return got, 0.5 * e in calls and not guess - w < 0.5 * e < guess + w
 
 
@@ -391,12 +393,33 @@ def test_an_estimate_far_off_goes_on_from_evaluated_ends(spec, cfg):
         assert got == outcome(plain_bisection, g, n, e, cfg)
 
 
+@pytest.mark.parametrize("spec", ["sp:arithmetic", "sp:cap=2", "param:hyperarithmetic"])
+def test_an_estimate_is_an_argument_not_an_attribute(spec):
+    """A level sum that carries its rule's estimate as an ``estimate``
+    attribute, but is solved without ``estimate=``, costs exactly plain
+    bisection's level sums; the same tuple passed as ``estimate=`` costs
+    fewer, for the same root."""
+    rule, n, e = parse_rule_spec(spec), 50, 100.0
+    pieces, calls = rule._model(n), []
+
+    def g(x):
+        calls.append(x)
+        return sum(rule._walk(x, n))
+    g.estimate = rules._estimate(pieces, e, DEFAULT_SOLVER)
+    root = plain_bisection(g, n, e)
+    plain = len(calls)
+    calls.clear()
+    assert solve_level_sum(g, n, e) == root and len(calls) == plain
+    calls.clear()
+    assert solve_level_sum(g, n, e, estimate=g.estimate) == root and len(calls) < plain
+
+
 def level_sums_per_solve(monkeypatch, sample, cfg=DEFAULT_SOLVER):
     """Level sums per solve of a sample of (rule, n, E), each level sum
-    counted with the root estimate its rule attached."""
+    counted with the root estimate its rule passed."""
     solves = calls = 0
 
-    def counted(g, n, e, cfg=DEFAULT_SOLVER):
+    def counted(g, n, e, cfg=DEFAULT_SOLVER, estimate=None):
         nonlocal solves
         solves += 1
 
@@ -404,8 +427,7 @@ def level_sums_per_solve(monkeypatch, sample, cfg=DEFAULT_SOLVER):
             nonlocal calls
             calls += 1
             return g(x)
-        g_counted.estimate = getattr(g, "estimate", None)
-        return solve_level_sum(g_counted, n, e, cfg)
+        return solve_level_sum(g_counted, n, e, cfg, estimate)
 
     monkeypatch.setattr(rules, "solve_level_sum", counted)
     ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
@@ -486,6 +508,17 @@ def bits(xs):
     return [struct.pack("<d", x) for x in xs]
 
 
+def one_step(fn):
+    """f as a single step written here for each kind, the reference a walk
+    must match: s * x, max(0, x - c) and min(c, x) bit for bit, and the
+    segment loop of a piecewise-linear curve."""
+    c = fn.param
+    return {"linear": lambda x: c * x,
+            "shift": lambda x: x - c if x > c else 0.0,
+            "cap": lambda x: x if x < c else c,
+            "pwl": partial(segment_loop_pwl, fn.points)}[fn.kind]
+
+
 def flat_tail(a, rise, run):
     """Slope `rise` up to x = a, then flat: with rise 1, f(a) = a."""
     return MonotoneFn.piecewise([(0.0, 0.0), (a, a * rise), (a + run, a * rise)])
@@ -517,7 +550,7 @@ FIXED_POINT_FNS = st.one_of(
 @example(MonotoneFn.cap(1.0), 106, math.nan)
 @settings(max_examples=500)
 def test_iterates_match_every_step_walk_bit_for_bit(fn, n, x):
-    assert bits(iterates(fn._eval, x, n)) == bits(walk_every_step(fn._eval, x, n))
+    assert bits(iterates(fn, x, n)) == bits(walk_every_step(fn, x, n))
 
 
 def prizes_outcome(prizes, fn, n, e, cfg):
@@ -529,8 +562,8 @@ def prizes_outcome(prizes, fn, n, e, cfg):
 
 def every_step_prizes(fn, n, e, cfg):
     """SingleParametric.prizes over walk_every_step."""
-    x = solve_level_sum(lambda x: sum(walk_every_step(fn._eval, x, n)), n, e, cfg)
-    return list(walk_every_step(fn._eval, x, n))
+    x = solve_level_sum(lambda x: sum(walk_every_step(fn, x, n)), n, e, cfg)
+    return list(walk_every_step(fn, x, n))
 
 
 def single_parametric_prizes(fn, n, e, cfg):
@@ -552,21 +585,20 @@ def test_single_parametric_prizes_match_every_step_walk_bit_for_bit(data, fn, n,
 
 def walked_points(monkeypatch, sample):
     """(f, x, n) for every level sum the solves of a sample of single-parametric
-    (rule, n, E) evaluate, with the root estimate each rule attached: every
+    (rule, n, E) evaluate, with the root estimate each rule passed: every
     walk of f an allocation makes, the prizes' too."""
     points = []
 
-    def solve(g, n, e, cfg=DEFAULT_SOLVER):
+    def solve(g, n, e, cfg=DEFAULT_SOLVER, estimate=None):
         def g_seen(x):
             points.append((f, x, n))
             return g(x)
-        g_seen.estimate = getattr(g, "estimate", None)
-        return solve_level_sum(g_seen, n, e, cfg)
+        return solve_level_sum(g_seen, n, e, cfg, estimate)
 
     monkeypatch.setattr(rules, "solve_level_sum", solve)
     ids = tuple(f"c{k}" for k in range(max(n for _, n, _ in sample)))
     for rule, n, e in sample:
-        f = rule.f._eval
+        f = rule.f
         prize_vector(rule, ids[:n], e)
     return points
 
@@ -619,7 +651,15 @@ def test_kind_walks_match_every_step_walk_bit_for_bit(fn, n, x):
     every step does, bit for bit, as a list that starts with x itself."""
     walked = fn.walk(x, n)
     assert type(walked) is list and walked[0] is x
-    assert bits(walked) == bits(walk_every_step(fn._eval, x, n))
+    assert bits(walked) == bits(walk_every_step(one_step(fn), x, n))
+
+
+def test_a_kind_is_its_walk():
+    """A function keeps its walk and no evaluator beside it: f(x) is the
+    walk's second term."""
+    fn = MonotoneFn.cap(1.0)
+    assert set(vars(fn)) == {"kind", "param", "points", "walk"}
+    assert (fn(0.5), fn(2.0)) == (0.5, 1.0)
 
 
 def test_pwl_walk_leaves_a_segment_its_iterate_rounds_above():
@@ -628,7 +668,7 @@ def test_pwl_walk_leaves_a_segment_its_iterate_rounds_above():
     its iterates do, must take that piece's expression for the next step."""
     fn = MonotoneFn.piecewise([(0.0, 0.0), (0.1, 0.1), (1.0, 0.2)])
     assert fn(0.1) > 0.1
-    assert bits(fn.walk(0.1, 5)) == bits(walk_every_step(fn._eval, 0.1, 5))
+    assert bits(fn.walk(0.1, 5)) == bits(walk_every_step(one_step(fn), 0.1, 5))
 
 
 SHIFT_LEVELS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-9, math.inf]),
@@ -647,7 +687,7 @@ PARAMETRIC_RULES = st.one_of(
 def test_parametric_walk_is_its_levels_bit_for_bit(rule, n, x):
     """A Parametric rule lists its levels at x in one pass, in one
     comprehension when every level after the identity is a shift: bit for
-    bit each level's evaluator, as a list that starts with x itself."""
+    bit each level's single step, as a list that starts with x itself."""
     if rule.extend is None:
         n = min(n, len(rule.fs))
     rule._model(n)
@@ -655,7 +695,7 @@ def test_parametric_walk_is_its_levels_bit_for_bit(rule, n, x):
     assert (rule._walk.func is rules._shift_levels) == shifts
     walked = rule._walk(x, n)
     assert walked[0] is x
-    assert bits(walked) == bits([rule.fn(k)._eval(x) for k in range(1, n + 1)])
+    assert bits(walked) == bits([one_step(rule.fn(k))(x) for k in range(1, n + 1)])
 
 
 def count_walks(rule, sizes):
@@ -689,12 +729,11 @@ def test_prizes_walk_once_per_level_sum(monkeypatch, spec):
     walks = count_walks(rule, {n for _, n, _ in sample})
     sums = []
 
-    def counted(g, n, e, cfg=DEFAULT_SOLVER):
+    def counted(g, n, e, cfg=DEFAULT_SOLVER, estimate=None):
         def g_counted(x):
             sums.append(x)
             return g(x)
-        g_counted.estimate = getattr(g, "estimate", None)
-        return solve_level_sum(g_counted, n, e, cfg)
+        return solve_level_sum(g_counted, n, e, cfg, estimate)
 
     monkeypatch.setattr(rules, "solve_level_sum", counted)
     ids = tuple(f"c{k}" for k in range(106))
@@ -709,7 +748,7 @@ def test_a_solver_that_returns_an_unwalked_x_gets_a_fresh_walk(monkeypatch):
     rule = parse_rule_spec("sp:arithmetic")
     walks = count_walks(rule, {3})
 
-    def solve(g, n, e, cfg=DEFAULT_SOLVER):
+    def solve(g, n, e, cfg=DEFAULT_SOLVER, estimate=None):
         g(1.0)
         return 2.0
 
@@ -825,7 +864,7 @@ def test_single_parametric_model_matches_the_walk(data, fn, n):
     pieces = rules._iterated_pieces(fn, n)
 
     def g(x):
-        return sum(iterates(fn._eval, x, n))
+        return sum(iterates(fn, x, n))
     top = pieces[0][-1]
     assume(g(top) < math.inf)
     extra = [0.5 * top, 1.5 * top] + (data.draw(st.lists(
